@@ -313,7 +313,6 @@ def _render_status(status: Dict) -> str:
         f"window {slo.get('window_s', 0.0):.0f}s — "
         f"pool: {pool.get('processes', '?')} processes"
         f"{' BROKEN' if pool.get('broken') else ''}"
-        f"{' serial-only' if pool.get('serial_only') else ''}"
     )
     if not rows:
         return header + "\nno requests in the window yet"

@@ -1,7 +1,7 @@
 """Parallel Monte Carlo replication ensembles (see ``docs/performance.md``).
 
 Turns the stochastic simulator into a distribution machine: N seeded
-replications across a fork-once process pool, streamed into P² quantiles
+replications across a process pool, streamed into P² quantiles
 and Welford summaries (no trace retention beyond K exemplars), with
 sequential early stopping on the target quantile's CI and common-random-
 number paired comparisons for what-if ranking.

@@ -205,7 +205,6 @@ def compare_paired(
         ),
         base_seed=ens.base_seed,
         keep_trace_below=0,
-        metrics_enabled=registry.enabled,
     )
     early_stopped = False
     with _ReplicationDriver(setup, ens.processes, ens.chunksize) as driver:

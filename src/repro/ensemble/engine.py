@@ -10,9 +10,10 @@ and deterministically:
   :class:`~repro.simulator.engine.SimulationConfig` through
   :func:`~repro.simulator.seeding.replication_config`, a pure function of
   ``(base_seed, i)``, so any process may run any replication.
-* **Fork-once shared setup** — the workflow/cluster/config triple is
-  pickled once per worker at pool start-up; work items are bare
-  ``(variant, index)`` integer pairs.
+* **Ship-once shared setup** — the workflow/cluster/config triple is the
+  pool context of
+  :meth:`~repro.service.pool.ResilientPool.map_with_context`, pickled once
+  per run; work items are bare ``(variant, index)`` integer pairs.
 * **Streaming aggregation** — each replication reduces to a small
   :class:`ReplicationRecord` inside the worker; the parent folds records
   into P² quantile markers, Welford summaries and per-state duration
@@ -34,22 +35,14 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.dag.workflow import Workflow
 from repro.errors import SpecificationError
-from repro.obs.context import clear_context
-from repro.obs.metrics import get_metrics, snapshot_delta
+from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.service.pool import (
-    CancelCheck,
-    ResilientPool,
-    check_cancel,
-    parent_cpu_clock,
-)
-from repro.service.shm import ShmHandle, pack as shm_pack, release as shm_release
-from repro.service.shm import resolve_shared
+from repro.service.pool import CancelCheck, ResilientPool
 from repro.simulator.engine import SimulationConfig, simulate
 from repro.simulator.seeding import replication_seeds
 from repro.simulator.trace import SimulationResult
@@ -244,16 +237,8 @@ def run_replication(
     this is the streaming-aggregation boundary.
     """
     skew_seed, failure_seed = replication_seeds(base_seed, index)
-    # Workers run the columnar engine whenever the variant asks for the
-    # default loop: the two are trace-parity twins
-    # (tests/simulator/test_columnar_parity.py) and a replication is
-    # reduced to aggregates anyway, so the ensemble gets the flat-array
-    # throughput for free.  An explicit "reference" choice is honoured —
-    # that is the oracle configuration.
-    engine = "columnar" if variant.config.engine == "fast" else variant.config.engine
     config = replace(
         variant.config,
-        engine=engine,
         skew=replace(variant.config.skew, seed=skew_seed),
         failures=replace(variant.config.failures, seed=failure_seed),
     )
@@ -334,53 +319,23 @@ class _Accumulator:
         return quantile_ci(sorted(self.samples), q, z)
 
 
-# -- worker protocol (fork-once shared setup) ------------------------------------------
+# -- pooled execution -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _EnsembleSetup:
-    """Everything a worker needs, shipped once at pool start-up."""
+    """Everything a replication needs: the read-only pool context."""
 
     variants: Tuple[VariantSpec, ...]
     base_seed: int
     keep_trace_below: int
-    metrics_enabled: bool
-    trace_enabled: bool = False
 
+    #: Span wrapping each pooled chunk (see :mod:`repro.service.pool`).
+    chunk_span = "ensemble.chunk"
 
-_WORKER_SETUP: Optional[_EnsembleSetup] = None
 
 #: One work item: (variant index, replication index).
 _Item = Tuple[int, int]
-
-_MetricsDelta = Dict[str, Dict[str, Any]]
-
-#: Picklable span rows (:meth:`repro.obs.tracer.Tracer.export_since`).
-_SpanRows = List[Dict[str, Any]]
-
-#: What every pooled chunk evaluator returns.
-_ChunkOutcome = Tuple[
-    List[Tuple[int, ReplicationRecord, Optional[SimulationResult]]],
-    float,
-    _MetricsDelta,
-    _SpanRows,
-]
-
-
-def _ensemble_worker_init(setup: _EnsembleSetup) -> None:
-    global _WORKER_SETUP
-    _WORKER_SETUP = setup
-    # Forked workers inherit the submitting thread's request context and
-    # open-span stack; start trace-clean so worker spans stay unclaimed
-    # until the parent stamps the right trace id at ingest time.
-    clear_context()
-    get_tracer().clear()
-    if setup.metrics_enabled:
-        # Arm the worker registry before the first simulation constructs
-        # its instruments (hooks bind at construction time).
-        get_metrics().enable()
-    if setup.trace_enabled:
-        get_tracer().enable()
 
 
 def _evaluate_items(
@@ -398,126 +353,10 @@ def _evaluate_items(
     return out
 
 
-def _worker_chunk_telemetry(
-    setup: _EnsembleSetup, items: Sequence[_Item]
-) -> _ChunkOutcome:
-    """Worker-side chunk evaluation with the full telemetry envelope.
-
-    Captures the chunk's CPU share, metrics delta (when the parent armed
-    ``metrics_enabled``) and tracer spans (when the parent armed
-    ``trace_enabled``): the per-replication simulator spans are wrapped in
-    one ``ensemble.chunk`` span and exported as picklable rows for the
-    parent to :meth:`~repro.obs.tracer.Tracer.ingest`.
-    """
-    registry = get_metrics()
-    before = registry.snapshot() if setup.metrics_enabled else {}
-    tracer = get_tracer()
-    if setup.trace_enabled and not tracer.enabled:
-        # Foreign pools (the shared service pool) may not have armed the
-        # worker tracer at init; the setup knows the parent wants spans.
-        tracer.enable()
-    capture = setup.trace_enabled and tracer.enabled
-    span_mark = tracer.span_count if capture else 0
-    span = (
-        tracer.begin("ensemble.chunk", replications=len(items))
-        if capture
-        else None
-    )
-    cpu0 = time.process_time()
-    outputs = _evaluate_items(setup, items)
-    cpu_s = time.process_time() - cpu0
-    tracer.finish(span)
-    spans = tracer.export_since(span_mark) if capture else []
-    metrics = (
-        snapshot_delta(registry.snapshot(), before)
-        if setup.metrics_enabled
-        else {}
-    )
-    return outputs, cpu_s, metrics, spans
-
-
-def _ensemble_chunk(items: Sequence[_Item]) -> _ChunkOutcome:
-    """Evaluate one chunk in a pool worker; ships records + telemetry home."""
-    setup = _WORKER_SETUP
-    assert setup is not None, "ensemble worker used before initialisation"
-    return _worker_chunk_telemetry(setup, items)
-
-
-def simulate_replication_chunk(
-    payload: Tuple[VariantSpec, int, Tuple[int, ...], int],
-) -> _ChunkOutcome:
-    """Self-contained chunk evaluator for *foreign* pools.
-
-    Unlike :func:`_ensemble_chunk` this carries its whole context in the
-    payload, so any live :class:`~concurrent.futures.ProcessPoolExecutor`
-    (e.g. a :class:`~repro.sweep.SweepRunner`'s estimator pool) can serve
-    replication work without being rebuilt.  Metrics deltas and tracer
-    spans are captured whenever the worker's registry/tracer is armed
-    (whichever pool initialised this worker decided that), and folded in
-    by the caller through the obs ``merge()``/``ingest()`` paths.
-    """
-    variant, base_seed, indices, keep_trace_below = payload
-    registry = get_metrics()
-    setup = _EnsembleSetup(
-        variants=(variant,),
-        base_seed=base_seed,
-        keep_trace_below=keep_trace_below,
-        metrics_enabled=registry.enabled,
-        trace_enabled=get_tracer().enabled,
-    )
-    return _worker_chunk_telemetry(setup, [(0, index) for index in indices])
-
-
-def serial_replication_chunk(
-    payload: Tuple[VariantSpec, int, Tuple[int, ...], int],
-) -> _ChunkOutcome:
-    """Parent-side serial twin of :func:`simulate_replication_chunk`.
-
-    Used as the crash/cancellation fallback when a chunk cannot (or should
-    not) ride a pool.  Reports **zero** CPU, an empty metrics delta and no
-    span rows: the work runs on the caller's own thread, so the caller's
-    ``parent_cpu_clock`` delta already accounts the CPU, and the parent
-    registry/tracer record counters and spans directly — shipping them
-    again would double-count.
-    """
-    variant, base_seed, indices, keep_trace_below = payload
-    outputs = _evaluate_items(
-        _EnsembleSetup(
-            variants=(variant,),
-            base_seed=base_seed,
-            keep_trace_below=keep_trace_below,
-            metrics_enabled=get_metrics().enabled,
-        ),
-        [(0, index) for index in indices],
-    )
-    return outputs, 0.0, {}, []
-
-
-def _setup_chunk(payload: Tuple[Any, Sequence[_Item]]) -> _ChunkOutcome:
-    """Self-contained chunk evaluator for *foreign* (shared) pools.
-
-    The setup ships inside the payload — raw, or as a
-    :class:`~repro.service.shm.ShmHandle` the parent packed once for the
-    whole run (:func:`~repro.service.shm.resolve_shared` memoises the
-    deserialised setup worker-side).  Either way a generic service pool —
-    one whose workers were not initialised with this ensemble's setup —
-    can serve replication chunks.
-    """
-    setup, items = payload
-    return _worker_chunk_telemetry(resolve_shared(setup), items)
-
-
 class _ReplicationDriver:
-    """Runs work items serially or across a fork-once pool.
-
-    Owns the pool lifecycle (unless borrowing a shared
-    :class:`~repro.service.pool.ResilientPool`) and the telemetry
-    plumbing; the round / early-stopping policy lives with the caller.
-    An unpicklable setup (closure-laden test stubs) degrades to the
-    serial path with a WARNING + ``pool.serial_fallback`` count, and a
-    worker crash mid-map finishes the batch serially (``pool.broken``) —
-    correctness never depends on the pool.
-    """
+    """Runs work items through an owned or a borrowed
+    :class:`~repro.service.pool.ResilientPool`, accumulating CPU time; the
+    round / early-stopping policy lives with the caller."""
 
     def __init__(
         self,
@@ -528,29 +367,14 @@ class _ReplicationDriver:
     ):
         self._setup = setup
         self._chunksize = chunksize
-        if pool is not None:
-            self._pool = pool
-            self._own_pool = False
-            self._processes = max(1, pool.processes)
-        else:
-            self._pool = ResilientPool(
-                processes,
-                initializer=_ensemble_worker_init,
-                initargs=(setup,),
-                label="ensemble",
-            )
-            self._own_pool = True
-            self._processes = processes
+        self._own_pool = pool is None
+        self._pool = pool if pool is not None else ResilientPool(processes, label="ensemble")
         self.cpu_time_s = 0.0
         self.pool_used = False
-        # Borrowed-pool setup transport (see SweepRunner._shipped_context):
-        # packed lazily on the first pooled batch, released with the driver.
-        self._shm_handle: Any = None
-        self._pool_payload: Any = None
 
     @property
     def processes(self) -> int:
-        return self._processes
+        return max(1, self._pool.processes)
 
     def __enter__(self) -> "_ReplicationDriver":
         return self
@@ -559,92 +383,19 @@ class _ReplicationDriver:
         self.close()
 
     def close(self) -> None:
+        self._pool.release(self._setup)
         if self._own_pool:
             self._pool.close()
-        if isinstance(self._shm_handle, ShmHandle):
-            shm_release(self._shm_handle)
-        self._shm_handle = None
-        self._pool_payload = None
-
-    def _shipped_setup(self) -> Any:
-        """The borrowed-pool chunk payload's setup: a shared-memory handle
-        when the setup is large enough to park, the raw setup otherwise."""
-        if self._pool_payload is None:
-            handle = shm_pack(self._setup, label="ensemble")
-            self._shm_handle = handle if handle is not None else False
-            self._pool_payload = handle if handle is not None else self._setup
-        return self._pool_payload
 
     def run(
         self, items: Sequence[_Item], cancel: Optional[CancelCheck] = None
-    ) -> Iterator[Tuple[int, ReplicationRecord, Optional[SimulationResult]]]:
-        if not items:
-            return iter(())
-        if self._processes > 1 and len(items) > 1:
-            pooled = self._run_pooled(items, cancel)
-            if pooled is not None:
-                return pooled
-        check_cancel(cancel)
-        cpu0 = parent_cpu_clock()
-        outputs = _evaluate_items(self._setup, items)
-        self.cpu_time_s += parent_cpu_clock() - cpu0
-        return iter(outputs)
-
-    def _serial_chunk(self, items: Sequence[_Item]) -> _ChunkOutcome:
-        # Crash-fallback chunk run in the parent: zero CPU / empty metrics
-        # / no spans (the surrounding thread-clock delta, the parent
-        # registry and the parent tracer already account this work
-        # directly).
-        return _evaluate_items(self._setup, items), 0.0, {}, []
-
-    def _run_pooled(
-        self, items: Sequence[_Item], cancel: Optional[CancelCheck] = None
-    ) -> Optional[Iterator[Tuple[int, ReplicationRecord, Optional[SimulationResult]]]]:
-        if self._pool.executor() is None:
-            return None
-        chunksize = self._chunksize or max(
-            1, -(-len(items) // (4 * self._processes))
+    ) -> List[Tuple[int, ReplicationRecord, Optional[SimulationResult]]]:
+        mapped = self._pool.map_with_context(
+            self._setup, _evaluate_items, items, chunksize=self._chunksize, cancel=cancel
         )
-        chunks = [
-            items[i : i + chunksize] for i in range(0, len(items), chunksize)
-        ]
-        if self._own_pool:
-            # Fork-once workers hold the setup already.
-            fn: Callable[[Any], Any] = _ensemble_chunk
-            payloads: List[Any] = list(chunks)
-            serial_fn: Callable[[Any], Any] = self._serial_chunk
-        else:
-            # Borrowed (service) pool: ship the setup with every chunk —
-            # as a shared-memory handle when large enough to park (packed
-            # once per driver), raw otherwise.
-            fn = _setup_chunk
-            shipped = self._shipped_setup()
-            payloads = [(shipped, chunk) for chunk in chunks]
-            serial_fn = lambda payload: self._serial_chunk(payload[1])  # noqa: E731
-        registry = get_metrics()
-        tracer = get_tracer()
-        # Parent CPU on the *thread* clock: concurrent service jobs drive
-        # this loop from their own threads, and a process-wide clock would
-        # attribute job A's parent work to job B (the old process_time bug).
-        cpu0 = parent_cpu_clock()
-        outputs: List[
-            Tuple[int, ReplicationRecord, Optional[SimulationResult]]
-        ] = []
-        for chunk_out, chunk_cpu, chunk_metrics, chunk_spans in self._pool.run_chunks(
-            fn, payloads, serial_fn=serial_fn, cancel=cancel
-        ):
-            outputs.extend(chunk_out)
-            self.cpu_time_s += chunk_cpu
-            if chunk_metrics:
-                registry.merge(chunk_metrics)
-            if chunk_spans:
-                # Re-anchor worker spans under the open ``ensemble.run``
-                # span (this runs on the run's thread); inside the service
-                # the active request context stamps its trace id too.
-                tracer.ingest(chunk_spans)
-        self.cpu_time_s += parent_cpu_clock() - cpu0
-        self.pool_used = True
-        return iter(outputs)
+        self.cpu_time_s += mapped.cpu_s
+        self.pool_used = self.pool_used or mapped.pooled
+        return [output for chunk in mapped.outputs for output in chunk]
 
 
 class EnsembleRunner:
@@ -658,9 +409,8 @@ class EnsembleRunner:
         ensemble: the :class:`EnsembleConfig` policy.
         pool: a *shared* :class:`~repro.service.pool.ResilientPool` to
             borrow instead of owning one per run (the service multiplexes
-            every job over a single pool).  Chunks then ship their own
-            setup and ``ensemble.processes`` is superseded by the pool's
-            size.
+            every job over a single pool); ``ensemble.processes`` is then
+            superseded by the pool's size.
     """
 
     def __init__(
@@ -711,8 +461,6 @@ class EnsembleRunner:
             variants=(VariantSpec(workflow, self._cluster, self._config),),
             base_seed=ens.base_seed,
             keep_trace_below=ens.exemplars,
-            metrics_enabled=registry.enabled,
-            trace_enabled=tracer.enabled,
         )
         early_stopped = False
         with _ReplicationDriver(

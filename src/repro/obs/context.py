@@ -101,7 +101,7 @@ def deactivate(token) -> None:
 def clear_context() -> None:
     """Unconditionally drop any active context on this thread.
 
-    Pool-worker initializers call this: on POSIX the executor *forks* its
+    The pool-worker initializer calls this: on POSIX the executor *forks* its
     workers from whichever thread first feeds the pool, and if that thread
     was serving a request, the child's main thread inherits the activated
     contextvar — every worker span would then be stamped with a request it

@@ -1,55 +1,66 @@
-"""Crash-tolerant process-pool engine shared by sweeps, ensembles and jobs.
+"""Crash-tolerant process pool: the one pooled-execution primitive.
 
-Both :class:`~repro.sweep.SweepRunner` and
-:class:`~repro.ensemble.EnsembleRunner` fan chunks of pure work out over a
-``ProcessPoolExecutor``; the service multiplexes *many* such jobs over one
-pool.  All of them need the same three guarantees, centralised here:
+:class:`~repro.sweep.SweepRunner`, the ensemble replication driver and the
+service's jobs all fan pure work out through
+:meth:`ResilientPool.map_with_context`; the service multiplexes *many*
+such calls over one pool.  This module owns everything they share:
 
+* **Context shipping.**  A caller's read-only context (cluster, task-time
+  sources, simulation variants) is pickled once per context object.  A
+  blob of at least :data:`repro.service.shm.MIN_SHIP_BYTES` is parked in
+  a shared-memory segment and chunks carry its handle; a smaller one rides
+  inline.  Workers memoise the unpickled context under a per-context key,
+  so the caches inside it stay warm across chunks and calls.
 * **Loud serial degradation.**  A context that does not pickle (closures,
-  open handles) cannot ride a pool.  The pickle probe that detects this
-  used to swallow the reason silently — an order-of-magnitude perf cliff
-  with no trace.  :meth:`ResilientPool.executor` now logs the degradation
-  at WARNING and counts ``pool.serial_fallback`` in the metrics registry.
+  open handles) cannot ride a pool.  The pickle probe logs the reason at
+  WARNING and counts ``pool.serial_fallback``, because silent degradation
+  hides an order-of-magnitude throughput cliff.
 * **Crash recovery.**  A worker that dies mid-map (OOM kill, ``os._exit``,
-  a segfaulting extension) raises :class:`BrokenProcessPool` out of
-  ``executor.map`` and poisons the executor.  :meth:`ResilientPool.run_chunks`
-  catches the crash (and mid-map :class:`pickle.PicklingError` for
-  unpicklable *items*), marks the pool broken (``pool.broken`` counter),
-  and finishes the not-yet-yielded chunks on the caller's serial path —
-  callers always receive complete, deterministic results.  With
-  ``respawn=True`` (the service configuration) the next batch builds a
-  fresh executor (``pool.respawns``); without it the pool stays serial,
-  which is the right behaviour for a short-lived runner.
+  a segfaulting extension) raises :class:`BrokenProcessPool` and poisons
+  the executor.  :meth:`ResilientPool.run_chunks` catches the crash (and
+  mid-map :class:`pickle.PicklingError` for unpicklable *items*), marks
+  the pool broken (``pool.broken``) and finishes the not-yet-yielded
+  chunks in the calling process — callers always receive complete,
+  deterministic results.  With ``respawn=True`` (the service
+  configuration) the next batch builds a fresh executor
+  (``pool.respawns``); without it the pool stays serial.
 * **Cooperative cancellation.**  Chunks are submitted through a bounded
-  window (not ``executor.map``'s eager submission), so a cancelled job
-  stops feeding the pool immediately, cancels its queued futures and
-  releases the slots to other jobs instead of draining its whole batch.
-
-The work functions themselves stay with their owners (the sweep/ensemble
-modules define the chunk evaluators); this module owns only the lifecycle
-and the failure semantics.
-
-A fourth concern — *what* the chunks carry — layers on top in
-:mod:`repro.service.shm`: jobs riding a borrowed pool would otherwise
-pickle their whole read-only context into every chunk payload, so the
-sweep/ensemble evaluators park that context in a shared-memory segment
-once per job and ship a tiny handle instead, with worker-side
-memoisation and bit-transparent fallback to raw pickling.  The pool
-itself is oblivious to the transport: payloads are opaque here.
+  window, so a cancelled job stops feeding the pool, cancels its queued
+  futures and releases the slots to other jobs.
+* **Telemetry.**  Each pooled chunk reports its CPU time, a metrics delta
+  and its spans (the context's ``chunk_span`` wrapping the work's own);
+  the parent merges and ingests them in submission order.  In-process
+  chunks record into the parent's registry and tracer directly.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import pickle
+import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import JobCancelledError
-from repro.obs.metrics import get_metrics
+from repro.obs.context import clear_context
+from repro.obs.metrics import get_metrics, snapshot_delta
+from repro.obs.tracer import get_tracer
+from repro.service import shm
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +70,11 @@ logger = logging.getLogger(__name__)
 #: raising :class:`~repro.errors.JobTimeoutError`).
 CancelCheck = Callable[[], bool]
 
+#: Contexts a worker keeps unpickled, oldest evicted first.  The shared
+#: service pool runs a handful of jobs concurrently; 8 covers them while
+#: bounding worker memory when jobs churn.
+WORKER_CACHE_ENTRIES = 8
+
 
 def check_cancel(cancel: Optional[CancelCheck]) -> None:
     """Poll a cancellation check; raise :class:`JobCancelledError` if set."""
@@ -66,35 +82,132 @@ def check_cancel(cancel: Optional[CancelCheck]) -> None:
         raise JobCancelledError("job cancelled")
 
 
+class MappedChunks(NamedTuple):
+    """What :meth:`ResilientPool.map_with_context` returns.
+
+    Attributes:
+        outputs: ``work(context, chunk)`` per chunk, in chunk order.
+        cpu_s: CPU seconds of the calling thread plus every pooled chunk.
+        pooled: the batch ran on the executor (possibly with a serial
+            crash tail).
+    """
+
+    outputs: List[Any]
+    cpu_s: float
+    pooled: bool
+
+
+class _Shipment(NamedTuple):
+    """A context as chunks carry it: worker cache key plus the pickled
+    blob (inline) or the shared segment holding it."""
+
+    key: str
+    shipped: Union[bytes, shm.ShmHandle]
+
+
+def _unlink(shipment: Optional[_Shipment]) -> None:
+    """Parent-side: unlink a shipment's shared segment, if it has one."""
+    if shipment is not None and isinstance(shipment.shipped, shm.ShmHandle):
+        shm.release(shipment.shipped)
+
+
+# -- worker side -----------------------------------------------------------------
+
+#: Worker-side contexts by shipment key (oldest first).
+_worker_contexts: "OrderedDict[str, Any]" = OrderedDict()
+
+
+def _init_worker(metrics_enabled: bool, trace_enabled: bool) -> None:
+    """Executor initializer: start every worker trace-clean and armed.
+
+    On POSIX the worker forks from whichever thread first feeds the pool —
+    possibly mid-request, with a live request context and open spans on
+    its stack.  Left in place, every span the worker records would be
+    stamped with (and parented under) work this process never did.  The
+    registry and tracer are armed before any context is unpickled, since
+    instruments bind at construction time.
+    """
+    clear_context()
+    get_tracer().clear()
+    if metrics_enabled:
+        get_metrics().enable()
+    if trace_enabled:
+        get_tracer().enable()
+
+
+def resolve_context(key: str, shipped: Union[bytes, shm.ShmHandle]) -> Any:
+    """Worker-side: the context behind a shipment, unpickled once per key."""
+    if key in _worker_contexts:
+        return _worker_contexts[key]
+    blob = shm.load(shipped) if isinstance(shipped, shm.ShmHandle) else shipped
+    context = pickle.loads(blob)
+    while len(_worker_contexts) >= WORKER_CACHE_ENTRIES:
+        _worker_contexts.popitem(last=False)
+    _worker_contexts[key] = context
+    return context
+
+
+def _run_chunk(payload: Tuple[Any, ...]) -> Tuple[Any, float, Dict, List]:
+    """Worker-side chunk: ``work(context, items)`` in the telemetry envelope.
+
+    Returns (output, CPU seconds, metrics delta, span rows).  The delta is
+    empty unless the caller's registry was armed, and the span rows — the
+    context's ``chunk_span`` wrapping whatever the work recorded — are
+    empty unless its tracer was; the parent re-parents them via
+    :meth:`~repro.obs.tracer.Tracer.ingest`.  Workers are single-threaded,
+    so ``process_time`` is exactly the chunk's CPU share.
+    """
+    key, shipped, work, items, metrics_on, trace_on = payload
+    context = resolve_context(key, shipped)
+    registry = get_metrics()
+    before = registry.snapshot() if metrics_on else {}
+    tracer = get_tracer()
+    if trace_on and not tracer.enabled:
+        # A pool built before the caller armed its tracer.
+        tracer.enable()
+    mark = tracer.span_count if trace_on else 0
+    span = (
+        tracer.begin(getattr(context, "chunk_span", "pool.chunk"), items=len(items))
+        if trace_on
+        else None
+    )
+    cpu0 = time.process_time()
+    output = work(context, items)
+    cpu_s = time.process_time() - cpu0
+    tracer.finish(span)
+    spans = tracer.export_since(mark) if trace_on else []
+    metrics = snapshot_delta(registry.snapshot(), before) if metrics_on else {}
+    return output, cpu_s, metrics, spans
+
+
+# -- the pool --------------------------------------------------------------------
+
+
 class ResilientPool:
-    """A lazily-built, probe-guarded, crash-surviving process pool.
+    """A lazily-built, crash-surviving process pool.
+
+    Forked workers start trace-clean and arm their metrics registry and
+    tracer as the parent's were when the pool was built.
 
     Args:
         processes: worker process count; ``<= 1`` never builds an executor.
-        initializer / initargs: forwarded to the executor; ``initargs`` are
-            also the pickle-probe payload (they are what actually ships).
         label: appears in log lines and telemetry so concurrent pools are
             distinguishable ("sweep", "ensemble", "service").
         respawn: rebuild a fresh executor on the batch *after* a worker
             crash instead of staying serial forever.
     """
 
-    def __init__(
-        self,
-        processes: int,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-        label: str = "pool",
-        respawn: bool = False,
-    ):
+    def __init__(self, processes: int, label: str = "pool", respawn: bool = False):
         self._processes = processes
-        self._initializer = initializer
-        self._initargs = initargs
         self._label = label
         self._respawn = respawn
+        self._arm = (get_metrics().enabled, get_tracer().enabled)
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._serial_only = False  # probe failed: permanently serial
         self._broken = False  # a worker crashed since the last (re)build
+        # id(context) -> (context, shipment or None when it does not
+        # pickle).  Holding the context pins its id until release.
+        self._shipments: Dict[int, Tuple[Any, Optional[_Shipment]]] = {}
+        self._lock = threading.Lock()
         self.used = False  # did any batch actually run pooled?
 
     # -- lifecycle ---------------------------------------------------------------
@@ -108,15 +221,16 @@ class ResilientPool:
         """A worker crash poisoned the current executor."""
         return self._broken
 
-    @property
-    def serial_only(self) -> bool:
-        """The pickle probe rejected the worker context."""
-        return self._serial_only
-
     def close(self) -> None:
+        """Shut the executor down and release every shipped context."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
+        with self._lock:
+            entries = list(self._shipments.values())
+            self._shipments.clear()
+        for _, shipment in entries:
+            _unlink(shipment)
 
     def __enter__(self) -> "ResilientPool":
         return self
@@ -125,15 +239,8 @@ class ResilientPool:
         self.close()
 
     def executor(self) -> Optional[ProcessPoolExecutor]:
-        """The live executor, built on first use; ``None`` means serial.
-
-        The first call pickle-probes ``initargs`` — the worker context that
-        would ship at pool start-up.  A context that cannot pickle degrades
-        to the serial path *loudly*: the reason lands in the log at WARNING
-        and ``pool.serial_fallback`` is counted, because silent degradation
-        hides an order-of-magnitude throughput cliff.
-        """
-        if self._processes <= 1 or self._serial_only:
+        """The live executor, built on first use; ``None`` means serial."""
+        if self._processes <= 1:
             return None
         if self._broken:
             if not self._respawn:
@@ -145,10 +252,26 @@ class ResilientPool:
                 registry.counter("pool.respawns").inc()
             logger.info("%s pool: respawning after worker crash", self._label)
         if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._processes,
+                initializer=_init_worker,
+                initargs=self._arm,
+            )
+        return self._executor
+
+    # -- context shipping --------------------------------------------------------
+
+    def _ship(self, context: Any) -> Optional[_Shipment]:
+        """``context``'s shipment, made on first use; ``None`` if it does
+        not pickle (logged at WARNING and counted once per context)."""
+        with self._lock:
+            entry = self._shipments.get(id(context))
+            if entry is not None:
+                return entry[1]
+            shipment: Optional[_Shipment] = None
             try:
-                pickle.dumps(self._initargs)
+                blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
-                self._serial_only = True
                 registry = get_metrics()
                 if registry.enabled:
                     registry.counter("pool.serial_fallback").inc()
@@ -160,13 +283,26 @@ class ResilientPool:
                     type(exc).__name__,
                     exc,
                 )
-                return None
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._processes,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._executor
+            else:
+                handle = shm.pack(blob, self._label)
+                shipment = (
+                    _Shipment(handle.name, handle)
+                    if handle is not None
+                    else _Shipment(os.urandom(16).hex(), blob)
+                )
+            self._shipments[id(context)] = (context, shipment)
+            return shipment
+
+    def release(self, context: Any) -> None:
+        """Forget ``context``'s shipment and unlink its shared segment.
+
+        Runners call this when they close; workers' copies age out of
+        their bounded caches.  Releasing an unshipped context is a no-op.
+        """
+        with self._lock:
+            entry = self._shipments.pop(id(context), None)
+        if entry is not None:
+            _unlink(entry[1])
 
     # -- crash bookkeeping -------------------------------------------------------
 
@@ -190,7 +326,68 @@ class ResilientPool:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
-    # -- the resilient map -------------------------------------------------------
+    # -- the resilient maps ------------------------------------------------------
+
+    def map_with_context(
+        self,
+        context: Any,
+        work: Callable[[Any, Sequence[Any]], Any],
+        items: Sequence[Any],
+        chunksize: Optional[int] = None,
+        cancel: Optional[CancelCheck] = None,
+    ) -> MappedChunks:
+        """Run ``work(context, chunk)`` over chunks of ``items``, in order.
+
+        ``work`` must be a pure module-level function: pooled and
+        in-process chunks then give bit-identical outputs.  Chunks hold
+        ``chunksize`` items (default ``ceil(n / (4 * processes))``).
+
+        With ``processes <= 1``, fewer than two items, a context that does
+        not pickle, or a broken pool without respawn, every chunk runs in
+        the calling process with no pickling at all.  Otherwise the
+        context ships once (see :meth:`_ship`) and the chunks fan out
+        through :meth:`run_chunks`; a worker crash finishes the rest in
+        process, with zero CPU, no metrics and no spans reported for them
+        (the caller's own clock, registry and tracer already saw that
+        work).  ``cancel`` is polled before every chunk.
+        """
+        size = chunksize or max(1, -(-len(items) // (4 * max(1, self._processes))))
+        chunks = [items[i : i + size] for i in range(0, len(items), size)]
+        cpu0 = parent_cpu_clock()
+        shipment = None
+        if self._processes > 1 and len(items) > 1:
+            shipment = self._ship(context)
+        if shipment is None or self.executor() is None:
+            outputs = []
+            for chunk in chunks:
+                check_cancel(cancel)
+                outputs.append(work(context, chunk))
+            return MappedChunks(outputs, parent_cpu_clock() - cpu0, False)
+
+        registry = get_metrics()
+        tracer = get_tracer()
+        payloads = [
+            (shipment.key, shipment.shipped, work, chunk, registry.enabled, tracer.enabled)
+            for chunk in chunks
+        ]
+        outputs = []
+        worker_cpu = 0.0
+        for output, chunk_cpu, chunk_metrics, chunk_spans in self.run_chunks(
+            _run_chunk,
+            payloads,
+            serial_fn=lambda payload: (work(context, payload[3]), 0.0, {}, []),
+            cancel=cancel,
+        ):
+            outputs.append(output)
+            worker_cpu += chunk_cpu
+            if chunk_metrics:
+                registry.merge(chunk_metrics)
+            if chunk_spans:
+                # Re-anchor worker spans under the caller's open span (this
+                # runs on its thread); inside the service the active
+                # request context stamps its trace id too.
+                tracer.ingest(chunk_spans)
+        return MappedChunks(outputs, parent_cpu_clock() - cpu0 + worker_cpu, True)
 
     def run_chunks(
         self,

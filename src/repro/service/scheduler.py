@@ -229,12 +229,17 @@ class JobScheduler:
                 raise ServiceError("job scheduler is closed")
             job = Job(f"{spec.kind}-{next(self._seq)}", spec)
             self._jobs[job.id] = job
-            while len(self._jobs) > self._history:
-                oldest = next(iter(self._jobs.values()))
-                if oldest.status in Job.TERMINAL:
-                    self._jobs.popitem(last=False)
-                else:
-                    break
+            excess = len(self._jobs) - self._history
+            if excess > 0:
+                # Evict the oldest *terminal* jobs; live ones stay however
+                # old, so one long-running job cannot pin the history.
+                finished = [
+                    job_id
+                    for job_id, old in self._jobs.items()
+                    if old.status in Job.TERMINAL
+                ]
+                for job_id in finished[:excess]:
+                    del self._jobs[job_id]
             self._queues.setdefault((spec.priority, spec.kind), deque()).append(job)
             self._cond.notify()
         return job

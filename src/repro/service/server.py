@@ -70,7 +70,6 @@ from repro.errors import (
 from repro.obs.context import (
     RequestContext,
     activate,
-    clear_context,
     deactivate,
     new_trace_id,
 )
@@ -82,24 +81,6 @@ from repro.service.pool import CancelCheck, ResilientPool
 from repro.service.scheduler import JobScheduler, JobSpec
 
 logger = logging.getLogger(__name__)
-
-
-def _service_worker_init(metrics_enabled: bool, trace_enabled: bool = False) -> None:
-    """Pool-worker initializer: arm the worker registry/tracer before any
-    instrumented object is built (counters bind at construction time).
-
-    Starts by wiping inherited trace state: on POSIX the worker forks from
-    whichever thread first feeds the pool — possibly mid-request, with a
-    live request context and open spans on its stack.  Left in place, every
-    span this worker ever records would be stamped with (and parented
-    under) a request it never served.
-    """
-    clear_context()
-    get_tracer().clear()
-    if metrics_enabled:
-        get_metrics().enable()
-    if trace_enabled:
-        get_tracer().enable()
 
 
 #: Paths that are their own label; parameterised paths collapse to a
@@ -154,13 +135,7 @@ class DagService:
     ):
         self._cluster = cluster if cluster is not None else paper_cluster()
         self._scale = scale
-        self.pool = ResilientPool(
-            processes,
-            initializer=_service_worker_init,
-            initargs=(get_metrics().enabled, get_tracer().enabled),
-            label="service",
-            respawn=True,
-        )
+        self.pool = ResilientPool(processes, label="service", respawn=True)
         self.estimates = EstimateService(self._cluster, capacity=cache_capacity)
         self.scheduler = JobScheduler(workers=job_workers)
         self.slo = SloTracker()
@@ -296,7 +271,6 @@ class DagService:
                 "pool": {
                     "processes": self.pool.processes,
                     "broken": self.pool.broken,
-                    "serial_only": self.pool.serial_only,
                 },
                 "cache_entries": self.estimates.cache_size,
             }
@@ -358,7 +332,6 @@ class DagService:
                 "pool": {
                     "processes": self.pool.processes,
                     "broken": self.pool.broken,
-                    "serial_only": self.pool.serial_only,
                 },
             }
         return 404, {"error": f"no such endpoint: {method} {path}"}
@@ -422,14 +395,14 @@ class DagService:
         ]
 
         def run(cancel: Optional[CancelCheck]) -> Dict[str, Any]:
-            runner = SweepRunner(clusters[0], pool=self.pool)
-            results = runner.evaluate(
-                [
-                    Candidate(workflow, cluster=c, label=f"{w} workers")
-                    for w, c in zip(sizes, clusters)
-                ],
-                cancel=cancel,
-            )
+            with SweepRunner(clusters[0], pool=self.pool) as runner:
+                results = runner.evaluate(
+                    [
+                        Candidate(workflow, cluster=c, label=f"{w} workers")
+                        for w, c in zip(sizes, clusters)
+                    ],
+                    cancel=cancel,
+                )
             return {
                 "workload": workload,
                 "results": [

@@ -1,53 +1,34 @@
-"""Zero-copy shipping of read-only worker state over shared memory.
+"""Shared-memory segments for large pool worker contexts.
 
-The shared service pool multiplexes many jobs over one
-``ProcessPoolExecutor``; a job whose workers were not initialised with its
-context must ship that context *inside every chunk payload*
-(:func:`repro.sweep.runner._context_chunk`,
-:func:`repro.ensemble.engine._setup_chunk`).  For large workflows that is
-the pool hot path: the same multi-hundred-kilobyte immutable blob is
-pickled by the parent and unpickled by a worker once per chunk.
+:meth:`repro.service.pool.ResilientPool.map_with_context` pickles a
+runner's read-only context once.  Small blobs ride inside every chunk
+payload; a blob of at least :data:`MIN_SHIP_BYTES` is parked here instead,
+in one :mod:`multiprocessing.shared_memory` segment, and chunks carry a
+tiny :class:`ShmHandle` (name + length):
 
-This module replaces the per-chunk blob with a one-time
-:mod:`multiprocessing.shared_memory` segment:
-
-* **Parent** — :func:`pack` pickles the object once into a fresh shared
-  segment and returns a tiny :class:`ShmHandle` (name + length) that rides
-  in the chunk payload instead of the object.  The parent owns the
-  segment's lifetime and must :func:`release` it when the job ends.
-* **Worker** — :func:`resolve_shared` attaches by name, unpickles once,
-  and memoises the object in a small FIFO cache keyed by segment name, so
-  every later chunk of the same job pays a dict lookup instead of a
-  deserialisation.  Attached segments are unregistered from the worker's
+* **Parent** — :func:`pack` copies the pickled bytes into a fresh segment
+  and owns its lifetime: :func:`release` unlinks it when the context is
+  released or the pool closes.
+* **Worker** — :func:`load` attaches by name and copies the bytes out.
+  Attached segments are unregistered from the worker's
   ``resource_tracker`` (the parent unlinks; workers must not).
 
-The transport is *bit-transparent*: the worker reconstructs the object
-from the identical pickle bytes the raw path would have shipped, so
-results are bit-identical under the sweep/ensemble determinism contracts
-(``tests/service/test_shm.py``).  Every failure mode — platform without
-shared memory, segment creation denied, attach failure in the worker —
-degrades to shipping the raw object exactly as before, never to an error.
-
-Environment gates:
-
-* ``REPRO_SHM=0`` disables the transport (raw pickling everywhere).
-* ``REPRO_SHM_MIN_BYTES`` (default ``65536``) — payloads whose pickle is
-  smaller ship raw; a shared segment only pays for itself when the blob
-  is large.  Set to ``0`` to force shm for parity tests.
+The transport is *bit-transparent*: the worker unpickles the identical
+bytes the inline path would have shipped, so results are bit-identical
+under the sweep/ensemble determinism contracts
+(``tests/service/test_shm.py``).  A platform without shared memory, or a
+segment the OS refuses, degrades to the inline blob, never to an error.
 
 Telemetry: ``pool.shm_ships`` counts packed segments and
-``pool.shm_bytes`` their total pickled size (both parent-side, riding the
-usual metrics registry).
+``pool.shm_bytes`` their total size (both parent-side, riding the usual
+metrics registry).
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import pickle
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.obs.metrics import get_metrics
 
@@ -59,62 +40,28 @@ except ImportError:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-#: Pickle payloads below this many bytes ship raw by default; a shared
-#: segment's create/attach round-trip only wins on large blobs.
-DEFAULT_MIN_BYTES = 65536
-
-#: Deserialised objects a worker keeps, keyed by segment name.  The shared
-#: service pool runs a handful of jobs concurrently; 8 covers them while
-#: bounding worker memory when jobs churn.
-WORKER_CACHE_ENTRIES = 8
+#: Pickled contexts below this many bytes ship inline; a shared segment's
+#: create/attach round-trip only wins on large blobs.
+MIN_SHIP_BYTES = 65536
 
 
 @dataclass(frozen=True)
 class ShmHandle:
-    """A picklable reference to an object parked in shared memory."""
+    """A picklable reference to bytes parked in shared memory."""
 
     name: str
     size: int
 
 
-def shm_enabled() -> bool:
-    """Shared-memory shipping is available and not disabled by env."""
-    if shared_memory is None:
-        return False
-    return os.environ.get("REPRO_SHM", "1").lower() not in ("0", "false", "off")
+def pack(blob: bytes, label: str = "pool") -> Optional[ShmHandle]:
+    """Park ``blob`` in a fresh shared segment; ``None`` ships it inline.
 
-
-def min_ship_bytes() -> int:
-    """The raw-vs-shm size threshold (``REPRO_SHM_MIN_BYTES`` override)."""
-    raw = os.environ.get("REPRO_SHM_MIN_BYTES")
-    if raw is None:
-        return DEFAULT_MIN_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MIN_BYTES
-
-
-def pack(obj: Any, label: str = "pool") -> Optional[ShmHandle]:
-    """Park ``obj``'s pickle in a fresh shared segment; ``None`` ships raw.
-
-    ``None`` means the caller should fall back to shipping the raw object
-    (transport disabled, blob below the size threshold, unpicklable
-    object, or segment creation failed) — the degradation is silent for
-    the size gate and logged once at WARNING for genuine failures.
-
-    The caller owns the returned segment and must :func:`release` it when
-    the job's last chunk has been served.
+    ``None`` means the blob is below :data:`MIN_SHIP_BYTES`, shared memory
+    is unavailable, or segment creation failed — the last logged at
+    WARNING.  The caller owns the returned segment and must
+    :func:`release` it.
     """
-    if not shm_enabled():
-        return None
-    try:
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        # The raw path would fail identically; let the pool's existing
-        # pickle probe / mid-map handling own the loud degradation.
-        return None
-    if len(blob) < min_ship_bytes():
+    if shared_memory is None or len(blob) < MIN_SHIP_BYTES:
         return None
     try:
         segment = shared_memory.SharedMemory(create=True, size=len(blob))
@@ -122,7 +69,7 @@ def pack(obj: Any, label: str = "pool") -> Optional[ShmHandle]:
     except Exception as exc:
         logger.warning(
             "%s: shared-memory segment creation failed (%s: %s); "
-            "shipping worker state per chunk instead",
+            "shipping the worker context inline instead",
             label,
             type(exc).__name__,
             exc,
@@ -135,12 +82,31 @@ def pack(obj: Any, label: str = "pool") -> Optional[ShmHandle]:
         registry.counter("pool.shm_ships").inc()
         registry.counter("pool.shm_bytes").inc(len(blob))
     logger.debug(
-        "%s: parked %d-byte worker state in shared memory %s",
+        "%s: parked %d-byte worker context in shared memory %s",
         label,
         len(blob),
         handle.name,
     )
     return handle
+
+
+def load(handle: ShmHandle) -> bytes:
+    """Worker-side: copy a packed blob out of its segment.
+
+    The segment is unregistered from this process's ``resource_tracker``
+    so worker exit does not unlink (or warn about) a segment the parent
+    still owns.
+    """
+    segment = shared_memory.SharedMemory(name=handle.name)
+    try:
+        if resource_tracker is not None:
+            try:
+                resource_tracker.unregister(segment._name, "shared_memory")
+            except Exception:  # pragma: no cover - tracker internals moved
+                pass
+        return bytes(segment.buf[: handle.size])
+    finally:
+        segment.close()
 
 
 def release(handle: Optional[ShmHandle]) -> None:
@@ -157,36 +123,3 @@ def release(handle: Optional[ShmHandle]) -> None:
         logger.debug(
             "shared-memory release of %s failed: %s", handle.name, exc
         )
-
-
-#: Worker-side FIFO of deserialised objects, keyed by segment name.
-_worker_cache: "OrderedDict[str, Any]" = OrderedDict()
-
-
-def resolve_shared(payload: Any) -> Any:
-    """Worker-side inverse of :func:`pack`; passes non-handles through.
-
-    The first chunk of a job attaches the segment, unpickles, caches and
-    detaches; later chunks hit the cache.  Attached segments are
-    unregistered from this process's ``resource_tracker`` so worker exit
-    does not unlink (or warn about) a segment the parent still owns.
-    """
-    if not isinstance(payload, ShmHandle):
-        return payload
-    cached = _worker_cache.get(payload.name)
-    if cached is not None:
-        return cached
-    segment = shared_memory.SharedMemory(name=payload.name)
-    try:
-        if resource_tracker is not None:
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-        obj = pickle.loads(bytes(segment.buf[: payload.size]))
-    finally:
-        segment.close()
-    while len(_worker_cache) >= WORKER_CACHE_ENTRIES:
-        _worker_cache.popitem(last=False)
-    _worker_cache[payload.name] = obj
-    return obj

@@ -1,67 +1,30 @@
-"""Optional compiled kernels for the columnar engine's hottest primitives.
+"""Numpy primitives behind the columnar engine's hottest loops.
 
 The columnar engine (:mod:`repro.simulator.columnar`) is numpy-vectorised
-end to end, but two primitives still dominate a million-task run's solve
-phase: the grouped water-fill inside
+end to end; two primitives dominate a million-task run's solve phase: the
+grouped water-fill inside
 :func:`~repro.simulator.sharing.solve_max_min_classes` (called once per
 class per Gauss-Seidel sweep) and the fused progress/deadline recompute of
-every re-shared slot.  Both are branchy element loops that a JIT turns into
-tight machine code — BottleMod's argument applies here too: analytic
-bottleneck evaluation is only useful while it stays orders of magnitude
-cheaper than running the workload.
-
-This module provides those primitives behind a **three-state gate**:
-
-* ``REPRO_KERNELS=0`` — pure-numpy implementations, always available.
-* ``REPRO_KERNELS=1`` — require the numba tier; if numba is not importable
-  the fallback is used and a single WARNING is logged (never an error:
-  the container images this library targets do not all ship a compiler
-  toolchain).
-* unset / ``REPRO_KERNELS=auto`` — use numba when importable, numpy
-  otherwise, silently.
-
-Correctness discipline: the numba kernels perform the *same float
-operations in the same order* as the numpy fallbacks (sequential cumsum
-accumulation, identical comparison constants), so trace parity holds
-bit-for-bit whichever tier is active.  ``tests/simulator/test_kernels.py``
-pins the two tiers against each other on adversarial inputs, and the CI
-kernel-parity job re-runs the columnar + sharing suites under both gate
-settings.
+every re-shared slot.  Each performs the same float operations in the same
+order as the scalar or unfused expression it replaces, so trace parity
+holds bit-for-bit; ``tests/simulator/test_kernels.py`` pins them on
+adversarial inputs.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from typing import Optional
-
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
-    "KERNELS_ENV",
-    "active_tier",
-    "have_numba",
     "water_fill_grouped",
     "advance_progress",
     "deadline_when",
 ]
 
-#: Environment variable gating the compiled tier (see module docstring).
-KERNELS_ENV = "REPRO_KERNELS"
-
 _EPS = 1e-12
 
 
-# -- numpy reference implementations ------------------------------------------
-#
-# These are the canonical definitions; the numba tier below replicates their
-# float arithmetic operation-for-operation.  They are module-level (not
-# closures) so tests can target them directly regardless of the active tier.
-
-
-def _water_fill_grouped_numpy(
+def water_fill_grouped(
     demands: np.ndarray, counts: np.ndarray, capacity: float, hungry: int
 ) -> float:
     """Solve ``hungry * tau + sum_j min(d_j * c_j... , tau) = capacity``.
@@ -92,7 +55,7 @@ def _water_fill_grouped_numpy(
     return float((capacity - (prefix[-1] + weighted[-1])) / hungry)
 
 
-def _advance_progress_numpy(
+def advance_progress(
     prog: np.ndarray,
     tbase: np.ndarray,
     rate: np.ndarray,
@@ -110,141 +73,8 @@ def _advance_progress_numpy(
     )
 
 
-def _deadline_when_numpy(
+def deadline_when(
     now: float, targets: np.ndarray, prog: np.ndarray, rates: np.ndarray
 ) -> np.ndarray:
     """Predicted decision instants: ``now + max(0, target - prog) / rate``."""
     return now + np.maximum(0.0, targets - prog) / rates
-
-
-# -- numba tier ----------------------------------------------------------------
-
-
-def _build_numba_kernels() -> Optional[dict]:
-    """Compile the numba tier; ``None`` when numba is unavailable.
-
-    Kept in a function so the import cost (and the possible ImportError) is
-    paid once at module import, and so the compiled dispatchers close over
-    nothing mutable.
-    """
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except ImportError:
-        return None
-
-    # fastmath stays OFF: reassociation would break bit-parity with numpy.
-    @njit(cache=True)
-    def water_fill(demands, counts, capacity, hungry):  # pragma: no cover
-        n = demands.size
-        if n == 0:
-            return capacity / hungry
-        # Stable sort on the secondary key (counts) then on the primary
-        # (demands) reproduces np.lexsort((counts, demands)).
-        corder = np.argsort(counts, kind="mergesort")
-        d_tmp = demands[corder]
-        order = corder[np.argsort(d_tmp, kind="mergesort")]
-        prefix = 0.0
-        consumed = 0
-        total = 0
-        for i in range(n):
-            total += counts[i]
-        for i in range(n):
-            di = demands[order[i]]
-            ci = counts[order[i]]
-            tau = (capacity - prefix) / (total - consumed + hungry)
-            if tau <= di + _EPS:
-                return tau
-            prefix += di * ci
-            consumed += ci
-        return (capacity - prefix) / hungry
-
-    @njit(cache=True)
-    def advance(prog, tbase, rate, targets, now):  # pragma: no cover
-        out = np.empty_like(prog)
-        for i in range(prog.size):
-            if rate[i] > 0.0 and now > tbase[i]:
-                p = prog[i] + (now - tbase[i]) * rate[i]
-                t = targets[i]
-                out[i] = t if p > t else p
-            else:
-                out[i] = prog[i]
-        return out
-
-    @njit(cache=True)
-    def when(now, targets, prog, rates):  # pragma: no cover
-        out = np.empty_like(targets)
-        for i in range(targets.size):
-            gap = targets[i] - prog[i]
-            if gap < 0.0:
-                gap = 0.0
-            out[i] = now + gap / rates[i]
-        return out
-
-    return {"water_fill": water_fill, "advance": advance, "when": when}
-
-
-def _resolve() -> tuple:
-    """Pick the active tier from the environment gate (import-time)."""
-    mode = os.environ.get(KERNELS_ENV, "auto").strip().lower()
-    if mode in ("0", "off", "false", "numpy"):
-        return "numpy", None
-    kernels = _build_numba_kernels()
-    if kernels is None:
-        if mode in ("1", "on", "true", "numba"):
-            logger.warning(
-                "%s=%s requested the compiled kernel tier but numba is not "
-                "importable; falling back to the pure-numpy kernels "
-                "(bit-identical results, lower throughput)",
-                KERNELS_ENV,
-                mode,
-            )
-        return "numpy", None
-    return "numba", kernels
-
-
-_TIER, _NUMBA = _resolve()
-
-
-def have_numba() -> bool:
-    """True when the numba tier compiled successfully at import."""
-    return _NUMBA is not None
-
-
-def active_tier() -> str:
-    """``"numba"`` or ``"numpy"`` — whichever tier is serving calls."""
-    return _TIER
-
-
-# -- public dispatchers --------------------------------------------------------
-#
-# Resolved once at import: the hot loops call straight through a module
-# attribute, no per-call branching.
-
-if _TIER == "numba":
-    _nb = _NUMBA
-
-    def water_fill_grouped(
-        demands: np.ndarray, counts: np.ndarray, capacity: float, hungry: int
-    ) -> float:
-        return float(
-            _nb["water_fill"](demands, counts.astype(np.int64), capacity, hungry)
-        )
-
-    def advance_progress(
-        prog: np.ndarray,
-        tbase: np.ndarray,
-        rate: np.ndarray,
-        targets: np.ndarray,
-        now: float,
-    ) -> np.ndarray:
-        return _nb["advance"](prog, tbase, rate, targets, now)
-
-    def deadline_when(
-        now: float, targets: np.ndarray, prog: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
-        return _nb["when"](now, targets, prog, rates)
-
-else:
-    water_fill_grouped = _water_fill_grouped_numpy
-    advance_progress = _advance_progress_numpy
-    deadline_when = _deadline_when_numpy

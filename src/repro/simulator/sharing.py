@@ -191,10 +191,8 @@ def _hungry_level_grouped_arrays(
     (``test_sharing.py::TestClassSolver``) pins the two paths to exact float
     equality.
 
-    Dispatches to :mod:`repro.simulator.kernels`, which holds the canonical
-    numpy implementation plus an optional numba-compiled twin (gated by
-    ``REPRO_KERNELS``) performing the same float operations in the same
-    order — either tier returns the identical float.
+    Dispatches to :mod:`repro.simulator.kernels`, which holds the
+    implementation.
     """
     return _kernels.water_fill_grouped(demands, counts, capacity, hungry)
 

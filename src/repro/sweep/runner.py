@@ -24,16 +24,17 @@ batched-cached-parallel:
   configurations rank by paired deltas
   (:meth:`SweepRunner.compare_paired`) rather than two noisy points.
 
-Process-pool semantics: the worker context (cluster, task-time source,
-estimator configuration) is pickled once per worker at pool start-up, and
-each worker keeps its own task-time cache warm across batches.  The pool
-engine is :class:`~repro.service.pool.ResilientPool`: a runner whose
-source does not pickle (e.g. a closure-based test stub) degrades to the
-serial path with a WARNING and a ``pool.serial_fallback`` count, and a
-worker that crashes mid-map (``BrokenProcessPool``) marks the pool broken
-(``pool.broken``), finishes the remaining chunks serially, and still
-returns complete results bit-identical to an all-serial run — correctness
-never depends on the pool.
+Process-pool semantics: batches run through
+:meth:`~repro.service.pool.ResilientPool.map_with_context`.  The worker
+context (cluster, task-time sources, estimator configuration) ships once
+per runner and each worker keeps its copy, caches included, warm across
+batches.  A runner whose source does not pickle (e.g. a closure-based test
+stub) degrades to the serial path with a WARNING and a
+``pool.serial_fallback`` count, and a worker that crashes mid-map
+(``BrokenProcessPool``) marks the pool broken (``pool.broken``), finishes
+the remaining chunks serially, and still returns complete results
+bit-identical to an all-serial run — correctness never depends on the
+pool.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
 from repro.core.boe import BOEModel
@@ -53,17 +54,9 @@ from repro.core.fingerprint import CacheStats
 from repro.core.incremental import ReuseStats, TrajectoryCache
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError
-from repro.obs.context import clear_context
-from repro.obs.metrics import get_metrics, snapshot_delta
+from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
-from repro.service.pool import (
-    CancelCheck,
-    ResilientPool,
-    check_cancel,
-    parent_cpu_clock,
-)
-from repro.service.shm import ShmHandle, pack as shm_pack, release as shm_release
-from repro.service.shm import resolve_shared
+from repro.service.pool import CancelCheck, ResilientPool, parent_cpu_clock
 
 logger = logging.getLogger(__name__)
 
@@ -205,6 +198,9 @@ class _EvalContext:
     time and a mutated workflow can never match a stale entry.
     """
 
+    #: Span wrapping each pooled chunk (see :mod:`repro.service.pool`).
+    chunk_span = "sweep.chunk"
+
     def __init__(
         self,
         cluster: Cluster,
@@ -215,17 +211,9 @@ class _EvalContext:
         refine: bool,
         memo: bool = True,
         max_memo_entries: int = 65_536,
-        metrics_enabled: bool = False,
-        trace_enabled: bool = False,
         reuse: bool = True,
         batch: bool = True,
     ):
-        # Carried to pool workers so their process-global registry is armed
-        # before they build sources (counters bind at construction time).
-        self.metrics_enabled = metrics_enabled
-        # Likewise for the worker tracer: chunks record spans and ship
-        # them home alongside the metrics delta when this is set.
-        self.trace_enabled = trace_enabled
         self._cluster = cluster
         self._fixed_source = source
         self._variant = variant
@@ -350,105 +338,26 @@ class _EvalContext:
         return result
 
 
-#: Per-worker evaluation context, installed by the pool initializer.
-_WORKER_CONTEXT: Optional[_EvalContext] = None
-
-
-def _worker_init(context: _EvalContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-    # Wipe trace state inherited by fork: the worker may have been forked
-    # from a thread that was mid-request (live request context) and
-    # mid-span (open stack) — left in place, every worker span would be
-    # stamped with, and parented under, work this process never did.
-    clear_context()
-    get_tracer().clear()
-    if context.metrics_enabled:
-        # Arm the worker's own registry before any source is built so
-        # worker-side counters bind to it; deltas ship home per chunk.
-        get_metrics().enable()
-    if context.trace_enabled:
-        get_tracer().enable()
-
-
 _Item = Tuple[int, str, Workflow, Optional[Cluster]]
 
-_MetricsDelta = Dict[str, Dict[str, Any]]
-
-#: Picklable span rows (:meth:`repro.obs.tracer.Tracer.export_since`).
-_SpanRows = List[Dict[str, Any]]
+_ChunkOutcome = Tuple[List[CandidateResult], CacheStats, ReuseStats]
 
 
-_ChunkOutcome = Tuple[
-    List[CandidateResult], CacheStats, ReuseStats, float, _MetricsDelta, _SpanRows
-]
+def _evaluate_chunk(context: _EvalContext, items: Sequence[_Item]) -> _ChunkOutcome:
+    """Evaluate one chunk against ``context``: the sweep's pure work
+    function for :meth:`~repro.service.pool.ResilientPool.map_with_context`.
 
-
-def _evaluate_chunk(context: _EvalContext, payload: Sequence[_Item]) -> _ChunkOutcome:
-    """Evaluate one chunk against ``context`` (worker-side).
-
-    Returns (results, cache delta, reuse delta, cpu seconds, metrics
-    delta, span rows); the metrics delta is empty unless the parent
-    shipped ``metrics_enabled=True``, and the span rows — a ``sweep.chunk``
-    span wrapping the per-candidate estimator spans — are empty unless
-    ``trace_enabled`` rode along (the parent re-parents them via
-    :meth:`~repro.obs.tracer.Tracer.ingest`).  Workers are
-    single-threaded, so ``process_time`` is exactly the chunk's CPU share
-    there.
+    Returns the results with the chunk's cache and reuse deltas, which the
+    parent folds into its report.
     """
-    registry = get_metrics()
-    metrics_before = registry.snapshot() if context.metrics_enabled else {}
-    tracer = get_tracer()
-    if context.trace_enabled and not tracer.enabled:
-        # Foreign pools (the shared service pool) may not have armed the
-        # worker tracer at init; the context knows the parent wants spans.
-        tracer.enable()
-    capture = context.trace_enabled and tracer.enabled
-    span_mark = tracer.span_count if capture else 0
-    span = tracer.begin("sweep.chunk", candidates=len(payload)) if capture else None
     before = context.cache_stats().snapshot()
     reuse_before = context.reuse_stats().snapshot()
-    cpu0 = time.process_time()
-    results = [context.evaluate(*item) for item in payload]
-    cpu_s = time.process_time() - cpu0
-    tracer.finish(span)
-    spans = tracer.export_since(span_mark) if capture else []
-    metrics = (
-        snapshot_delta(registry.snapshot(), metrics_before)
-        if context.metrics_enabled
-        else {}
-    )
+    results = [context.evaluate(*item) for item in items]
     return (
         results,
         context.cache_stats().delta(before),
         context.reuse_stats().delta(reuse_before),
-        cpu_s,
-        metrics,
-        spans,
     )
-
-
-def _worker_chunk(payload: Sequence[_Item]) -> _ChunkOutcome:
-    """Chunk evaluator for the runner's *own* pool (fork-once context)."""
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker used before initialisation"
-    return _evaluate_chunk(context, payload)
-
-
-def _context_chunk(payload: Tuple[Any, Sequence[_Item]]) -> _ChunkOutcome:
-    """Self-contained chunk evaluator for *foreign* (shared) pools.
-
-    The context ships inside the payload — either raw, or as a
-    :class:`~repro.service.shm.ShmHandle` referencing a shared-memory
-    segment the parent packed once for the whole job
-    (:func:`~repro.service.shm.resolve_shared` memoises the deserialised
-    context worker-side, so only a job's first chunk per worker pays the
-    unpickle).  Either way a generic service pool — one whose workers were
-    not initialised with this runner's context — can serve estimate
-    chunks.
-    """
-    context, items = payload
-    return _evaluate_chunk(resolve_shared(context), items)
 
 
 class SweepRunner:
@@ -490,8 +399,7 @@ class SweepRunner:
             ``ceil(n / (4 * processes))``.
         pool: a *shared* :class:`~repro.service.pool.ResilientPool` to
             borrow instead of owning one (the service multiplexes every
-            job over a single pool).  Chunks then ship their own context
-            (:func:`_context_chunk`); the pool is never closed by this
+            job over a single pool); the pool is never closed by this
             runner and ``processes`` follows the pool's size.
     """
 
@@ -523,32 +431,14 @@ class SweepRunner:
             enforce_vcores,
             refine,
             memo=memo,
-            metrics_enabled=get_metrics().enabled,
-            trace_enabled=get_tracer().enabled,
             reuse=memo if reuse is None else reuse,
             batch=memo if batch is None else batch,
         )
-        if pool is not None:
-            self._pool = pool
-            self._own_pool = False
-            self._processes = max(1, pool.processes)
-        else:
-            self._pool = ResilientPool(
-                processes,
-                initializer=_worker_init,
-                initargs=(self._context,),
-                label="sweep",
-            )
-            self._own_pool = True
-            self._processes = processes
+        self._own_pool = pool is None
+        self._pool = pool if pool is not None else ResilientPool(processes, label="sweep")
+        self._processes = max(1, self._pool.processes)
         self._chunksize = chunksize
         self._prune = prune
-        # Borrowed-pool context transport: packed lazily on the first
-        # parallel batch; ``False`` records a pack that declined (small
-        # context / shm unavailable) so every later batch ships raw
-        # without re-probing.
-        self._shm_handle: Any = None
-        self._pool_payload: Any = None
         # One BoundsModel per candidate cluster; ``None`` marks clusters
         # whose source cannot be bounded (stubs, scaled/caching wrappers).
         self._bounds_models: Dict[Cluster, Optional[BoundsModel]] = {}
@@ -563,28 +453,11 @@ class SweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down (no-op for serial or borrowed pools)
-        and release the shared-memory context segment, if one was packed."""
+        """Release the shipped worker context and shut an owned pool down
+        (a borrowed pool stays up)."""
+        self._pool.release(self._context)
         if self._own_pool:
             self._pool.close()
-        if isinstance(self._shm_handle, ShmHandle):
-            shm_release(self._shm_handle)
-        self._shm_handle = None
-        self._pool_payload = None
-
-    def _shipped_context(self) -> Any:
-        """What a borrowed-pool chunk payload carries as its context.
-
-        The first call tries to park the context in shared memory
-        (:func:`~repro.service.shm.pack`); success ships the tiny handle
-        with every chunk, refusal ships the raw context exactly as before.
-        The decision is made once per runner — the context is immutable.
-        """
-        if self._pool_payload is None:
-            handle = shm_pack(self._context, label="sweep")
-            self._shm_handle = handle if handle is not None else False
-            self._pool_payload = handle if handle is not None else self._context
-        return self._pool_payload
 
     @property
     def report(self) -> SweepReport:
@@ -602,12 +475,6 @@ class SweepRunner:
         self._context.seed(workflow, cluster)
 
     # -- evaluation --------------------------------------------------------------
-
-    @staticmethod
-    def _checked(payload, cancel: Optional[CancelCheck]):
-        """Pass ``payload`` through after polling the cancellation check."""
-        check_cancel(cancel)
-        return payload
 
     @staticmethod
     def _locality_key(item: _Item) -> Tuple[int, ...]:
@@ -811,19 +678,25 @@ class SweepRunner:
 
         t1 = time.perf_counter()
         try:
-            if not items:
-                outcome = ([], CacheStats(), ReuseStats(), 0.0, False)
-            elif self._processes > 1 and len(items) > 1:
-                outcome = self._evaluate_parallel(items, cancel)
-            else:
-                outcome = None
-            if outcome is None:
-                outcome = self._evaluate_serial(items, cancel)
+            mapped = self._pool.map_with_context(
+                self._context,
+                _evaluate_chunk,
+                items,
+                chunksize=self._chunksize,
+                cancel=cancel,
+            )
         except BaseException as exc:
             if span is not None:
                 tracer.finish(span, error=type(exc).__name__)
             raise
-        results, cache_delta, reuse_delta, cpu_s, pooled = outcome
+        results: List[CandidateResult] = []
+        cache_delta = CacheStats()
+        reuse_delta = ReuseStats()
+        for chunk_results, chunk_cache, chunk_reuse in mapped.outputs:
+            results.extend(chunk_results)
+            cache_delta.add(chunk_cache)
+            reuse_delta.add(chunk_reuse)
+        cpu_s, pooled = mapped.cpu_s, mapped.pooled
         report._phase("estimate", time.perf_counter() - t1)
 
         t2 = time.perf_counter()
@@ -873,9 +746,7 @@ class SweepRunner:
         point estimate.
 
         Reuses the runner's worker pool (replication chunks ride the same
-        executor as estimator chunks; worker metrics deltas come home
-        through the obs ``merge()`` path) and the runner's report
-        accounting.  Every candidate runs the full ``ensemble.replications``
+        executor as estimator chunks) and the runner's report accounting.  Every candidate runs the full ``ensemble.replications``
         budget under the same ``base_seed`` — common random numbers across
         candidates, so the returned sample vectors are pairable
         (:func:`repro.ensemble.compare.paired_from_samples`); per-candidate
@@ -909,8 +780,8 @@ class SweepRunner:
             EnsembleResult,
             VariantSpec,
             _Accumulator,
-            serial_replication_chunk,
-            simulate_replication_chunk,
+            _EnsembleSetup,
+            _evaluate_items,
         )
         from repro.simulator.engine import SimulationConfig
 
@@ -986,59 +857,29 @@ class SweepRunner:
                 self._report.pruned_reasons["incumbent"] = (
                     self._report.pruned_reasons.get("incumbent", 0) + skipped
                 )
-        # One payload per (candidate, index chunk): the chunk function is
-        # self-contained, so the estimator pool serves it as-is.
-        chunksize = ens.chunksize or max(
-            1, -(-ens.replications // (4 * max(1, self._processes)))
+        # One context for the whole batch: work items are
+        # (candidate, replication) pairs, so chunks may span candidates.
+        setup = _EnsembleSetup(
+            variants=tuple(variant for _, variant in variants),
+            base_seed=ens.base_seed,
+            keep_trace_below=ens.exemplars,
         )
-        payloads = []
-        for cand_idx, (_, variant) in enumerate(variants):
-            if pruned_out[cand_idx]:
-                continue
-            for start in range(0, ens.replications, chunksize):
-                indices = tuple(
-                    range(start, min(start + chunksize, ens.replications))
-                )
-                payloads.append(
-                    (cand_idx, (variant, ens.base_seed, indices, ens.exemplars))
-                )
-
-        # Parent CPU is accounted on the *thread* clock: with the shared
-        # service pool several jobs drive this loop concurrently from
-        # their own threads, and a process-wide clock would cross-attribute
-        # job A's parent work to job B.  Worker chunks report their own CPU
-        # (pooled chunks only — the serial fallback wrapper reports 0 since
-        # its work already lands on this thread's clock).
-        cpu0 = parent_cpu_clock()
-        worker_cpu = 0.0
-        pooled = (
-            self._pool.executor() is not None
-            if self._processes > 1 and len(payloads) > 1
-            else False
-        )
-        if pooled:
-            outcomes = self._pool.run_chunks(
-                simulate_replication_chunk,
-                [p for _, p in payloads],
-                serial_fn=serial_replication_chunk,
-                cancel=cancel,
+        items = [
+            (cand_idx, index)
+            for cand_idx in range(len(variants))
+            if not pruned_out[cand_idx]
+            for index in range(ens.replications)
+        ]
+        try:
+            mapped = self._pool.map_with_context(
+                setup, _evaluate_items, items, chunksize=ens.chunksize, cancel=cancel
             )
-        else:
-            outcomes = (
-                serial_replication_chunk(self._checked(p, cancel))
-                for _, p in payloads
-            )
-        for (cand_idx, _), (outputs, chunk_cpu, chunk_metrics, chunk_spans) in zip(
-            payloads, outcomes
-        ):
-            for _, record, trace in outputs:
+        finally:
+            self._pool.release(setup)
+        for outputs in mapped.outputs:
+            for cand_idx, record, trace in outputs:
                 accumulators[cand_idx].add(record, trace)
-            worker_cpu += chunk_cpu
-            if chunk_metrics:
-                registry.merge(chunk_metrics)
-            if chunk_spans:
-                tracer.ingest(chunk_spans)
-        cpu_s = (parent_cpu_clock() - cpu0) + worker_cpu
+        cpu_s, pooled = mapped.cpu_s, mapped.pooled
         wall_s = time.perf_counter() - t0
 
         results: List[Optional[EnsembleResult]] = []
@@ -1115,109 +956,6 @@ class SweepRunner:
             processes=self._processes,
             pool_used=ens_a.pool_used,
         )
-
-    def _evaluate_serial(
-        self, items: Sequence[_Item], cancel: Optional[CancelCheck] = None
-    ) -> Tuple[List[CandidateResult], CacheStats, ReuseStats, float, bool]:
-        # In-process evaluation records into the parent's registry directly;
-        # no snapshot/merge round-trip needed.  Parent CPU is thread time
-        # (see :func:`repro.service.pool.parent_cpu_clock`) so concurrent
-        # service jobs never cross-attribute each other's work.
-        before = self._context.cache_stats().snapshot()
-        reuse_before = self._context.reuse_stats().snapshot()
-        cpu0 = parent_cpu_clock()
-        results = []
-        for item in items:
-            check_cancel(cancel)
-            results.append(self._context.evaluate(*item))
-        cpu_s = parent_cpu_clock() - cpu0
-        return (
-            results,
-            self._context.cache_stats().delta(before),
-            self._context.reuse_stats().delta(reuse_before),
-            cpu_s,
-            False,
-        )
-
-    def _parent_chunk(self, items: Sequence[_Item]) -> _ChunkOutcome:
-        """Serial-fallback chunk evaluation in the parent process.
-
-        Used by :meth:`~repro.service.pool.ResilientPool.run_chunks` to
-        finish a batch after a worker crash.  Reports **zero** CPU, an
-        empty metrics delta, and no span rows: the work runs on the
-        caller's thread, so the surrounding ``parent_cpu_clock`` delta
-        already accounts it, the parent registry records counters
-        directly, and the parent tracer records any spans directly —
-        returning them again would double-count.
-        """
-        before = self._context.cache_stats().snapshot()
-        reuse_before = self._context.reuse_stats().snapshot()
-        results = [self._context.evaluate(*item) for item in items]
-        return (
-            results,
-            self._context.cache_stats().delta(before),
-            self._context.reuse_stats().delta(reuse_before),
-            0.0,
-            {},
-            [],
-        )
-
-    def _evaluate_parallel(
-        self, items: Sequence[_Item], cancel: Optional[CancelCheck] = None
-    ) -> Optional[Tuple[List[CandidateResult], CacheStats, ReuseStats, float, bool]]:
-        """Fan chunks out over the pool; ``None`` falls back to serial."""
-        if self._pool.executor() is None:
-            return None
-        chunksize = self._chunksize or max(
-            1, -(-len(items) // (4 * self._processes))
-        )
-        chunks = [
-            items[i : i + chunksize] for i in range(0, len(items), chunksize)
-        ]
-        if self._own_pool:
-            # Fork-once workers hold the context already.
-            fn: Callable[[Any], _ChunkOutcome] = _worker_chunk
-            payloads: List[Any] = list(chunks)
-            serial_fn: Callable[[Any], _ChunkOutcome] = self._parent_chunk
-        else:
-            # Borrowed (service) pool: ship the context with every chunk —
-            # as a shared-memory handle when the context is large enough to
-            # park (packed once per runner), raw otherwise.
-            fn = _context_chunk
-            shipped = self._shipped_context()
-            payloads = [(shipped, chunk) for chunk in chunks]
-            serial_fn = lambda payload: self._parent_chunk(payload[1])  # noqa: E731
-        cpu0 = parent_cpu_clock()
-        results: List[CandidateResult] = []
-        cache_delta = CacheStats()
-        reuse_delta = ReuseStats()
-        worker_cpu = 0.0
-        registry = get_metrics()
-        tracer = get_tracer()
-        for (
-            chunk_results,
-            chunk_cache,
-            chunk_reuse,
-            chunk_cpu,
-            chunk_metrics,
-            chunk_spans,
-        ) in self._pool.run_chunks(fn, payloads, serial_fn=serial_fn, cancel=cancel):
-            results.extend(chunk_results)
-            cache_delta.add(chunk_cache)
-            reuse_delta.add(chunk_reuse)
-            worker_cpu += chunk_cpu
-            if chunk_metrics:
-                # Fold worker activity into the parent registry; chunks merge
-                # in submission order (run_chunks preserves it), keeping
-                # gauge last-wins deterministic.
-                registry.merge(chunk_metrics)
-            if chunk_spans:
-                # Re-anchor worker spans under the open ``sweep.batch`` span
-                # (this runs on the batch's thread); inside the service the
-                # active request context stamps its trace id too.
-                tracer.ingest(chunk_spans)
-        cpu_s = (parent_cpu_clock() - cpu0) + worker_cpu
-        return results, cache_delta, reuse_delta, cpu_s, True
 
 
 def default_processes(cap: int = 8) -> int:

@@ -138,26 +138,35 @@ class TestReplications:
             s.duration for s in direct.states
         )
 
-    def test_workers_pick_the_columnar_engine(self, cluster, workflow, config):
-        """A variant on the default engine runs replications columnar —
-        same trace (parity-pinned), flat-array throughput — while an
-        explicit ``reference`` choice is honoured as the oracle."""
-        from repro.simulator import ColumnarResult
-
-        _, trace = run_replication(
-            VariantSpec(workflow, cluster, config), 42, 0, keep_trace=True
-        )
-        assert isinstance(trace, ColumnarResult)
+    def test_replications_honour_the_configured_engine(
+        self, cluster, workflow, config
+    ):
+        """Each replication runs the engine its config names: the default
+        loop stays the default, an explicit ``columnar`` runs columnar, and
+        fast, columnar and reference agree on the makespan."""
         from dataclasses import replace
 
-        _, oracle = run_replication(
-            VariantSpec(workflow, cluster, replace(config, engine="reference")),
-            42,
-            0,
-            keep_trace=True,
+        from repro.simulator import ColumnarResult, SimulationResult
+
+        traces = {}
+        for engine in ("fast", "columnar", "reference"):
+            _, traces[engine] = run_replication(
+                VariantSpec(workflow, cluster, replace(config, engine=engine)),
+                42,
+                0,
+                keep_trace=True,
+            )
+        _, default = run_replication(
+            VariantSpec(workflow, cluster, config), 42, 0, keep_trace=True
         )
-        assert not isinstance(oracle, ColumnarResult)
-        assert trace.makespan == oracle.makespan
+        assert type(default) is SimulationResult
+        assert isinstance(traces["columnar"], ColumnarResult)
+        assert (
+            default.makespan
+            == traces["fast"].makespan
+            == traces["columnar"].makespan
+            == traces["reference"].makespan
+        )
 
 
 class TestDeterminismContract:

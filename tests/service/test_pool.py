@@ -57,20 +57,73 @@ class TestSerialPath:
         assert out == [["int"]]
 
 
-class TestProbeFallback:
-    def test_unpicklable_initargs_degrade_loudly(self, armed_metrics, caplog):
-        """Satellite: the silent pickle probe now warns and counts."""
-        pool = ResilientPool(2, initargs=(lambda: None,), label="probe-test")
-        with caplog.at_level("WARNING", logger="repro.service.pool"):
-            assert pool.executor() is None
-        assert pool.serial_only
-        assert "does not pickle" in caplog.text
-        assert "probe-test" in caplog.text
-        assert _counter(armed_metrics, "pool.serial_fallback") == 1
+def _scale(factor, chunk):
+    return [factor * x for x in chunk]
 
-        # The pool still serves work — serially, and without re-warning.
-        assert list(pool.run_chunks(_square, [[3]])) == [[9]]
-        assert _counter(armed_metrics, "pool.serial_fallback") == 1
+
+def _context_type(context, chunk):
+    return type(context).__name__
+
+
+def _context_identity(context, chunk):
+    return os.getpid(), id(context)
+
+
+class TestProbeFallback:
+    def test_unpicklable_context_degrades_loudly(self, armed_metrics, caplog):
+        """Satellite: the silent pickle probe now warns and counts."""
+        context = lambda: None  # noqa: E731 - unpicklable by design
+        with ResilientPool(2, label="probe-test") as pool:
+            with caplog.at_level("WARNING", logger="repro.service.pool"):
+                mapped = pool.map_with_context(context, _context_type, [1, 2, 3])
+            assert mapped.outputs == ["function"] * 3
+            assert not mapped.pooled
+            assert "does not pickle" in caplog.text
+            assert "probe-test" in caplog.text
+            assert _counter(armed_metrics, "pool.serial_fallback") == 1
+
+            # The pool still serves the context — serially, without
+            # re-warning — and serves other contexts pooled.
+            again = pool.map_with_context(context, _context_type, [4, 5])
+            assert again.outputs == ["function"] * 2
+            assert _counter(armed_metrics, "pool.serial_fallback") == 1
+            pooled = pool.map_with_context(3, _scale, [1, 2], chunksize=1)
+            assert pooled.outputs == [[3], [6]]
+            assert pooled.pooled
+
+
+class TestMapWithContext:
+    def test_in_process_path_never_pickles(self, armed_metrics):
+        context = lambda: None  # noqa: E731 - would fail any pickling
+        pool = ResilientPool(1)
+        mapped = pool.map_with_context(context, _context_type, [1, 2, 3])
+        assert mapped.outputs == ["function"] * 3
+        assert not mapped.pooled
+        assert _counter(armed_metrics, "pool.serial_fallback") == 0
+
+    def test_workers_keep_one_context_across_calls(self):
+        """Each worker unpickles a context once and reuses it for every
+        later chunk and call — worker caches inside it stay warm."""
+        context = {"payload": list(range(100))}
+        seen = {}
+        with ResilientPool(2) as pool:
+            for _ in range(3):
+                mapped = pool.map_with_context(
+                    context, _context_identity, list(range(8)), chunksize=1
+                )
+                assert mapped.pooled
+                for pid, ident in mapped.outputs:
+                    seen.setdefault(pid, set()).add(ident)
+        assert seen and all(len(idents) == 1 for idents in seen.values())
+
+    def test_release_forgets_the_shipment(self):
+        context = [1, 2, 3]
+        with ResilientPool(2) as pool:
+            pool.map_with_context(context, _context_type, [1, 2])
+            assert id(context) in pool._shipments
+            pool.release(context)
+            assert id(context) not in pool._shipments
+            pool.release(context)  # idempotent
 
 
 class TestCrashRecovery:

@@ -256,5 +256,22 @@ class TestHistory:
             assert blocker.id in {job.id for job in sched.jobs()}
             gate.set()
 
+    def test_long_running_job_does_not_pin_history(self):
+        """Eviction skips a live job instead of stopping at it, so terminal
+        history stays bounded behind one long-running job."""
+        history = 4
+        gate, started, run = _blocker()
+        with JobScheduler(workers=2, history=history) as sched:
+            blocker = sched.submit(JobSpec(kind="warm", run=run))
+            started.wait(5.0)
+            for i in range(history + 10):
+                job = sched.submit(JobSpec(kind="sweep", run=lambda c: 1))
+                assert job.wait(5.0)
+            retained = sched.jobs()
+            gate.set()
+        terminal = [job for job in retained if job.status in Job.TERMINAL]
+        assert len(terminal) <= history
+        assert blocker.id in {job.id for job in retained}
+
     def test_terminal_states_are_the_contract(self):
         assert set(Job.TERMINAL) == {"succeeded", "failed", "cancelled", "timeout"}

@@ -175,6 +175,9 @@ class TestHttpServer:
             assert row["ok"]
             assert row["total_time_s"] == direct.total_time
         assert payload["job"]["status"] == "succeeded"
+        # The finished job released its worker context from the shared
+        # pool: a long-running service must not accumulate them.
+        assert not server.service.pool._shipments
 
     def test_ensemble_job_matches_direct_run(self, server, wc_workflow):
         client = ServiceClient(server.url)

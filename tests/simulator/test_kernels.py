@@ -1,26 +1,19 @@
-"""Parity and gating tests for the optional compiled-kernel tier.
+"""Parity tests for the columnar engine's numpy primitives.
 
-The contract of :mod:`repro.simulator.kernels` is strict: whichever tier is
-active (numba-compiled or pure numpy), every primitive returns *bit-identical*
-floats, because the engine's trace-parity discipline tolerates no drift in
-rates or deadline instants.  These tests pin
+The contract of :mod:`repro.simulator.kernels` is strict: every primitive
+returns *bit-identical* floats to the expression it replaces, because the
+engine's trace-parity discipline tolerates no drift in rates or deadline
+instants.  These tests pin
 
-* the numpy water-fill against the scalar reference fold in ``sharing`` on
+* the water-fill against the scalar reference fold in ``sharing`` on
   adversarial grouped demands (ties, huge multiplicities, degenerate sizes),
 * the fused progress/deadline helpers against the engine's unfused numpy
-  expressions,
-* the ``REPRO_KERNELS`` gate semantics (``0`` forces numpy; ``1`` without
-  numba falls back with a warning, never an error),
-* and — when numba happens to be installed — numba-vs-numpy bit equality.
+  expressions.
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,68 +100,3 @@ class TestFusedColumnHelpers:
         assert np.array_equal(
             kernels.deadline_when(now, targets, prog, rates), expected
         )
-
-
-class TestGateSemantics:
-    def _tier_under(self, env_value):
-        # The repro package installs a NullHandler (library etiquette), so
-        # configure a real stderr handler *before* the import that resolves
-        # the tier — the fallback warning fires at import time.
-        code = (
-            "import logging; logging.basicConfig(level=logging.WARNING);"
-            "from repro.simulator import kernels;"
-            "print(kernels.active_tier())"
-        )
-        env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
-        if env_value is not None:
-            env["REPRO_KERNELS"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip(), out.stderr
-
-    def test_zero_forces_numpy(self):
-        tier, _ = self._tier_under("0")
-        assert tier == "numpy"
-
-    def test_requested_numba_without_numba_warns_and_falls_back(self):
-        if kernels.have_numba():
-            pytest.skip("numba installed: the forced tier compiles for real")
-        tier, stderr = self._tier_under("1")
-        assert tier == "numpy"
-        assert "falling back" in stderr
-
-    def test_auto_without_numba_is_silent(self):
-        if kernels.have_numba():
-            pytest.skip("numba installed: auto resolves to the numba tier")
-        tier, stderr = self._tier_under(None)
-        assert tier == "numpy"
-        assert "falling back" not in stderr
-
-    def test_active_tier_consistent_with_have_numba(self):
-        if kernels.active_tier() == "numba":
-            assert kernels.have_numba()
-
-
-@pytest.mark.skipif(not kernels.have_numba(), reason="numba not installed")
-class TestNumbaBitParity:
-    """Only runs where numba exists — CI's kernel-parity job provides it."""
-
-    @given(
-        others=group_lists,
-        capacity=st.floats(min_value=1e-6, max_value=1e9, allow_nan=False),
-        hungry=st.integers(min_value=1, max_value=10_000),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_water_fill_bit_equal(self, others, capacity, hungry):
-        demands = np.array([d for d, _ in others])
-        counts = np.array([c for _, c in others], dtype=np.int64)
-        numpy_result = kernels._water_fill_grouped_numpy(
-            demands, counts, capacity, hungry
-        )
-        assert kernels.water_fill_grouped(demands, counts, capacity, hungry) == numpy_result

@@ -30,10 +30,9 @@ _PARENT_PID = os.getpid()
 def _crashing_evaluate_chunk(context, payload):
     """Estimator chunk rig: dies like an OOM-killed worker in children.
 
-    Pool workers resolve ``_worker_chunk`` by name and call the (patched)
-    ``_evaluate_chunk`` module global they inherited via fork; the parent's
-    serial paths never route through it, but the pid guard keeps the rig
-    harmless there regardless.
+    The runner hands the (patched) ``_evaluate_chunk`` module global to
+    the pool as its work function, so workers run this rig; the parent's
+    serial tail runs it too, where the pid guard makes it the real work.
     """
     if os.getpid() != _PARENT_PID:
         os._exit(3)
@@ -175,6 +174,22 @@ class TestParallelRunner:
         assert [(r.index, r.label, r.total_time_s) for r in pooled] == [
             (r.index, r.label, r.total_time_s) for r in serial
         ]
+
+    def test_worker_caches_persist_across_evaluate_calls(self, cluster, grid):
+        """Workers keep their context — memo and task-time caches — between
+        batches.  One chunk per batch lands on one of the two workers, so
+        by the third batch some worker has already evaluated every
+        candidate: a batch with no cache miss at all must occur."""
+        misses = []
+        with SweepRunner(cluster, processes=2, chunksize=len(grid)) as runner:
+            for _ in range(3):
+                before = runner.report.cache.misses
+                results = runner.evaluate(grid)
+                misses.append(runner.report.cache.misses - before)
+            assert runner.report.pool_used
+        assert all(r.ok for r in results)
+        assert misses[0] > 0
+        assert min(misses[1:]) == 0
 
     def test_pool_merges_worker_cache_stats(self, cluster, grid):
         with SweepRunner(cluster, processes=2) as runner:
