@@ -34,16 +34,16 @@ Counting the users of a resource needs care on two axes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
-from repro.core.allocation import StageLoad, per_task_throughput, resource_users
+from repro.core.allocation import StageLoad, resource_users
 from repro.core.fingerprint import CacheStats, LRUCache, default_cache_entries
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.phases import OpSpec, SubStageSpec, build_task_substages
+from repro.mapreduce.phases import SubStageSpec, build_task_substages
 from repro.mapreduce.stage import StageKind
 from repro.obs.metrics import get_metrics
 
@@ -127,46 +127,97 @@ def align_substage(target_name: str, substages: Sequence[SubStageSpec]) -> SubSt
     return max(substages, key=lambda s: sum(op.amount for op in s.ops))
 
 
-@dataclass
-class _StageCtx:
-    """One stage participating in the competition system."""
+#: The kernel's fixed resource slots: slot ``i`` holds ``_SLOTS[i]``.
+_SLOTS = (Resource.CPU, Resource.DISK, Resource.NETWORK, Resource.MEMORY)
+_SLOT_OF = {resource: slot for slot, resource in enumerate(_SLOTS)}
+
+
+@dataclass(frozen=True)
+class _Sub:
+    """One sub-stage lowered for the kernel: ops as ``(slot, amount,
+    per_flow_cap, kind)`` tuples, its distinct slots by first occurrence, and
+    its total demand (the initial duration guess)."""
 
     name: str
-    substages: List[SubStageSpec]
-    delta: float
-    staggered: bool
-    durations: List[float] = field(default_factory=list)
-    utilisation: List[Dict[Resource, float]] = field(default_factory=list)
-
-    def occupancy(self) -> List[float]:
-        total = sum(self.durations)
-        if total <= 0:
-            return [1.0 / len(self.substages)] * len(self.substages)
-        return [d / total for d in self.durations]
+    ops: Tuple[Tuple[int, float, Optional[float], str], ...]
+    order: Tuple[int, ...]
+    demand: float
 
 
-def _ctx_signature(ctx: _StageCtx) -> tuple:
-    """Call-time fingerprint of one stage's competition inputs.
-
-    Everything :meth:`BOEModel._solve_system` reads from a context except
-    its (result-irrelevant) name: the sub-stage pipelines down to each
-    operation's amounts and caps, the parallelism and the wave regime.
-    Enum members are keyed by value to stay cheap to hash.
-    """
-    return (
-        tuple(
-            (
-                sub.name,
-                tuple(
-                    (op.kind, op.resource.value, op.amount, op.per_flow_cap)
-                    for op in sub.ops
-                ),
-            )
-            for sub in ctx.substages
-        ),
-        ctx.delta,
-        ctx.staggered,
+def _compile(sub: SubStageSpec) -> _Sub:
+    ops = tuple(
+        (_SLOT_OF[op.resource], op.amount, op.per_flow_cap, op.kind) for op in sub.ops
     )
+    order = tuple(dict.fromkeys(op[0] for op in ops))
+    return _Sub(sub.name, ops, order, sum(op.amount for op in sub.ops))
+
+
+class _Pipeline:
+    """One stage's task pipeline, compiled once per (job, kind) per batch.
+
+    ``first`` maps a sub-stage name to its first index (phase lock across
+    synchronised stages); ``signature`` is the pipeline's part of the L2 cache
+    key: every sub-stage name and op tuple, the whole input of the solve.
+    """
+
+    __slots__ = ("subs", "first", "signature")
+
+    def __init__(self, substages: Sequence[SubStageSpec]):
+        self.subs = tuple(_compile(sub) for sub in substages)
+        self.first: Dict[str, int] = {}
+        for idx, sub in enumerate(self.subs):
+            self.first.setdefault(sub.name, idx)
+        self.signature = tuple((sub.name, sub.ops) for sub in self.subs)
+
+
+class _StageCtx:
+    """One stage participating in the competition system.
+
+    Besides its current sub-stage ``durations`` and (refine only) per-slot
+    utilisations ``util``, a context holds the per-node user increments it
+    adds to whoever it competes with, derived once per :meth:`settle`:
+    ``mix`` for its occupancy-weighted sub-stage mix and ``own[idx]`` for all
+    ``delta`` tasks sitting in sub-stage ``idx``.
+    """
+
+    __slots__ = ("pipeline", "delta", "staggered", "durations", "util", "mix", "own")
+
+    def __init__(self, pipeline: _Pipeline, delta: float, staggered: bool):
+        self.pipeline = pipeline
+        self.delta = delta
+        self.staggered = staggered
+        self.own: Optional[List[List[Tuple[int, float]]]] = None
+
+    def settle(
+        self, durations: List[float], util: Optional[List[List[float]]], workers: int
+    ) -> None:
+        self.durations = durations
+        self.util = util
+        count = len(durations)
+        total = sum(durations)
+        if total <= 0:
+            occupancy = [1.0 / count] * count
+        else:
+            occupancy = [d / total for d in durations]
+        self.mix = [
+            term
+            for idx, occ in enumerate(occupancy)
+            for term in self._terms(idx, self.delta * occ, workers)
+        ]
+        # ``own`` moves with the utilisations only (plain BOE: never).
+        if not self.staggered and (util is not None or self.own is None):
+            self.own = [self._terms(idx, self.delta, workers) for idx in range(count)]
+
+    def _terms(self, idx: int, weight: float, workers: int) -> List[Tuple[int, float]]:
+        """``(slot, weight * p / workers)`` per resource of sub-stage ``idx``;
+        ``p`` is the refine utilisation, 1 before the first evaluation."""
+        if weight <= 0:
+            return []
+        util = self.util[idx] if self.util is not None else None
+        return [
+            (slot, weight * (1.0 if util is None else util[slot]) / workers)
+            for slot in self.pipeline.subs[idx].order
+        ]
 
 
 class BOEModel:
@@ -201,6 +252,9 @@ class BOEModel:
         self._cluster = cluster
         self._refine = refine
         self._max_iter = max_refine_iter
+        # Per-slot node capacity for the kernel: cores for CPU, MB/s for I/O.
+        node = cluster.node
+        self._capacity = (node.cores, node.disk_mb_s, node.network_mb_s)
         self._stats = CacheStats()
         # Two memo levels (see task_time): exact call arguments -> final
         # estimate, and solved system structure -> sub-stage estimates.
@@ -222,11 +276,13 @@ class BOEModel:
             self._ctr_misses = metrics.counter("boe.cache.misses")
             self._ctr_solves = metrics.counter("boe.system_solves")
             self._ctr_batch = metrics.counter("boe.batch_points")
+            self._ctr_unconverged = metrics.counter("boe.unconverged")
         else:
             self._ctr_hits = None
             self._ctr_misses = None
             self._ctr_solves = None
             self._ctr_batch = None
+            self._ctr_unconverged = None
 
     @property
     def cluster(self) -> Cluster:
@@ -251,43 +307,67 @@ class BOEModel:
         if self._call_cache is not None:
             self._call_cache.clear()
 
-    # -- primitive: one sub-stage under an explicit users map -------------------
+    # -- primitive: one sub-stage under explicit per-node user counts ----------
 
-    def _evaluate(
-        self, substage: SubStageSpec, users: Mapping[Resource, float]
-    ) -> SubStageEstimate:
+    def _sub_times(
+        self, sub: _Sub, users: List[float], op_times: Optional[List[float]] = None
+    ) -> Tuple[float, List[float]]:
+        """Eq. 3-5 for one compiled sub-stage under per-slot user counts:
+        ``(duration, per-slot time)``, each op's time appended to
+        ``op_times`` if given."""
         # Operations on *different* resources overlap in the pipeline (Eq. 3
         # takes their max); operations on the *same* resource contend for one
         # channel and serialise, so amounts aggregate per resource first
         # (e.g. the TeraSort map both reads and writes the node's disks).
-        op_times: List[Tuple[OpSpec, float]] = []
-        resource_time: Dict[Resource, float] = {}
-        for op in substage.ops:
-            throughput = per_task_throughput(op.resource, users, self._cluster)
-            if op.per_flow_cap is not None:
-                throughput = min(throughput, op.per_flow_cap)
+        capacity = self._capacity
+        times = [0.0, 0.0, 0.0, 0.0]
+        for slot, amount, cap, kind in sub.ops:
+            # Fewer than one user per node still gets one node's worth.
+            n = users[slot]
+            if n < 1.0:
+                n = 1.0
+            if slot == 0:
+                # A pipelined compute thread uses at most one core.
+                throughput = capacity[0] / n
+                if throughput >= 1.0:
+                    throughput = 1.0
+            elif slot == 3:
+                self._cluster.node.bandwidth(Resource.MEMORY)  # raises
+            else:
+                throughput = capacity[slot] / n
+            if cap is not None and cap < throughput:
+                throughput = cap
             if throughput <= 0:
-                raise EstimationError(f"zero throughput for {op.kind}")
-            t_op = op.amount / throughput
-            op_times.append((op, t_op))
-            resource_time[op.resource] = resource_time.get(op.resource, 0.0) + t_op
-        if not op_times:
-            raise EstimationError("sub-stage has no operations")
-        duration = max(resource_time.values())
+                raise EstimationError(f"zero throughput for {kind}")
+            t_op = amount / throughput
+            if op_times is not None:
+                op_times.append(t_op)
+            times[slot] += t_op
+        duration = max(times)
         if duration <= 0:
             duration = 1e-12
-        bottleneck = max(resource_time, key=resource_time.__getitem__)
+        return duration, times
+
+    def _estimate(self, sub: _Sub, users: List[float]) -> SubStageEstimate:
+        """:meth:`_sub_times` as an output object; the bottleneck is the
+        first slowest resource in op order."""
+        op_times: List[float] = []
+        duration, times = self._sub_times(sub, users, op_times)
         ops = tuple(
-            OpEstimate(
-                kind=op.kind,
-                resource=op.resource,
-                time=t,
-                utilisation=resource_time[op.resource] / duration,
-            )
-            for op, t in op_times
+            OpEstimate(kind, _SLOTS[slot], t_op, times[slot] / duration)
+            for (slot, _, _, kind), t_op in zip(sub.ops, op_times)
         )
+        bottleneck = _SLOTS[max(sub.order, key=times.__getitem__)]
         return SubStageEstimate(
-            name=substage.name, duration=duration, bottleneck=bottleneck, ops=ops
+            name=sub.name, duration=duration, bottleneck=bottleneck, ops=ops
+        )
+
+    def _evaluate(
+        self, substage: SubStageSpec, users: Mapping[Resource, float]
+    ) -> SubStageEstimate:
+        """One sub-stage under an explicit per-node users map."""
+        return self._estimate(
+            _compile(substage), [users.get(resource, 0.0) for resource in _SLOTS]
         )
 
     # -- sub-stage level (synchronised semantics, the Fig. 4 primitive) ---------
@@ -334,23 +414,23 @@ class BOEModel:
         return estimate
 
     # -- the stage-system fixed point --------------------------------------------
+    # A compiled kernel: slot lists instead of Resource-keyed dicts, output
+    # objects only for the target's final sub-stages, but the float operations
+    # of the straightforward dict formulation in the same order, so every
+    # estimate is bit-identical to it (tests/core/test_boe_golden.py).
 
-    def _users_for(
-        self, target: _StageCtx, target_idx: int, system: Sequence[_StageCtx]
-    ) -> Dict[Resource, float]:
-        """Per-node competitor counts seen by ``target``'s sub-stage
-        ``target_idx`` given current occupancies/utilisations."""
-        users: Dict[Resource, float] = {}
-        workers = self._cluster.workers
-        target_name = target.substages[target_idx].name
+    def _slot_users(
+        self, system: Sequence[_StageCtx], target: _StageCtx, idx: int
+    ) -> List[float]:
+        """Per-node competitor counts per slot seen by ``target``'s sub-stage
+        ``idx`` given current occupancies/utilisations."""
+        users = [0.0, 0.0, 0.0, 0.0]
+        name = target.pipeline.subs[idx].name
         for ctx in system:
             if ctx.staggered:
-                contributions = [
-                    (idx, ctx.delta * occ)
-                    for idx, occ in enumerate(ctx.occupancy())
-                ]
+                terms = ctx.mix
             elif ctx is target:
-                contributions = [(target_idx, ctx.delta)]
+                terms = ctx.own[idx]
             else:
                 # A synchronised competitor whose tasks pass the same-named
                 # sub-stage passes it *together with* the target (both
@@ -358,67 +438,47 @@ class BOEModel:
                 # Without a same-named sub-stage there is no phase lock
                 # across jobs and the competitor presents its time-weighted
                 # average (occupancy) mix.
-                same = [
-                    idx
-                    for idx, sub in enumerate(ctx.substages)
-                    if sub.name == target_name
-                ]
-                if same:
-                    contributions = [(same[0], ctx.delta)]
-                else:
-                    contributions = [
-                        (idx, ctx.delta * occ)
-                        for idx, occ in enumerate(ctx.occupancy())
-                    ]
-            for idx, weight in contributions:
-                if weight <= 0:
-                    continue
-                per_resource: Dict[Resource, float] = {}
-                for op in ctx.substages[idx].ops:
-                    per_resource[op.resource] = 1.0
-                if self._refine and ctx.utilisation:
-                    for resource in per_resource:
-                        per_resource[resource] = ctx.utilisation[idx].get(
-                            resource, 1.0
-                        )
-                for resource, p in per_resource.items():
-                    users[resource] = (
-                        users.get(resource, 0.0) + weight * p / workers
-                    )
+                same = ctx.pipeline.first.get(name)
+                terms = ctx.mix if same is None else ctx.own[same]
+            for slot, add in terms:
+                users[slot] += add
         return users
 
     def _solve_system(self, system: List[_StageCtx]) -> None:
         """Iterate sub-stage durations to the occupancy/utilisation fixed
         point; results land in each context's ``durations``."""
+        workers = self._cluster.workers
+        refine = self._refine
         # Initial pass: plain user counts, amount-proportional occupancy.
         for ctx in system:
-            ctx.durations = [
-                sum(op.amount for op in sub.ops) for sub in ctx.substages
-            ]
-            ctx.utilisation = [{} for _ in ctx.substages]
+            ctx.settle([sub.demand for sub in ctx.pipeline.subs], None, workers)
 
-        needs_iteration = self._refine or any(c.staggered for c in system)
+        needs_iteration = refine or any(c.staggered for c in system)
         rounds = self._max_iter if needs_iteration else 1
         previous_total = None
         for _ in range(rounds):
             for ctx in system:
-                new_durations: List[float] = []
-                new_util: List[Dict[Resource, float]] = []
-                for idx in range(len(ctx.substages)):
-                    users = self._users_for(ctx, idx, system)
-                    est = self._evaluate(ctx.substages[idx], users)
-                    new_durations.append(est.duration)
-                    new_util.append(
-                        {op.resource: max(op.utilisation, 1e-3) for op in est.ops}
+                durations: List[float] = []
+                util: Optional[List[List[float]]] = [] if refine else None
+                for idx, sub in enumerate(ctx.pipeline.subs):
+                    duration, times = self._sub_times(
+                        sub, self._slot_users(system, ctx, idx)
                     )
-                ctx.durations = new_durations
-                ctx.utilisation = new_util
+                    durations.append(duration)
+                    if refine:  # the slot times become utilisations
+                        for slot in sub.order:
+                            times[slot] = max(times[slot] / duration, 1e-3)
+                        util.append(times)
+                ctx.settle(durations, util, workers)
             total = sum(sum(ctx.durations) for ctx in system)
             if previous_total is not None and abs(total - previous_total) <= 1e-6 * max(
                 previous_total, 1e-9
             ):
                 break
             previous_total = total
+        else:
+            if needs_iteration and self._ctr_unconverged is not None:
+                self._ctr_unconverged.inc()
 
     # -- task level ----------------------------------------------------------------
 
@@ -462,49 +522,49 @@ class BOEModel:
         cache lookups, same fixed-point solves, same float operation order —
         so batched and serial results are bit-identical.  What the batch
         amortises is the setup: each distinct (job, stage) pipeline is
-        decomposed into sub-stage operation arrays once
-        (:func:`~repro.mapreduce.phases.build_task_substages`) and shared by
-        every point that references it, instead of being rebuilt per target
-        *and* per concurrent appearance.  An Algorithm 1 state with ``R``
+        decomposed (:func:`~repro.mapreduce.phases.build_task_substages`) and
+        compiled into slot-indexed op tuples once, and shared by every point
+        that references it, instead of being rebuilt per target *and* per
+        concurrent appearance.  An Algorithm 1 state with ``R``
         running stages performs ``R`` decompositions instead of ``R**2``;
         a sweep batch shares them across its whole candidate fan-out.
         """
         if self._ctr_batch is not None:
             self._ctr_batch.inc(len(points))
-        built: Dict[Tuple[MapReduceJob, StageKind], List[SubStageSpec]] = {}
+        built: Dict[Tuple[MapReduceJob, StageKind], _Pipeline] = {}
         return [
             self._task_time(job, kind, delta, concurrent, None, None, built)
             for job, kind, delta, concurrent in points
         ]
 
-    def _built_substages(
+    def _pipeline(
         self,
         job: MapReduceJob,
         kind: StageKind,
         task_input_mb: Optional[float],
-        built: Optional[Dict[Tuple[MapReduceJob, StageKind], List[SubStageSpec]]],
-    ) -> List[SubStageSpec]:
-        """Decompose one stage's task pipeline, via the batch memo if any.
+        built: Optional[Dict[Tuple[MapReduceJob, StageKind], _Pipeline]],
+    ) -> _Pipeline:
+        """Decompose and compile one stage's task pipeline, via the batch
+        memo if any.
 
         ``build_task_substages`` is a pure function of (job, kind, per-task
         input, remote fraction); the memo only applies to the default
         per-task input, where the key is just the value-hashed (job, kind).
         """
-        if built is None or task_input_mb is not None:
-            return build_task_substages(
-                job,
-                kind,
-                task_input_mb=task_input_mb,
-                remote_fraction=self._cluster.remote_fraction,
+        memo = built if task_input_mb is None else None
+        pipeline = memo.get((job, kind)) if memo is not None else None
+        if pipeline is None:
+            pipeline = _Pipeline(
+                build_task_substages(
+                    job,
+                    kind,
+                    task_input_mb=task_input_mb,
+                    remote_fraction=self._cluster.remote_fraction,
+                )
             )
-        key = (job, kind)
-        substages = built.get(key)
-        if substages is None:
-            substages = build_task_substages(
-                job, kind, remote_fraction=self._cluster.remote_fraction
-            )
-            built[key] = substages
-        return substages
+            if memo is not None:
+                memo[(job, kind)] = pipeline
+        return pipeline
 
     def _task_time(
         self,
@@ -514,7 +574,7 @@ class BOEModel:
         concurrent: Sequence[Tuple[MapReduceJob, StageKind, float]],
         task_input_mb: Optional[float],
         staggered: Optional[bool],
-        built: Optional[Dict[Tuple[MapReduceJob, StageKind], List[SubStageSpec]]],
+        built: Optional[Dict[Tuple[MapReduceJob, StageKind], _Pipeline]],
     ) -> TaskEstimate:
         # Level 1: exact call arguments.  Jobs are frozen dataclasses hashing
         # by value, so the key is recomputed from the *current* field values
@@ -531,23 +591,17 @@ class BOEModel:
                 return hit
 
         target_ctx = _StageCtx(
-            name=job.name,
-            substages=self._built_substages(job, kind, task_input_mb, built),
-            delta=delta,
-            staggered=(
-                self._is_staggered(job, kind, delta)
-                if staggered is None
-                else staggered
-            ),
+            self._pipeline(job, kind, task_input_mb, built),
+            delta,
+            self._is_staggered(job, kind, delta) if staggered is None else staggered,
         )
         system = [target_ctx]
         for other, other_kind, other_delta in concurrent:
             system.append(
                 _StageCtx(
-                    name=other.name,
-                    substages=self._built_substages(other, other_kind, None, built),
-                    delta=other_delta,
-                    staggered=self._is_staggered(other, other_kind, other_delta),
+                    self._pipeline(other, other_kind, None, built),
+                    other_delta,
+                    self._is_staggered(other, other_kind, other_delta),
                 )
             )
 
@@ -560,7 +614,9 @@ class BOEModel:
         # (e.g. the reducer count, for a map estimate) still hits.
         key = None
         if self._cache is not None:
-            key = tuple(_ctx_signature(ctx) for ctx in system)
+            key = tuple(
+                (ctx.pipeline.signature, ctx.delta, ctx.staggered) for ctx in system
+            )
             substages = self._cache.get(key)
             if substages is not None:
                 self._stats.hits += 1
@@ -576,12 +632,10 @@ class BOEModel:
         if self._ctr_solves is not None:
             self._ctr_solves.inc()
         self._solve_system(system)
+        # Frozen output objects only for the target's final sub-stages.
         estimates = tuple(
-            self._evaluate(
-                target_ctx.substages[idx],
-                self._users_for(target_ctx, idx, system),
-            )
-            for idx in range(len(target_ctx.substages))
+            self._estimate(sub, self._slot_users(system, target_ctx, idx))
+            for idx, sub in enumerate(target_ctx.pipeline.subs)
         )
         estimate = TaskEstimate(job=job.name, kind=kind, substages=estimates)
         if key is not None:

@@ -113,6 +113,23 @@ class TestEstimatorInstrumentation:
         assert snap["boe.cache.hits"]["value"] >= 1
         assert snap["boe.cache.misses"]["value"] >= 1
 
+    def test_unconverged_solves_counted(self, cluster, small_ts):
+        """A staggered system needs the fixed point; one round cannot
+        converge it, and the counter says so without moving the result."""
+        from repro.mapreduce import StageKind
+
+        quiet = BOEModel(cluster, max_refine_iter=1, cache=False)
+        baseline = quiet.task_time(small_ts, StageKind.MAP, 4.0)
+        _, metrics = _armed()
+        model = BOEModel(cluster, max_refine_iter=1, cache=False)
+        assert model.task_time(small_ts, StageKind.MAP, 4.0) == baseline
+        assert metrics.snapshot()["boe.unconverged"]["value"] == 1
+        # A one-wave plain-BOE system needs no iteration: not counted.
+        model.task_time(small_ts, StageKind.MAP, 40.0)
+        # Nor does a staggered one that converges within the budget.
+        BOEModel(cluster, cache=False).task_time(small_ts, StageKind.MAP, 4.0)
+        assert metrics.snapshot()["boe.unconverged"]["value"] == 1
+
 
 class TestSweepAndTunerInstrumentation:
     def test_sweep_batch_spans(self, cluster):
