@@ -67,7 +67,6 @@ from repro.core import (
     BOEModel,
     BOESource,
     CacheStats,
-    CachingSource,
     DagEstimate,
     DagEstimator,
     ScaledSource,
@@ -178,7 +177,6 @@ __all__ = [
     "BOEPredictor",
     "BOESource",
     "CacheStats",
-    "CachingSource",
     "Candidate",
     "CandidateResult",
     "Cluster",

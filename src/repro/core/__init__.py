@@ -17,7 +17,6 @@ from repro.core.distributions import (
 )
 from repro.core.estimator import (
     BOESource,
-    CachingSource,
     DagEstimator,
     ScaledSource,
     TaskTimeSource,
@@ -27,7 +26,6 @@ from repro.core.fingerprint import (
     CacheStats,
     LRUCache,
     concurrent_fingerprint,
-    default_cache_entries,
     job_fingerprint,
     value_fingerprint,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "BOEModel",
     "BOESource",
     "CacheStats",
-    "CachingSource",
     "Checkpoint",
     "DagEstimate",
     "DagEstimator",
@@ -71,7 +68,6 @@ __all__ = [
     "changed_jobs",
     "completion_rate",
     "concurrent_fingerprint",
-    "default_cache_entries",
     "estimate_parallelism",
     "estimate_workflow",
     "job_fingerprint",

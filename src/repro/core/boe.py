@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
 from repro.core.allocation import StageLoad, resource_users
-from repro.core.fingerprint import CacheStats, LRUCache, default_cache_entries
+from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES, CacheStats, LRUCache
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.phases import SubStageSpec, build_task_substages
@@ -241,10 +241,8 @@ class BOEModel:
         refine: bool = False,
         max_refine_iter: int = 25,
         cache: bool = True,
-        max_cache_entries: Optional[int] = None,
+        max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
     ):
-        if max_cache_entries is None:
-            max_cache_entries = default_cache_entries()
         if max_cache_entries < 1:
             raise EstimationError(
                 f"max_cache_entries must be >= 1: {max_cache_entries}"
@@ -258,9 +256,9 @@ class BOEModel:
         self._stats = CacheStats()
         # Two memo levels (see task_time): exact call arguments -> final
         # estimate, and solved system structure -> sub-stage estimates.
-        # Both are LRU-bounded (REPRO_CACHE_ENTRIES, default 4096) so a
-        # week-long sweep session cannot grow memory without bound; sweep
-        # locality keeps the working set resident.
+        # Both are LRU-bounded (``max_cache_entries``) so a week-long sweep
+        # session cannot grow memory without bound; sweep locality keeps
+        # the working set resident.
         self._call_cache: Optional[LRUCache] = (
             LRUCache(max_cache_entries, self._stats) if cache else None
         )

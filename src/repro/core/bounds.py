@@ -2,8 +2,8 @@
 
 The sweep/tuning layers evaluate thousands of candidate workflows through
 Algorithm 1; most of them provably cannot beat the incumbent.  This module
-computes conservative lower and upper bounds on the estimator's makespan
-*directly from the BOE sub-stage decompositions* — no Algorithm 1 state
+computes a conservative lower bound on the estimator's makespan *directly
+from the BOE sub-stage decompositions* — no Algorithm 1 state
 stepping, no fixed-point refinement — so a candidate can be rejected for
 the cost of a few vectorised numpy reductions.
 
@@ -57,21 +57,6 @@ pure critical path and the total-work bound are special cases; the cut
 form additionally prices a stage forced serial by its own configuration
 (say, two reducers) that neither pure path nor pure work can see.
 
-Upper reference
----------------
-
-The serial solo-stage schedule: the sum over all stages of the stage
-time alone on the cluster at its equilibrium parallelism.  Single-job
-estimates never exceed it (stages run back-to-back at exactly the solo
-times), and multi-job estimates track it within wave-quantization slop —
-concurrent branches can pay more per-wave synchronization barriers than
-any serial order would, so ``upper_s`` is a *reference* for bracket-gap
-telemetry, never a pruning gate.  Pruning decisions compare the hard
-``lower_s`` against an *evaluated* estimate only.  Each upper reference
-costs a solo BOE solve, so ``bounds_batch(..., need_upper=False)`` skips
-them on the pruning fast path (only the lower bound gates a prune once
-an incumbent is on hand).
-
 Batching mirrors :meth:`repro.core.boe.BOEModel.solve_batch`: stage
 bounds are memoised two-level (object identity first — knob candidates
 share untouched jobs by identity — then value fingerprint, so jobs
@@ -92,10 +77,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
-from repro.core.boe import BOEModel
-from repro.core.distributions import TaskTimeDistribution, Variant, stage_time
-from repro.core.fingerprint import LRUCache, default_cache_entries, job_fingerprint
-from repro.core.parallelism import RunningStage, estimate_parallelism
+from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES, LRUCache, job_fingerprint
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
 from repro.mapreduce.job import MapReduceJob
@@ -114,37 +96,6 @@ _STAGGER_WAVES = 1.5
 
 
 @dataclass(frozen=True)
-class WorkflowBounds:
-    """Conservative analytic bracket on one candidate's estimated makespan.
-
-    Attributes:
-        lower_s: no feasible Algorithm 1 trajectory finishes faster — the
-            hard guarantee every pruning decision rests on.
-        upper_s: the serial solo-stage reference schedule.  Single-job
-            estimates never exceed it; multi-job estimates track it within
-            wave-quantization slop (concurrent branches can pay extra
-            per-wave barriers).  Telemetry reference only — never a
-            pruning gate.  ``math.inf`` when skipped
-            (``need_upper=False``).
-    """
-
-    lower_s: float
-    upper_s: float
-
-    @property
-    def gap_s(self) -> float:
-        return self.upper_s - self.lower_s
-
-    @property
-    def relative_gap(self) -> float:
-        """``(upper - lower) / upper``; 0 means the bracket is tight.
-        1.0 when the upper bound was not computed (``need_upper=False``)."""
-        if not math.isfinite(self.upper_s):
-            return 1.0
-        return self.gap_s / self.upper_s if self.upper_s > 0 else 0.0
-
-
-@dataclass(frozen=True)
 class _StagePrimitives:
     """Everything the p-grid kernel needs about one (job, kind) stage."""
 
@@ -155,7 +106,7 @@ class _StagePrimitives:
 
 
 class BoundsModel:
-    """Vectorised makespan bounds for candidates on one cluster.
+    """Vectorised makespan lower bounds for candidates on one cluster.
 
     Bound to one (cluster, estimator configuration) like
     :class:`~repro.core.boe.BOEModel`; the sweep layer keeps one per
@@ -165,38 +116,28 @@ class BoundsModel:
 
     Args:
         cluster: the target cluster.
-        model: BOE model for the upper bound's solo task times; ``None``
-            builds an unrefined one.  ``model.refine`` selects the
-            refined-model fallback for the lower bound.
-        variant: estimator variant the bounded estimates use.
+        refine: whether the bounded estimates come from a refined BOE
+            model (``BOEModel(refine=True)``), which selects the looser
+            refined-model kernel.
         policy / enforce_vcores: scheduler configuration — fixes the
             container-slot cap ``per_wave_ub``.
-        skew_cv / include_overhead: :class:`~repro.core.estimator.BOESource`
-            wrapping parameters of the bounded estimates.
+        include_overhead: whether the bounded estimates add the job's
+            per-task startup cost (:class:`~repro.core.estimator.BOESource`).
     """
 
     def __init__(
         self,
         cluster: Cluster,
-        model: Optional[BOEModel] = None,
+        refine: bool = False,
         *,
-        variant: Variant = Variant.MEAN,
         policy: str = "drf",
         enforce_vcores: bool = False,
-        skew_cv: float = 0.0,
         include_overhead: bool = True,
     ):
         self._cluster = cluster
-        self._model = model if model is not None else BOEModel(cluster)
-        if self._model.cluster != cluster:
-            raise EstimationError(
-                "bounds model and BOE model must share one cluster"
-            )
-        self._refine = self._model.refine
-        self._variant = variant
+        self._refine = refine
         self._policy = policy
         self._enforce_vcores = enforce_vcores
-        self._skew_cv = skew_cv
         self._include_overhead = include_overhead
         node = cluster.node
         # Best per-task service rates (CPU has no node bandwidth: one task
@@ -228,12 +169,11 @@ class BoundsModel:
         # entry lives its job stays alive and the id cannot be recycled,
         # so a hit always belongs to the queried object (an evicted entry
         # takes the only possibly-stale id with it).
-        entries = default_cache_entries()
+        entries = DEFAULT_CACHE_ENTRIES
         self._fp_by_id = LRUCache(entries)  # id(job) -> (job, fingerprint)
         self._prims = LRUCache(entries)  # (id, kind) -> (job, primitives)
         self._lows = LRUCache(entries)  # (id, kind) -> (job, lb, work[3])
         self._lows_by_fp = LRUCache(entries)  # (fp, kind) -> (lb, work[3])
-        self._uppers = LRUCache(entries)  # (id, kind) -> (job, ub)
         self._topologies = LRUCache(entries)  # identity -> (edges, key, stages, deps)
 
     @classmethod
@@ -241,28 +181,20 @@ class BoundsModel:
         cls,
         source,
         *,
-        variant: Variant = Variant.MEAN,
         policy: str = "drf",
         enforce_vcores: bool = False,
     ) -> "BoundsModel":
-        """Build from a :class:`~repro.core.estimator.BOESource`, sharing
-        its model (and therefore its task-time caches and refinement
-        setting) so the bounds bracket exactly what that source's
-        estimates would produce."""
+        """Build for what a :class:`~repro.core.estimator.BOESource`
+        estimates: its model's cluster and refinement setting, and its
+        overhead accounting."""
         model = source.model
         return cls(
             model.cluster,
-            model,
-            variant=variant,
+            model.refine,
             policy=policy,
             enforce_vcores=enforce_vcores,
-            skew_cv=source.skew_cv,
             include_overhead=source.include_overhead,
         )
-
-    @property
-    def cluster(self) -> Cluster:
-        return self._cluster
 
     # -- stage primitives --------------------------------------------------------
 
@@ -432,31 +364,6 @@ class BoundsModel:
         out[live] = whole.min(axis=1) * _LB_SLACK
         return out
 
-    # -- the solo-stage upper bound ----------------------------------------------
-
-    def _span_upper(self, job: MapReduceJob, kind: StageKind, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        deltas = estimate_parallelism(
-            (RunningStage(job, kind, float(n)),),
-            self._cluster,
-            policy=self._policy,
-            enforce_vcores=self._enforce_vcores,
-        )
-        delta = deltas.get(job.name, 0.0)
-        if delta <= 0:
-            raise EstimationError(
-                f"stage {job.name}/{kind.value} holds no containers solo"
-            )
-        estimate = self._model.task_time(job, kind, delta, ())
-        value = estimate.duration
-        if self._include_overhead:
-            value += job.config.task_overhead_s
-        dist = TaskTimeDistribution(
-            mean=value, median=value, std=value * self._skew_cv, n=0
-        )
-        return stage_time(float(n), delta, dist, self._variant)
-
     def _resolve_lows(self, pending: Dict) -> None:
         """Fill the lower-bound memo for the stages it is missing.
 
@@ -501,15 +408,6 @@ class BoundsModel:
                 work = prims.n * prims.amounts.sum(axis=0) / self._agg_rates
             self._lows.put(key, (job, lb, work))
             self._lows_by_fp.put(fp_key, (lb, work))
-
-    def _stage_upper(self, job: MapReduceJob, kind: StageKind) -> float:
-        key = (id(job), kind)
-        hit = self._uppers.get(key)
-        if hit is not None:
-            return hit[1]
-        value = self._span_upper(job, kind, self._primitives(job, kind).n)
-        self._uppers.put(key, (job, value))
-        return value
 
     # -- workflow-level bounds ---------------------------------------------------
 
@@ -565,9 +463,10 @@ class BoundsModel:
                 anc[col] = np.maximum(anc[col], anc[parent])
         return anc
 
-    def bounds(self, workflow: Workflow) -> WorkflowBounds:
-        """Bounds for one workflow; raises :class:`EstimationError` when a
-        stage cannot be bounded (e.g. it holds no containers at all)."""
+    def lower_bound(self, workflow: Workflow) -> float:
+        """Lower bound for one workflow; raises :class:`EstimationError`
+        when a stage cannot be bounded (its decomposition cannot be
+        built)."""
         result = self.bounds_batch([workflow])[0]
         if result is None:
             raise EstimationError(
@@ -576,25 +475,18 @@ class BoundsModel:
             )
         return result
 
-    def bounds_batch(
-        self, workflows: Sequence[Workflow], *, need_upper: bool = True
-    ) -> List[Optional[WorkflowBounds]]:
-        """Bounds for every candidate at once; ``None`` marks candidates a
-        bound could not be derived for (callers must treat those as
-        unprunable).
+    def bounds_batch(self, workflows: Sequence[Workflow]) -> List[Optional[float]]:
+        """Makespan lower bounds for every candidate at once; ``None``
+        marks candidates a bound could not be derived for (callers must
+        treat those as unprunable).
 
         Candidates are grouped by stage topology; within a group the
         critical-path DP over per-stage lower bounds runs as one numpy
         recurrence across the whole candidate axis, the per-stage kernel
         is shared through the two-level (identity, fingerprint) memo, and
         group-wide memo misses are priced in one batched kernel call.
-
-        ``need_upper=False`` skips the upper bounds (each one a solo BOE
-        solve): the pruning fast path needs only lower bounds once an
-        incumbent estimate is on hand.  Skipped uppers surface as
-        ``math.inf``.
         """
-        results: List[Optional[WorkflowBounds]] = [None] * len(workflows)
+        results: List[Optional[float]] = [None] * len(workflows)
         groups: Dict[object, List[int]] = {}
         topologies: Dict[object, Tuple[list, list]] = {}
         for index, workflow in enumerate(workflows):
@@ -647,25 +539,7 @@ class BoundsModel:
                     low_rows.append([0.0] * len(stages))
                     work_rows.append([zero_work] * len(stages))
             lower = np.array(low_rows)
-            upper = np.zeros((len(members), len(stages)))
             stage_work = np.array(work_rows)
-            if need_upper:
-                for row in range(len(members)):
-                    if not valid[row]:
-                        continue
-                    try:
-                        for col, (_, kind) in enumerate(stages):
-                            upper[row, col] = self._stage_upper(
-                                jobs[row][col], kind
-                            )
-                    except (EstimationError, SchedulingError):
-                        # A stage the scheduler would reject outright
-                        # (container exceeding the cluster) cannot be
-                        # upper-bounded; the estimator rejects the same
-                        # candidate as infeasible, so reporting it
-                        # unprunable costs one failed estimate, not
-                        # correctness.
-                        valid[row] = False
             # Cut bound over the stage DAG, vectorised across the group's
             # candidates.  Algorithm 1 starts a stage only after every DAG
             # ancestor finished (child maps wait for whole parents, reduce
@@ -712,13 +586,7 @@ class BoundsModel:
             lb = (fin + suffix).max(axis=1)
             total_work = stage_work.sum(axis=1).max(axis=1)
             lb = np.maximum(lb, total_work * _LB_SLACK)
-            if need_upper:
-                ub = np.maximum(upper.sum(axis=1), lb)
-            else:
-                ub = np.full(len(members), math.inf)
             for row, index in enumerate(members):
                 if valid[row]:
-                    results[index] = WorkflowBounds(
-                        lower_s=float(lb[row]), upper_s=float(ub[row])
-                    )
+                    results[index] = float(lb[row])
         return results

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -34,17 +34,12 @@ from repro.core.distributions import (
     stage_time,
     wave_sizes,
 )
-from repro.core.fingerprint import (
-    CacheStats,
-    LRUCache,
-    default_cache_entries,
-)
+from repro.core.fingerprint import CacheStats
 from repro.core.incremental import (
     Checkpoint,
     SpanEntry,
     Trajectory,
     TrajectoryCache,
-    parent_map,
 )
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState, WorkflowProgress
@@ -212,104 +207,6 @@ class ScaledSource:
         return [dist.scaled(self._factor) for dist in inner]
 
 
-class CachingSource:
-    """Memoise any deterministic :class:`TaskTimeSource`.
-
-    :class:`BOESource` is already cached at the model layer; this wrapper
-    adds the same treatment to other sources (measured profiles, scaled
-    compositions) so :class:`DagEstimator` sweeps stop re-deriving
-    identical distributions.  The key is a call-time fingerprint of
-    (job, stage kind, ``delta``, concurrent signature) — see
-    :mod:`repro.core.fingerprint` — which is exactly the argument tuple of
-    :meth:`TaskTimeSource.distribution`; a source whose output depends only
-    on its arguments (every source in this package) therefore returns
-    bit-identical values cached or not.
-    """
-
-    def __init__(self, inner: TaskTimeSource, max_entries: Optional[int] = None):
-        if max_entries is None:
-            max_entries = default_cache_entries()
-        if max_entries < 1:
-            raise EstimationError(f"max_entries must be >= 1: {max_entries}")
-        self._inner = inner
-        self._stats = CacheStats()
-        self._cache = LRUCache(max_entries, self._stats)
-
-    @property
-    def inner(self) -> TaskTimeSource:
-        return self._inner
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self._stats
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    @staticmethod
-    def _key(
-        job: MapReduceJob,
-        kind: StageKind,
-        delta: float,
-        concurrent: Sequence[Tuple[MapReduceJob, StageKind, float]],
-    ) -> Tuple:
-        # Jobs are frozen value-hashing dataclasses (with pinned hashes),
-        # so they key the cache directly; a recursive field fingerprint
-        # would induce exactly the same equivalence classes at many times
-        # the cost per lookup.
-        return (
-            job,
-            kind,
-            float(delta),
-            tuple((j, k, float(d)) for j, k, d in concurrent),
-        )
-
-    def distribution(
-        self,
-        job: MapReduceJob,
-        kind: StageKind,
-        delta: float,
-        concurrent: Sequence[Tuple[MapReduceJob, StageKind, float]],
-    ) -> TaskTimeDistribution:
-        key = self._key(job, kind, delta, concurrent)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._stats.hits += 1
-            return hit
-        self._stats.misses += 1
-        dist = self._inner.distribution(job, kind, delta, concurrent)
-        self._cache.put(key, dist)
-        return dist
-
-    def distribution_batch(
-        self, points: Sequence[Point]
-    ) -> List[TaskTimeDistribution]:
-        """Vectorised lookup: answer hits from the cache, batch the misses
-        through the inner source when it supports batching."""
-        keys = [self._key(*point) for point in points]
-        results: List[Optional[TaskTimeDistribution]] = []
-        miss_indices: List[int] = []
-        for key in keys:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._stats.hits += 1
-            else:
-                self._stats.misses += 1
-                miss_indices.append(len(results))
-            results.append(hit)
-        if miss_indices:
-            misses = [points[i] for i in miss_indices]
-            batch = getattr(self._inner, "distribution_batch", None)
-            if batch is not None:
-                fresh = batch(misses)
-            else:
-                fresh = [self._inner.distribution(*point) for point in misses]
-            for index, dist in zip(miss_indices, fresh):
-                self._cache.put(keys[index], dist)
-                results[index] = dist
-        return results
-
-
 @dataclass
 class _StageProgress:
     job: MapReduceJob
@@ -448,26 +345,6 @@ class DagEstimator:
             if self._otr is not None
             else None
         )
-        if match is not None and match.full:
-            # Identical candidate: replay the whole cached estimate.
-            trajectory = match.trajectory
-            reused = len(trajectory.states)
-            cache.stats.states_reused += reused
-            if self._ctr_prefix is not None:
-                self._ctr_prefix.inc(reused)
-            overhead = time.perf_counter() - t_wall
-            if run_span is not None:
-                self._otr.finish(
-                    run_span, total_time_s=trajectory.total_time, states=reused
-                )
-            return DagEstimate(
-                workflow_name=workflow.name,
-                total_time=trajectory.total_time,
-                states=list(trajectory.states),
-                stage_spans={key: span for _, key, span in trajectory.span_log},
-                variant=self._variant.value,
-                model_overhead_s=overhead,
-            )
         running: Dict[str, _StageProgress] = {}
         done: Set[str] = set()
         arrival: Dict[str, int] = {}
@@ -499,10 +376,12 @@ class DagEstimator:
             )
 
         if match is not None:
-            # Resume Algorithm 1 from the longest reusable checkpoint.  The
-            # running entries are restored in the cached dict order — the
-            # order fixes every stage's concurrent-load signature, so it is
-            # part of the bit-identical guarantee.
+            # Resume Algorithm 1 from the longest reusable checkpoint (an
+            # identical candidate resumes from the final one, with nothing
+            # left to iterate).  The running entries are restored in the
+            # cached dict order — the order fixes every stage's
+            # concurrent-load signature, so it is part of the bit-identical
+            # guarantee.
             trajectory = match.trajectory
             prefix = match.prefix
             checkpoint = trajectory.checkpoints[prefix - 1]

@@ -23,48 +23,24 @@ which also covers subclasses with extra fields (e.g.
 
 :class:`CacheStats` is the shared hit/miss ledger every cache in the package
 reports through (:class:`~repro.core.boe.BOEModel`,
-:class:`~repro.core.estimator.CachingSource`,
 :class:`~repro.sweep.SweepReport`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections import OrderedDict
 from enum import Enum
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.errors import EstimationError
 
-#: Environment variable bounding the memoisation caches (entry count).
-CACHE_ENTRIES_ENV = "REPRO_CACHE_ENTRIES"
-
-#: Fallback bound when :data:`CACHE_ENTRIES_ENV` is unset.  Sized for a
-#: week-long sweep session: entries are small (a fingerprint tuple plus a
-#: frozen estimate), and sweep locality means the working set is far
+#: Entry bound of the task-time and bounds memoisation caches.  Sized for
+#: a week-long sweep session: entries are small (a fingerprint tuple plus
+#: a frozen estimate), and sweep locality means the working set is far
 #: smaller than the total key population.
 DEFAULT_CACHE_ENTRIES = 4096
 
-
-def default_cache_entries() -> int:
-    """The configured cache bound (``REPRO_CACHE_ENTRIES``, default 4096).
-
-    Read at cache construction time, not import time, so tests and
-    long-running services can retune without reloading the package.
-    """
-    raw = os.environ.get(CACHE_ENTRIES_ENV)
-    if raw is None:
-        return DEFAULT_CACHE_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EstimationError(
-            f"{CACHE_ENTRIES_ENV} must be an integer: {raw!r}"
-        ) from None
-    if value < 1:
-        raise EstimationError(f"{CACHE_ENTRIES_ENV} must be >= 1: {value}")
-    return value
 
 #: Per-type field-name tuples, resolved once (``dataclasses.fields`` is slow
 #: enough to matter on the hot lookup path).
@@ -180,10 +156,9 @@ class CacheStats:
 class LRUCache:
     """Bounded least-recently-used mapping for memoised evaluations.
 
-    Every cache in the package (the BOE model's two levels,
-    :class:`~repro.core.estimator.CachingSource`, the trajectory cache)
-    stores pure-function results, so eviction can never change a value —
-    only force a recompute.  LRU (rather than the historical FIFO) keeps a
+    Every cache in the package (the BOE model's two levels, the bounds
+    model's memos) stores pure-function results, so eviction can never
+    change a value — only force a recompute.  LRU (rather than the historical FIFO) keeps a
     sweep's working set resident even when a week-long session churns
     through far more distinct keys than the bound: the keys a coordinate-
     descent step keeps re-touching stay hot.

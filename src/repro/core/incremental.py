@@ -44,7 +44,6 @@ grow), which is what makes the binary search over checkpoints valid.
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -53,30 +52,11 @@ from repro.dag.workflow import Workflow
 from repro.errors import EstimationError
 from repro.mapreduce.stage import StageKind
 
-#: Environment variable bounding the trajectory cache (entry count).
-TRAJECTORY_ENTRIES_ENV = "REPRO_TRAJECTORY_ENTRIES"
-
-#: Default trajectory bound.  Entries are whole trajectories (states x
+#: Trajectory cache bound.  Entries are whole trajectories (states x
 #: running-set width), so the bound is much tighter than the task-time
 #: caches'; coordinate descent only ever needs the incumbent plus the
 #: current knob's candidates to stay resident.
 DEFAULT_TRAJECTORY_ENTRIES = 16
-
-
-def default_trajectory_entries() -> int:
-    """The configured trajectory bound (env-tunable, default 16)."""
-    raw = os.environ.get(TRAJECTORY_ENTRIES_ENV)
-    if raw is None:
-        return DEFAULT_TRAJECTORY_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EstimationError(
-            f"{TRAJECTORY_ENTRIES_ENV} must be an integer: {raw!r}"
-        ) from None
-    if value < 1:
-        raise EstimationError(f"{TRAJECTORY_ENTRIES_ENV} must be >= 1: {value}")
-    return value
 
 
 #: One running stage inside a checkpoint, in the estimator's dict order:
@@ -141,7 +121,7 @@ class PrefixMatch:
 
     ``prefix`` is the number of leading states provably unaffected by the
     candidate's changes; ``len(trajectory.states)`` means the candidate is
-    identical and the whole cached estimate can be replayed.
+    identical (a full hit) and resumes from the final checkpoint.
     """
 
     trajectory: Trajectory
@@ -325,9 +305,7 @@ class TrajectoryCache:
     #: almost nothing while its diffing cost scales with the bound.
     SCAN_LIMIT = 4
 
-    def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is None:
-            max_entries = default_trajectory_entries()
+    def __init__(self, max_entries: int = DEFAULT_TRAJECTORY_ENTRIES):
         if max_entries < 1:
             raise EstimationError(f"max_entries must be >= 1: {max_entries}")
         self._entries: "OrderedDict[object, Trajectory]" = OrderedDict()

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 _EXPORTS = {
     "ResilientPool": "repro.service.pool",
     "parent_cpu_clock": "repro.service.pool",
-    "EstimateKey": "repro.service.estimates",
     "EstimateService": "repro.service.estimates",
     "Job": "repro.service.scheduler",
     "JobScheduler": "repro.service.scheduler",
@@ -44,7 +43,7 @@ __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.service.client import ServiceClient
-    from repro.service.estimates import EstimateKey, EstimateService
+    from repro.service.estimates import EstimateService
     from repro.service.pool import ResilientPool, parent_cpu_clock
     from repro.service.scheduler import (
         Job,

@@ -6,11 +6,11 @@ many tenants asking about the same workflow structure at once.  This
 module removes that redundancy in two layers:
 
 * **Hot cache** — finished estimates are kept in an LRU keyed by the
-  workflow's *pinned structural hash* (PR 4 pins ``hash(workflow)`` at
-  first use, so the key costs nothing after the first request), the
-  cluster hash and the variant.  Workflows and clusters are frozen
-  value-hashed dataclasses, so two requests naming the same structure
-  collide on the key no matter who sent them.
+  (workflow, cluster, variant) values themselves.  Workflows and clusters
+  are frozen value-hashed dataclasses with the workflow hash pinned at
+  first use, so a lookup costs one cached hash; equality, not the hash,
+  decides a match, so two requests naming the same structure share an
+  entry no matter who sent them, and two unequal workflows never do.
 * **Single-flight coalescer** — concurrent misses for the same key share
   one in-flight computation, and concurrent misses for *different* keys
   are drained into one batch through a single memoised
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.distributions import Variant
@@ -41,18 +41,8 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 
-class EstimateKey(NamedTuple):
-    """Cache identity of one estimate request.
-
-    Hashes stand in for the full structures: workflows and clusters are
-    frozen dataclasses hashing by value (and the workflow hash is pinned,
-    see :mod:`repro.dag.workflow`), so equal keys mean structurally equal
-    requests.
-    """
-
-    workflow: int
-    cluster: int
-    variant: str
+#: Cache identity of one estimate request: (workflow, cluster, variant).
+_Key = Tuple[Workflow, Cluster, Variant]
 
 
 class EstimateService:
@@ -80,9 +70,9 @@ class EstimateService:
         self._cluster = cluster
         self._policy = policy
         self._capacity = capacity
-        self._cache: "OrderedDict[EstimateKey, Dict[str, Any]]" = OrderedDict()
-        self._inflight: Dict[EstimateKey, Future] = {}
-        self._pending: List[Tuple[EstimateKey, Workflow, Optional[Cluster], Variant]] = []
+        self._cache: "OrderedDict[_Key, Dict[str, Any]]" = OrderedDict()
+        self._inflight: Dict[_Key, Future] = {}
+        self._pending: List[Tuple[_Key, Workflow, Optional[Cluster], Variant]] = []
         self._runners: Dict[str, Any] = {}
         self._cond = threading.Condition()
         self._closed = False
@@ -140,10 +130,10 @@ class EstimateService:
         # many), so this span is what places the estimate — and which path
         # served it — inside the calling request's flame.
         with get_tracer().span("estimate.request", variant=variant.value) as span:
-            key = EstimateKey(
-                hash(workflow),
-                hash(cluster if cluster is not None else self._cluster),
-                variant.value,
+            key = (
+                workflow,
+                cluster if cluster is not None else self._cluster,
+                variant,
             )
             with self._cond:
                 if self._closed:

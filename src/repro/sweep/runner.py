@@ -53,7 +53,7 @@ from repro.core.estimator import BOESource, DagEstimator, TaskTimeSource
 from repro.core.fingerprint import CacheStats
 from repro.core.incremental import ReuseStats, TrajectoryCache
 from repro.dag.workflow import Workflow
-from repro.errors import EstimationError
+from repro.errors import EstimationError, SchedulingError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.service.pool import CancelCheck, ResilientPool, parent_cpu_clock
@@ -92,12 +92,12 @@ class CandidateResult:
         total_time_s: estimated makespan; ``None`` when infeasible.
         states: number of workflow states of the estimate.
         overhead_s: the estimator's own wall-clock cost for this candidate.
-        error: the :class:`~repro.errors.EstimationError` message for an
+        error: the estimation or scheduling error message for an
             infeasible candidate, ``None`` on success.
         pruned: the candidate was rejected by the analytic bound screen
             before estimation (``total_time_s`` is ``None``).
-        lower_bound_s / upper_bound_s: the analytic makespan bracket that
-            justified the prune (only populated on pruned results).
+        lower_bound_s: the analytic makespan lower bound that justified
+            the prune (only populated on pruned results).
         prune_reason: which threshold the lower bound exceeded —
             ``"incumbent"`` (caller-supplied incumbent estimate) or
             ``"batch_ref"`` (the evaluated in-batch reference candidate).
@@ -111,7 +111,6 @@ class CandidateResult:
     error: Optional[str] = None
     pruned: bool = False
     lower_bound_s: Optional[float] = None
-    upper_bound_s: Optional[float] = None
     prune_reason: Optional[str] = None
 
     @property
@@ -127,10 +126,11 @@ class SweepReport:
         candidates: candidates submitted (including infeasible and pruned
             ones — nothing is silently omitted from the accounting).
         succeeded: candidates that produced an estimate.
-        infeasible: candidates rejected with an estimation error.
+        infeasible: candidates rejected with an estimation or scheduling
+            error.
         pruned: candidates skipped by the analytic bound screen; the
             per-reason split is in ``pruned_reasons`` and each skipped
-            candidate's bracket is on its :class:`CandidateResult`.
+            candidate's lower bound is on its :class:`CandidateResult`.
         batches: ``evaluate`` calls served.
         wall_time_s: wall-clock time spent inside ``evaluate``.
         cpu_time_s: CPU time across the parent and every worker process
@@ -271,7 +271,7 @@ class _EvalContext:
             return
         try:
             self._estimator(target).estimate(workflow)
-        except EstimationError:
+        except (EstimationError, SchedulingError):
             pass
 
     def source_for(self, cluster: Cluster) -> TaskTimeSource:
@@ -318,7 +318,9 @@ class _EvalContext:
         estimator = self._estimator(target)
         try:
             estimate = estimator.estimate(workflow)
-        except EstimationError as exc:
+        except (EstimationError, SchedulingError) as exc:
+            # A container exceeding the cluster is a scheduling error, but
+            # for a sweep it is just another infeasible candidate.
             result = CandidateResult(
                 index=index, label=label, total_time_s=None, error=str(exc)
             )
@@ -440,7 +442,7 @@ class SweepRunner:
         self._chunksize = chunksize
         self._prune = prune
         # One BoundsModel per candidate cluster; ``None`` marks clusters
-        # whose source cannot be bounded (stubs, scaled/caching wrappers).
+        # whose source cannot be bounded (stubs, scaled wrappers).
         self._bounds_models: Dict[Cluster, Optional[BoundsModel]] = {}
         self._report = SweepReport(processes=self._processes)
 
@@ -500,8 +502,8 @@ class SweepRunner:
 
         ``None`` — no pruning — when the source is not a plain
         :class:`~repro.core.estimator.BOESource` (stubs, measured profiles,
-        scaled/caching wrappers): bounds derived from the BOE decomposition
-        would not bracket what such a source estimates.
+        scaled wrappers): bounds derived from the BOE decomposition
+        would not bound what such a source estimates.
         """
         if cluster in self._bounds_models:
             return self._bounds_models[cluster]
@@ -511,15 +513,11 @@ class SweepRunner:
         except EstimationError:
             source = None
         if source is not None and type(source) is BOESource:
-            try:
-                model = BoundsModel.from_source(
-                    source,
-                    variant=self._context._variant,
-                    policy=self._context._policy,
-                    enforce_vcores=self._context._enforce_vcores,
-                )
-            except EstimationError:
-                model = None
+            model = BoundsModel.from_source(
+                source,
+                policy=self._context._policy,
+                enforce_vcores=self._context._enforce_vcores,
+            )
         self._bounds_models[cluster] = model
         return model
 
@@ -540,7 +538,7 @@ class SweepRunner:
         the threshold also lower-bounds below it, so the batch winner can
         never be pruned.
         """
-        bounds: List[Optional["WorkflowBounds"]] = [None] * len(items)
+        bounds: List[Optional[float]] = [None] * len(items)
         by_cluster: Dict[Optional[Cluster], List[int]] = {}
         registry = get_metrics()
         for position, item in enumerate(items):
@@ -550,27 +548,16 @@ class SweepRunner:
             model = self._bounds_for(target)
             if model is None:
                 continue
-            # Upper bounds (one solo BOE solve per stage) only matter for
-            # the bracket-gap telemetry; the prune test itself is pure
-            # lower bound vs evaluated threshold.
-            batch = model.bounds_batch(
-                [items[p][2] for p in positions],
-                need_upper=registry.enabled,
-            )
-            for position, bracket in zip(positions, batch):
-                bounds[position] = bracket
-        if registry.enabled:
-            gap = registry.histogram("sweep.bound_gap")
-            for bracket in bounds:
-                if bracket is not None:
-                    gap.observe(bracket.relative_gap)
+            batch = model.bounds_batch([items[p][2] for p in positions])
+            for position, lower in zip(positions, batch):
+                bounds[position] = lower
         threshold = incumbent_time_s
         reason = "incumbent"
         reference: Optional[CandidateResult] = None
         if threshold is None:
             bounded = [p for p, b in enumerate(bounds) if b is not None]
             if len(bounded) > 1:
-                ref_pos = min(bounded, key=lambda p: bounds[p].lower_s)
+                ref_pos = min(bounded, key=lambda p: bounds[p])
                 reference = self._context.evaluate(*items[ref_pos])
                 if reference.ok:
                     threshold = reference.total_time_s
@@ -588,8 +575,8 @@ class SweepRunner:
                 if registry.enabled
                 else None
             )
-            for item, bracket in zip(items, bounds):
-                if bracket is not None and bracket.lower_s > threshold:
+            for item, lower in zip(items, bounds):
+                if lower is not None and lower > threshold:
                     index, label, _, _ = item
                     pruned_results.append(
                         CandidateResult(
@@ -597,12 +584,7 @@ class SweepRunner:
                             label=label,
                             total_time_s=None,
                             pruned=True,
-                            lower_bound_s=bracket.lower_s,
-                            upper_bound_s=(
-                                bracket.upper_s
-                                if bracket.upper_s != float("inf")
-                                else None
-                            ),
+                            lower_bound_s=lower,
                             prune_reason=reason,
                         )
                     )
@@ -624,7 +606,8 @@ class SweepRunner:
     ) -> List[CandidateResult]:
         """Estimate every candidate; results in submission order.
 
-        Infeasible candidates (estimation errors) are captured in their
+        Infeasible candidates (estimation or scheduling errors) are
+        captured in their
         :class:`CandidateResult` rather than raised, so one broken grid
         point cannot abort a sweep.
 
@@ -766,7 +749,7 @@ class SweepRunner:
                 screen compares against; pruning a *distributional* batch
                 requires it (there is no cheap in-batch reference, so
                 without an incumbent nothing is pruned).  The analytic
-                bound brackets the deterministic estimator, which the
+                bound holds for the deterministic estimator, which the
                 simulator validates in expectation — a pruned candidate is
                 one the model proves worse than the incumbent, spending
                 zero replications on it.
@@ -833,21 +816,15 @@ class SweepRunner:
                 if registry.enabled
                 else None
             )
-            gap = registry.histogram("sweep.bound_gap") if registry.enabled else None
             for cluster, positions in by_cluster.items():
                 model = self._bounds_for(cluster)
                 if model is None:
                     continue
                 batch = model.bounds_batch(
-                    [variants[p][1].workflow for p in positions],
-                    need_upper=registry.enabled,
+                    [variants[p][1].workflow for p in positions]
                 )
-                for pos, bracket in zip(positions, batch):
-                    if bracket is None:
-                        continue
-                    if gap is not None:
-                        gap.observe(bracket.relative_gap)
-                    if bracket.lower_s > incumbent_time_s:
+                for pos, lower in zip(positions, batch):
+                    if lower is not None and lower > incumbent_time_s:
                         pruned_out[pos] = True
                         if pruned_ctr is not None:
                             pruned_ctr.inc()

@@ -107,7 +107,7 @@ class GreedyTuner:
             exceeds the incumbent's estimate are skipped before
             estimation.  Pruning is conservative — the chosen assignment
             and tuned estimate are bit-identical to ``prune=False`` —
-            and silently inert for sources the bounds cannot bracket
+            and silently inert for sources the bounds cannot cover
             (non-BOE stubs and wrappers).
     """
 

@@ -1,4 +1,4 @@
-"""Tests for repro.core.bounds — analytic makespan brackets and pruning.
+"""Tests for repro.core.bounds — analytic makespan lower bounds and pruning.
 
 The load-bearing contract is *conservativeness*: a candidate is only ever
 skipped when its lower bound exceeds an evaluated estimate, so
@@ -9,18 +9,18 @@ be vacuous) — the speed/tightness trade-off is benchmarked, not unit
 tested.
 """
 
-import math
-
 import pytest
 
 from repro.cluster import paper_cluster
 from repro.core.boe import BOEModel
-from repro.core.bounds import BoundsModel, WorkflowBounds
+from repro.core.bounds import BoundsModel
 from repro.core.distributions import Variant
 from repro.core.estimator import BOESource, estimate_workflow
+from repro.errors import SchedulingError
 from repro.mapreduce.config import NO_COMPRESSION, SNAPPY_TEXT
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.tuning import GreedyTuner, default_space, wide_space
-from repro.tuning.knobs import apply_knob_value, current_value
+from repro.tuning.knobs import Knob, apply_knob_value, current_value
 from repro.workloads.catalog import catalog
 from repro.workloads.tpch import tpch_query
 
@@ -28,13 +28,13 @@ from repro.workloads.tpch import tpch_query
 CATALOG_NAMES = ("WC", "TS3R", "WC+TS", "WC+PageRank", "TS+KMeans")
 
 
-def _bracket(workflow, cluster, *, refine=False, variant=Variant.MEAN):
+def _bound(workflow, cluster, *, refine=False, variant=Variant.MEAN):
     source = BOESource(BOEModel(cluster, refine=refine))
-    model = BoundsModel.from_source(source, variant=variant)
+    model = BoundsModel.from_source(source)
     est = estimate_workflow(
         workflow, cluster, source=source, variant=variant
     ).total_time
-    return model.bounds(workflow), est
+    return model.lower_bound(workflow), est
 
 
 class TestSoundness:
@@ -42,29 +42,14 @@ class TestSoundness:
     @pytest.mark.parametrize("refine", (False, True))
     def test_catalog_bracket(self, cluster, name, refine):
         workflow = catalog()[name].factory(1.0)
-        bounds, est = _bracket(workflow, cluster, refine=refine)
-        # The lower bound is the hard pruning guarantee; the upper side is
-        # a serial solo-stage *reference* that concurrent branches may
-        # overshoot by wave-quantization slop (documented in
-        # repro.core.bounds), so it gets a tolerance, not an inequality.
-        assert bounds.lower_s <= est
-        assert est <= bounds.upper_s * 1.1
-        assert bounds.lower_s > 0.0
-
-    @pytest.mark.parametrize("refine", (False, True))
-    def test_single_job_bracket_is_hard(self, cluster, refine):
-        """With one job there is no cross-branch contention: the estimate
-        must land inside the bracket exactly."""
-        for name in ("WC", "TS3R"):
-            workflow = catalog()[name].factory(1.0)
-            bounds, est = _bracket(workflow, cluster, refine=refine)
-            assert bounds.lower_s <= est <= bounds.upper_s
+        lower, est = _bound(workflow, cluster, refine=refine)
+        assert 0.0 < lower <= est
 
     @pytest.mark.parametrize("variant", (Variant.MEAN, Variant.MEDIAN))
     def test_variants(self, cluster, variant):
         workflow = catalog()["WC+TS"].factory(1.0)
-        bounds, est = _bracket(workflow, cluster, variant=variant)
-        assert bounds.lower_s <= est <= bounds.upper_s * 1.1
+        lower, est = _bound(workflow, cluster, variant=variant)
+        assert 0.0 < lower <= est
 
     def test_knob_perturbations_stay_bracketed(self, cluster):
         """Every candidate of the magnitude-spanning Q21 grid is bounded
@@ -81,17 +66,17 @@ class TestSoundness:
         ]
         batch = model.bounds_batch(candidates)
         assert len(batch) == len(candidates)
-        for candidate, bounds in zip(candidates, batch):
-            assert bounds is not None
+        for candidate, lower in zip(candidates, batch):
+            assert lower is not None
             est = estimate_workflow(candidate, cluster, source=source).total_time
-            assert bounds.lower_s <= est
+            assert lower <= est
 
     def test_lower_bound_not_vacuous(self, cluster):
-        """The bracket must have pruning power: on the paper's workloads
-        the lower bound lands within a factor 2 of the estimate."""
+        """The bound must have pruning power: on the paper's workloads it
+        lands within a factor 2 of the estimate."""
         workflow = tpch_query(21)
-        bounds, est = _bracket(workflow, cluster)
-        assert bounds.lower_s >= est / 2.0
+        lower, est = _bound(workflow, cluster)
+        assert lower >= est / 2.0
 
 
 class TestBatchSemantics:
@@ -100,44 +85,35 @@ class TestBatchSemantics:
         workflows = [entries[name].factory(1.0) for name in CATALOG_NAMES]
         model = BoundsModel(cluster)
         batch = model.bounds_batch(workflows)
-        singles = [BoundsModel(cluster).bounds(w) for w in workflows]
-        assert [(b.lower_s, b.upper_s) for b in batch] == [
-            (s.lower_s, s.upper_s) for s in singles
-        ]
+        singles = [BoundsModel(cluster).lower_bound(w) for w in workflows]
+        assert batch == singles
 
     def test_memo_is_value_stable(self, cluster):
         """A value-identical workflow rebuilt from scratch (fresh object
         identities) reuses the fingerprint memo and bounds identically."""
         model = BoundsModel(cluster)
-        first = model.bounds(tpch_query(21))
-        second = model.bounds(tpch_query(21))
-        assert (first.lower_s, first.upper_s) == (second.lower_s, second.upper_s)
+        first = model.lower_bound(tpch_query(21))
+        second = model.lower_bound(tpch_query(21))
+        assert first == second
 
-    def test_need_upper_false_skips_upper(self, cluster):
-        workflow = tpch_query(21)
-        model = BoundsModel(cluster)
-        (lazy,) = model.bounds_batch([workflow], need_upper=False)
-        (full,) = model.bounds_batch([workflow], need_upper=True)
-        assert lazy is not None and full is not None
-        assert lazy.lower_s == full.lower_s
-        assert math.isinf(lazy.upper_s)
-        assert lazy.relative_gap == 1.0
-        assert math.isfinite(full.upper_s)
-        assert 0.0 <= full.relative_gap < 1.0
-
-    def test_unboundable_candidate_is_none(self, cluster):
-        """A stage that holds no containers solo cannot be upper-bounded;
-        its candidate must surface as None (unprunable), not crash the
-        batch or poison its neighbours."""
+    def test_oversized_container_is_bounded(self, cluster):
+        """A container larger than the whole cluster never runs: the
+        scheduler rejects the candidate with a SchedulingError.  The bound
+        prices such a stage at one container per wave, so the candidate
+        still gets a lower bound and leaves its neighbours' bounds
+        untouched."""
         workflow = tpch_query(21)
         monster = apply_knob_value(
             workflow,
             ("q21-scan-lineitem", "map_memory_mb"),
             cluster.capacity.memory_mb * 4.0,
         )
-        results = BoundsModel(cluster).bounds_batch([monster, workflow])
-        assert results[0] is None
-        assert results[1] is not None
+        model = BoundsModel(cluster)
+        results = model.bounds_batch([monster, workflow])
+        assert results[0] is not None and results[0] > 0.0
+        assert results[1] == BoundsModel(cluster).lower_bound(workflow)
+        with pytest.raises(SchedulingError):
+            estimate_workflow(monster, cluster)
 
     def test_mixed_topologies_group_correctly(self, cluster):
         entries = catalog()
@@ -148,18 +124,7 @@ class TestBatchSemantics:
         ]
         batch = BoundsModel(cluster).bounds_batch(workflows)
         assert all(b is not None for b in batch)
-        assert (batch[0].lower_s, batch[0].upper_s) == (
-            batch[2].lower_s,
-            batch[2].upper_s,
-        )
-
-
-class TestWorkflowBounds:
-    def test_relative_gap(self):
-        assert WorkflowBounds(50.0, 100.0).relative_gap == 0.5
-        assert WorkflowBounds(100.0, 100.0).relative_gap == 0.0
-        assert WorkflowBounds(50.0, math.inf).relative_gap == 1.0
-        assert WorkflowBounds(0.0, 0.0).relative_gap == 0.0
+        assert batch[0] == batch[2]
 
 
 class TestPruneParity:
@@ -185,3 +150,47 @@ class TestPruneParity:
         assert pruned.assignment == exact.assignment
         assert pruned.tuned_estimate_s == exact.tuned_estimate_s
         assert pruned.pruned > 0
+
+    def test_armed_metrics_change_no_work(self, cluster):
+        """Arming the metrics registry only records: the capacity grid
+        tunes to the same winner with the same evaluations, prunes and
+        BOE solves whether the registry is armed or not."""
+        workflow = tpch_query(21)
+        job = "q21-scan-lineitem"
+        lineitem = workflow.job(job)
+        config = lineitem.config
+        compression = NO_COMPRESSION if config.compression.enabled else SNAPPY_TEXT
+        space = [
+            Knob(job, "num_reducers",
+                 (lineitem.num_reducers, 1, 2, 3, 4, 8, 2560, 5120, 10240)),
+            Knob(job, "split_mb",
+                 (config.split_mb, 0.5, 1.0, 2.0, 4.0, 8.0,
+                  1024.0, 2048.0, 4096.0, 8192.0)),
+            Knob(job, "map_memory_mb",
+                 (config.map_container.memory_mb, 500.0, 8000.0, 16000.0,
+                  32000.0, 64000.0, 128000.0)),
+            Knob(job, "compression", (config.compression, compression)),
+        ]
+
+        def tune(armed):
+            previous = set_metrics(MetricsRegistry(enabled=armed))
+            try:
+                source = BOESource(BOEModel(cluster))
+                result = GreedyTuner(cluster, source=source, prune=True).tune(
+                    workflow, space
+                )
+            finally:
+                set_metrics(previous)
+            return (
+                result.assignment,
+                result.tuned_estimate_s,
+                result.evaluations,
+                result.sweep.pruned,
+                source.cache_stats.hits,
+                source.cache_stats.misses,
+            )
+
+        disarmed = tune(False)
+        armed = tune(True)
+        assert disarmed[3] > 0
+        assert armed == disarmed

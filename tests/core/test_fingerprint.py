@@ -5,13 +5,12 @@ from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.core.boe import BOEModel
 from repro.core.fingerprint import (
-    CACHE_ENTRIES_ENV,
     DEFAULT_CACHE_ENTRIES,
     CacheStats,
     LRUCache,
     concurrent_fingerprint,
-    default_cache_entries,
     job_fingerprint,
     value_fingerprint,
 )
@@ -122,14 +121,6 @@ class TestLRUCache:
         with pytest.raises(EstimationError):
             LRUCache(0, CacheStats())
 
-    def test_env_tunable_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENTRIES_ENV, raising=False)
-        assert default_cache_entries() == DEFAULT_CACHE_ENTRIES == 4096
-        monkeypatch.setenv(CACHE_ENTRIES_ENV, "128")
-        assert default_cache_entries() == 128
-        monkeypatch.setenv(CACHE_ENTRIES_ENV, "0")
-        with pytest.raises(EstimationError):
-            default_cache_entries()
-        monkeypatch.setenv(CACHE_ENTRIES_ENV, "lots")
-        with pytest.raises(EstimationError):
-            default_cache_entries()
+    def test_default_bound(self, cluster):
+        assert DEFAULT_CACHE_ENTRIES == 4096
+        assert BOEModel(cluster)._call_cache.max_entries == DEFAULT_CACHE_ENTRIES

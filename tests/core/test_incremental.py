@@ -22,16 +22,13 @@ from repro.core.boe import BOEModel
 from repro.core.distributions import Variant
 from repro.core.estimator import (
     BOESource,
-    CachingSource,
     DagEstimator,
     ScaledSource,
 )
 from repro.core.incremental import (
     DEFAULT_TRAJECTORY_ENTRIES,
-    TRAJECTORY_ENTRIES_ENV,
     TrajectoryCache,
     changed_jobs,
-    default_trajectory_entries,
     parent_map,
     reusable_prefix,
 )
@@ -164,6 +161,8 @@ class TestReuseEdgeCases:
         again = warm.estimate(twin)
         assert cache.stats.full_hits == 1
         assert cache.stats.states_reused >= len(first.states)
+        # It resumes from the final checkpoint: nothing left to iterate.
+        assert cache.stats.states_computed == len(first.states)
         _assert_bit_identical(again, first)
 
     def test_distinct_source_bypasses_but_never_poisons(self, cluster):
@@ -275,18 +274,9 @@ class TestTrajectoryCacheBounds:
         with pytest.raises(EstimationError):
             TrajectoryCache(max_entries=0)
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(TRAJECTORY_ENTRIES_ENV, raising=False)
-        assert default_trajectory_entries() == DEFAULT_TRAJECTORY_ENTRIES
-        monkeypatch.setenv(TRAJECTORY_ENTRIES_ENV, "5")
-        assert default_trajectory_entries() == 5
-        assert TrajectoryCache()._max_entries == 5
-        monkeypatch.setenv(TRAJECTORY_ENTRIES_ENV, "0")
-        with pytest.raises(EstimationError):
-            default_trajectory_entries()
-        monkeypatch.setenv(TRAJECTORY_ENTRIES_ENV, "many")
-        with pytest.raises(EstimationError):
-            default_trajectory_entries()
+    def test_default_bound(self):
+        assert DEFAULT_TRAJECTORY_ENTRIES == 16
+        assert TrajectoryCache()._max_entries == DEFAULT_TRAJECTORY_ENTRIES
 
 
 class TestDiffing:
@@ -380,7 +370,7 @@ class TestObsCounters:
         metrics.enable()
         try:
             metrics.reset()
-            source = CachingSource(BOESource(BOEModel(cluster)))
+            source = BOESource(BOEModel(cluster))
             cache = TrajectoryCache()
             warm = DagEstimator(
                 cluster, source, trajectory_cache=cache, batch=True

@@ -1,4 +1,4 @@
-"""Cache-correctness tests for the memoised BOE model and CachingSource.
+"""Cache-correctness tests for the memoised BOE model.
 
 The contract under test: memoisation may only change *when* arithmetic
 happens, never its result.  Keys are taken from call-time values, so a
@@ -12,8 +12,6 @@ import pytest
 
 from repro.core.allocation import StageLoad, resource_users
 from repro.core.boe import BOEModel
-from repro.core.distributions import TaskTimeDistribution
-from repro.core.estimator import BOESource, CachingSource
 from repro.errors import EstimationError
 from repro.mapreduce import StageKind
 from repro.mapreduce.phases import build_task_substages
@@ -165,66 +163,3 @@ class TestRefineHoist:
         assert model.substage_time(swapped, [target]) == reference(
             swapped, [target]
         )
-
-
-class _CountingSource:
-    """Stub task-time source that counts inner evaluations."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def distribution(self, job, kind, delta, concurrent):
-        self.calls += 1
-        value = job.input_mb / max(delta, 1.0)
-        return TaskTimeDistribution(mean=value, median=value, std=0.0, n=0)
-
-
-class TestCachingSource:
-    def test_repeat_lookup_hits(self, small_ts):
-        inner = _CountingSource()
-        source = CachingSource(inner)
-        a = source.distribution(small_ts, StageKind.MAP, 8.0, [])
-        b = source.distribution(small_ts, StageKind.MAP, 8.0, [])
-        assert inner.calls == 1
-        assert b is a
-        assert source.cache_stats.hits == 1
-
-    def test_changed_argument_misses(self, small_ts, small_wc):
-        inner = _CountingSource()
-        source = CachingSource(inner)
-        source.distribution(small_ts, StageKind.MAP, 8.0, [])
-        source.distribution(small_ts, StageKind.MAP, 9.0, [])
-        source.distribution(small_ts, StageKind.REDUCE, 8.0, [])
-        source.distribution(
-            small_ts, StageKind.MAP, 8.0, [(small_wc, StageKind.MAP, 8.0)]
-        )
-        assert inner.calls == 4
-        assert source.cache_stats.hits == 0
-
-    def test_derived_job_taken_at_call_time(self, small_ts):
-        inner = _CountingSource()
-        source = CachingSource(inner)
-        before = source.distribution(small_ts, StageKind.MAP, 8.0, [])
-        # A profile change arrives as a derived copy (jobs are frozen and
-        # hash-pinned): the copy keys its own entry and re-queries.
-        bigger = replace(small_ts, input_mb=small_ts.input_mb * 2)
-        after = source.distribution(bigger, StageKind.MAP, 8.0, [])
-        assert inner.calls == 2
-        assert after.mean == pytest.approx(before.mean * 2)
-
-    def test_eviction_bound(self, small_ts):
-        source = CachingSource(_CountingSource(), max_entries=2)
-        for delta in (1.0, 2.0, 3.0, 4.0):
-            source.distribution(small_ts, StageKind.MAP, delta, [])
-        assert source.cache_stats.evictions == 2
-
-    def test_wraps_boe_source(self, cluster, small_ts):
-        wrapped = CachingSource(BOESource(BOEModel(cluster, cache=False)))
-        a = wrapped.distribution(small_ts, StageKind.MAP, 8.0, [])
-        b = wrapped.distribution(small_ts, StageKind.MAP, 8.0, [])
-        assert a == b
-        assert wrapped.cache_stats.hits == 1
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(EstimationError):
-            CachingSource(_CountingSource(), max_entries=0)

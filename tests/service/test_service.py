@@ -109,6 +109,21 @@ class TestEstimateService:
         assert second["served"] == "cache"
         assert second["total_time_s"] == first["total_time_s"]
 
+    def test_hash_collision_never_shares_an_entry(self, cluster, obs_sandbox):
+        """Equal hashes do not make equal requests: two unequal workflows
+        whose pinned hashes collide each get their own estimate."""
+        flows = named_workflows(scale=SCALE)
+        wc, ts = flows["wc"], flows["ts"]
+        object.__setattr__(ts, "_hash_pin", hash(wc))
+        assert hash(ts) == hash(wc) and ts != wc
+        with EstimateService(cluster) as service:
+            first = service.estimate(wc, timeout=60.0)
+            second = service.estimate(ts, timeout=60.0)
+        assert second["served"] == "computed"
+        assert first["total_time_s"] == estimate_workflow(wc, cluster).total_time
+        assert second["total_time_s"] == estimate_workflow(ts, cluster).total_time
+        assert second["total_time_s"] != first["total_time_s"]
+
     def test_cluster_override_changes_the_key(self, cluster, wc_workflow, obs_sandbox):
         other = Cluster(node=PAPER_NODE, workers=4, name="4w")
         with EstimateService(cluster) as service:

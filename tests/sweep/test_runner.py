@@ -13,7 +13,12 @@ from repro.core.distributions import TaskTimeDistribution
 from repro.core.estimator import BOESource, estimate_workflow
 from repro.dag import single_job_workflow
 from repro.ensemble.engine import _evaluate_items as _real_evaluate_items
-from repro.errors import EstimationError, JobCancelledError, JobTimeoutError
+from repro.errors import (
+    EstimationError,
+    JobCancelledError,
+    JobTimeoutError,
+    SchedulingError,
+)
 from repro.mapreduce import StageKind
 from repro.obs.metrics import MetricsRegistry, get_metrics, snapshot_delta
 from repro.sweep import Candidate, SweepRunner, default_processes
@@ -103,6 +108,28 @@ class TestSweepRunner:
         assert results[1].total_time_s is None
         assert runner.report.infeasible == 1
         assert runner.report.succeeded == 2
+
+    def test_unschedulable_candidate_captured_not_raised(self, cluster):
+        """A container larger than the whole cluster makes the scheduler
+        raise a SchedulingError; an exact sweep reports that candidate as
+        infeasible and still estimates its neighbours."""
+        from repro.tuning.knobs import apply_knob_value
+
+        workflow = tpch_query(21)
+        monster = apply_knob_value(
+            workflow,
+            ("q21-scan-lineitem", "map_memory_mb"),
+            cluster.capacity.memory_mb * 4.0,
+        )
+        with pytest.raises(SchedulingError) as raised:
+            estimate_workflow(monster, cluster)
+        runner = SweepRunner(cluster)
+        bad, good = runner.evaluate([monster, workflow], prune=False)
+        assert not bad.ok and not bad.pruned
+        assert bad.total_time_s is None
+        assert bad.error == str(raised.value)
+        assert good.total_time_s == estimate_workflow(workflow, cluster).total_time
+        assert runner.report.infeasible == 1
 
     def test_cluster_override(self, small_ts):
         small = Cluster(node=PAPER_NODE, workers=4, name="4w")
@@ -553,14 +580,13 @@ class TestCrashAndCancellation:
 class TestPruneMetrics:
     """Merge/delta round-trip of the pruning telemetry.
 
-    ``sweep.pruned`` and ``sweep.bound_gap`` are recorded parent-side
-    (the bound screen runs before fan-out), so a pooled sweep must report
-    the exact counts of the serial sweep after the worker deltas merge —
-    anything else would mean a worker double-counted or dropped them.
+    ``sweep.pruned`` is recorded parent-side (the bound screen runs
+    before fan-out), so a pooled sweep must report the exact count of the
+    serial sweep after the worker deltas merge — anything else would mean
+    a worker double-counted or dropped it.
     """
 
     PRUNED_KEY = "sweep.pruned{reason=incumbent}"
-    GAP_KEY = "sweep.bound_gap"
 
     def _candidates(self, cluster):
         """Base Q21 + moderate survivors + analytically hopeless extremes."""
@@ -622,11 +648,6 @@ class TestPruneMetrics:
         assert serial[self.PRUNED_KEY]["labels"] == {"reason": "incumbent"}
         assert pooled[self.PRUNED_KEY] == serial[self.PRUNED_KEY]
 
-        # Histogram: one gap observation per boundable candidate, identical
-        # summary moments whichever path evaluated the survivors.
-        assert serial[self.GAP_KEY]["count"] == len(candidates)
-        assert pooled[self.GAP_KEY] == serial[self.GAP_KEY]
-
     def test_delta_round_trip(self, cluster):
         """snapshot_delta isolates one sweep's activity from a primed
         registry, and merging that delta into a fresh registry reproduces
@@ -640,7 +661,6 @@ class TestPruneMetrics:
         try:
             # Prime with prior activity the delta must subtract away.
             registry.labeled_counter("sweep.pruned", reason="incumbent").inc(5)
-            registry.histogram("sweep.bound_gap").observe(0.123)
             before = registry.snapshot()
             with SweepRunner(cluster, prune=True) as runner:
                 runner.evaluate(candidates, incumbent_time_s=incumbent)
@@ -650,15 +670,9 @@ class TestPruneMetrics:
             registry.reset()
 
         assert delta[self.PRUNED_KEY]["value"] == reference[self.PRUNED_KEY]["value"]
-        assert delta[self.GAP_KEY]["count"] == reference[self.GAP_KEY]["count"]
-        assert delta[self.GAP_KEY]["sum"] == pytest.approx(
-            reference[self.GAP_KEY]["sum"]
-        )
 
         merged = MetricsRegistry()
         merged.merge(delta)
         image = merged.snapshot()
         assert image[self.PRUNED_KEY]["value"] == delta[self.PRUNED_KEY]["value"]
         assert image[self.PRUNED_KEY]["labels"] == {"reason": "incumbent"}
-        assert image[self.GAP_KEY]["count"] == delta[self.GAP_KEY]["count"]
-        assert image[self.GAP_KEY]["sum"] == delta[self.GAP_KEY]["sum"]
