@@ -153,11 +153,13 @@ def _compile(sub: SubStageSpec) -> _Sub:
 
 
 class _Pipeline:
-    """One stage's task pipeline, compiled once per (job, kind) per batch.
+    """One stage's task pipeline, compiled once per (job, kind) per model.
 
-    ``first`` maps a sub-stage name to its first index (phase lock across
-    synchronised stages); ``signature`` is the pipeline's part of the L2 cache
-    key: every sub-stage name and op tuple, the whole input of the solve.
+    Immutable after construction, so one instance is shared by every solve
+    of the model that asks for its (job, kind).  ``first`` maps a sub-stage
+    name to its first index (phase lock across synchronised stages);
+    ``signature`` is the pipeline's part of the L2 cache key: every
+    sub-stage name and op tuple, the whole input of the solve.
     """
 
     __slots__ = ("subs", "first", "signature")
@@ -265,6 +267,14 @@ class BOEModel:
         self._cache: Optional[LRUCache] = (
             LRUCache(max_cache_entries, self._stats) if cache else None
         )
+        # Compiled pipelines by value-hashed (job, kind), kept for the
+        # model's lifetime: a tuner's candidates share most jobs with the
+        # incumbent, so most solves reuse a pipeline compiled by an earlier
+        # batch.  Uncached models compile once per batch instead.
+        self._max_entries = max_cache_entries
+        self._pipelines: Optional[LRUCache] = (
+            LRUCache(max_cache_entries) if cache else None
+        )
         # Mirror the CacheStats ledger into the process metrics registry
         # (when armed) so cache behaviour shows up in --metrics output and
         # worker merges without new plumbing.  Resolved once; None = off.
@@ -299,11 +309,14 @@ class BOEModel:
         return self._stats
 
     def clear_cache(self) -> None:
-        """Drop every memoised estimate (the stats ledger is kept)."""
+        """Drop every memoised estimate and compiled pipeline (the stats
+        ledger is kept)."""
         if self._cache is not None:
             self._cache.clear()
         if self._call_cache is not None:
             self._call_cache.clear()
+        if self._pipelines is not None:
+            self._pipelines.clear()
 
     # -- primitive: one sub-stage under explicit per-node user counts ----------
 
@@ -507,7 +520,9 @@ class BOEModel:
                 from the stage's task count vs ``delta`` (concurrent stages
                 always auto-detect).
         """
-        return self._task_time(job, kind, delta, concurrent, task_input_mb, staggered, None)
+        return self._task_time(
+            job, kind, delta, concurrent, task_input_mb, staggered, self._pipelines
+        )
 
     def solve_batch(
         self,
@@ -518,18 +533,23 @@ class BOEModel:
 
         The per-point arithmetic is *exactly* :meth:`task_time`'s — same
         cache lookups, same fixed-point solves, same float operation order —
-        so batched and serial results are bit-identical.  What the batch
+        so batched and serial results are bit-identical.  What the model
         amortises is the setup: each distinct (job, stage) pipeline is
         decomposed (:func:`~repro.mapreduce.phases.build_task_substages`) and
-        compiled into slot-indexed op tuples once, and shared by every point
-        that references it, instead of being rebuilt per target *and* per
-        concurrent appearance.  An Algorithm 1 state with ``R``
-        running stages performs ``R`` decompositions instead of ``R**2``;
-        a sweep batch shares them across its whole candidate fan-out.
+        compiled into slot-indexed op tuples once per model, and shared by
+        every point of every batch that references it, instead of being
+        rebuilt per target *and* per concurrent appearance.  An Algorithm 1
+        state with ``R`` running stages performs at most ``R``
+        decompositions instead of ``R**2``; a tuner's batches share them
+        across every candidate that keeps a job unchanged.  An uncached
+        model (``cache=False``) keeps the compiled pipelines for one batch
+        only.
         """
         if self._ctr_batch is not None:
             self._ctr_batch.inc(len(points))
-        built: Dict[Tuple[MapReduceJob, StageKind], _Pipeline] = {}
+        built = self._pipelines
+        if built is None:
+            built = LRUCache(self._max_entries)
         return [
             self._task_time(job, kind, delta, concurrent, None, None, built)
             for job, kind, delta, concurrent in points
@@ -540,10 +560,10 @@ class BOEModel:
         job: MapReduceJob,
         kind: StageKind,
         task_input_mb: Optional[float],
-        built: Optional[Dict[Tuple[MapReduceJob, StageKind], _Pipeline]],
+        built: Optional[LRUCache],
     ) -> _Pipeline:
-        """Decompose and compile one stage's task pipeline, via the batch
-        memo if any.
+        """Decompose and compile one stage's task pipeline, via the
+        pipeline memo if any.
 
         ``build_task_substages`` is a pure function of (job, kind, per-task
         input, remote fraction); the memo only applies to the default
@@ -561,7 +581,7 @@ class BOEModel:
                 )
             )
             if memo is not None:
-                memo[(job, kind)] = pipeline
+                memo.put((job, kind), pipeline)
         return pipeline
 
     def _task_time(
@@ -572,7 +592,7 @@ class BOEModel:
         concurrent: Sequence[Tuple[MapReduceJob, StageKind, float]],
         task_input_mb: Optional[float],
         staggered: Optional[bool],
-        built: Optional[Dict[Tuple[MapReduceJob, StageKind], _Pipeline]],
+        built: Optional[LRUCache],
     ) -> TaskEstimate:
         # Level 1: exact call arguments.  Jobs are frozen dataclasses hashing
         # by value, so the key is recomputed from the *current* field values

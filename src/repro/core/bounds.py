@@ -174,7 +174,7 @@ class BoundsModel:
         self._prims = LRUCache(entries)  # (id, kind) -> (job, primitives)
         self._lows = LRUCache(entries)  # (id, kind) -> (job, lb, work[3])
         self._lows_by_fp = LRUCache(entries)  # (fp, kind) -> (lb, work[3])
-        self._topologies = LRUCache(entries)  # identity -> (edges, key, stages, deps)
+        self._topologies = LRUCache(entries)  # identity -> (edges, topology)
 
     @classmethod
     def from_source(
@@ -412,7 +412,7 @@ class BoundsModel:
     # -- workflow-level bounds ---------------------------------------------------
 
     def _topology(self, workflow: Workflow):
-        """Stage list + dependency indices + a grouping key.
+        """Grouping key, stage list, dependency indices and ancestor matrix.
 
         The key depends only on the stage *structure* (names, edges, which
         jobs are map-only), so every knob-perturbed candidate of one
@@ -428,7 +428,7 @@ class BoundsModel:
         )
         hit = self._topologies.get(memo_key)
         if hit is not None:
-            return hit[1], hit[2], hit[3]
+            return hit[1]
         order = workflow.topological_order()
         stages: List[Tuple[str, StageKind]] = []
         deps: List[Tuple[int, ...]] = []
@@ -448,8 +448,9 @@ class BoundsModel:
             tuple(dep for dep in deps),
             tuple(kind for _, kind in stages),
         )
-        self._topologies.put(memo_key, (workflow.edges, key, stages, deps))
-        return key, stages, deps
+        topology = (key, stages, deps, self._ancestor_matrix(deps))
+        self._topologies.put(memo_key, (workflow.edges, topology))
+        return topology
 
     @staticmethod
     def _ancestor_matrix(deps: Sequence[Tuple[int, ...]]) -> np.ndarray:
@@ -488,13 +489,13 @@ class BoundsModel:
         """
         results: List[Optional[float]] = [None] * len(workflows)
         groups: Dict[object, List[int]] = {}
-        topologies: Dict[object, Tuple[list, list]] = {}
+        topologies: Dict[object, Tuple[list, list, np.ndarray]] = {}
         for index, workflow in enumerate(workflows):
-            key, stages, deps = self._topology(workflow)
+            key, stages, deps, ancestors = self._topology(workflow)
             groups.setdefault(key, []).append(index)
-            topologies[key] = (stages, deps)
+            topologies[key] = (stages, deps, ancestors)
         for key, members in groups.items():
-            stages, deps = topologies[key]
+            stages, deps, ancestors = topologies[key]
             if not stages:
                 continue
             jobs = [
@@ -559,7 +560,6 @@ class BoundsModel:
             # of the cut) are special cases; the max over all cuts also
             # prices a stage forced serial by its configuration (e.g. two
             # reducers) that neither pure path nor pure work can see.
-            ancestors = self._ancestor_matrix(deps)
             finish = np.zeros_like(lower)
             ready = np.zeros_like(lower)
             for col, dep in enumerate(deps):

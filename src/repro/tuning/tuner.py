@@ -102,13 +102,20 @@ class GreedyTuner:
             in-process (the cache alone carries small tuning runs).
         runner: a pre-configured shared :class:`~repro.sweep.SweepRunner`;
             overrides ``source``/``variant``/``processes``.
-        prune: screen each knob batch with analytic makespan bounds
-            (:mod:`repro.core.bounds`): candidates whose lower bound
-            exceeds the incumbent's estimate are skipped before
-            estimation.  Pruning is conservative — the chosen assignment
-            and tuned estimate are bit-identical to ``prune=False`` —
-            and silently inert for sources the bounds cannot cover
-            (non-BOE stubs and wrappers).
+        prune: screen knob batches with analytic makespan bounds
+            (:mod:`repro.core.bounds`) while the screen pays: candidates
+            whose lower bound exceeds the incumbent's estimate are
+            skipped before estimation.  Screening one batch costs about
+            as much as estimating one candidate, so a batch pays exactly
+            when it rejects at least one.  The first multi-candidate
+            batch is always screened; later ones only while the screen
+            has rejected at least as many candidates as the batches it
+            has screened in this tune.  The gate counts, it never reads
+            a clock, so which candidates are screened depends on the
+            inputs alone.  Pruning is conservative — the chosen
+            assignment and tuned estimate are bit-identical to
+            ``prune=False`` — and silently inert for sources the bounds
+            cannot cover (non-BOE stubs and wrappers).
     """
 
     def __init__(
@@ -167,6 +174,7 @@ class GreedyTuner:
         evaluations = 1
         infeasible = 0
         pruned = 0
+        screened = 0  # multi-candidate batches the bound screen has seen
         baseline = best = self._estimate_baseline(workflow)
         trajectory: List[Tuple[Tuple[str, str], object, float]] = []
         # The incumbent workflow (current assignment applied), maintained
@@ -211,10 +219,13 @@ class GreedyTuner:
                 # ``best * (1 - 1e-6)`` (the improvement test below), so a
                 # lower bound above that threshold proves it cannot win —
                 # the bound screen changes which candidates are *estimated*,
-                # never which one is chosen.
+                # never which one is chosen.  It screens while it pays:
+                # at least one rejection per screened batch so far.
+                screen = self._prune and len(batch) > 1 and pruned >= screened
+                screened += screen
                 results = self._runner.evaluate(
                     batch,
-                    prune=self._prune,
+                    prune=screen,
                     incumbent_time_s=best * (1.0 - 1e-6),
                 )
                 best_choice = current_choice
@@ -269,6 +280,7 @@ class GreedyTuner:
                 tuned_s=best,
                 knobs_changed=len(assignment),
                 pruned=pruned,
+                screened=screened,
             )
         return TuningResult(
             workflow_name=workflow.name,

@@ -19,13 +19,35 @@ from repro.core.estimator import BOESource, estimate_workflow
 from repro.errors import SchedulingError
 from repro.mapreduce.config import NO_COMPRESSION, SNAPPY_TEXT
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.sweep import SweepRunner
 from repro.tuning import GreedyTuner, default_space, wide_space
 from repro.tuning.knobs import Knob, apply_knob_value, current_value
+from repro.units import gb
+from repro.workloads import weblog_dag
 from repro.workloads.catalog import catalog
 from repro.workloads.tpch import tpch_query
 
 #: Catalog entries covering single jobs, chains, diamonds and joins.
 CATALOG_NAMES = ("WC", "TS3R", "WC+TS", "WC+PageRank", "TS+KMeans")
+
+
+def q21_capacity_space(workflow):
+    """The magnitude-spanning capacity grid on Q21's lineitem scan."""
+    job = "q21-scan-lineitem"
+    lineitem = workflow.job(job)
+    config = lineitem.config
+    compression = NO_COMPRESSION if config.compression.enabled else SNAPPY_TEXT
+    return [
+        Knob(job, "num_reducers",
+             (lineitem.num_reducers, 1, 2, 3, 4, 8, 2560, 5120, 10240)),
+        Knob(job, "split_mb",
+             (config.split_mb, 0.5, 1.0, 2.0, 4.0, 8.0,
+              1024.0, 2048.0, 4096.0, 8192.0)),
+        Knob(job, "map_memory_mb",
+             (config.map_container.memory_mb, 500.0, 8000.0, 16000.0,
+              32000.0, 64000.0, 128000.0)),
+        Knob(job, "compression", (config.compression, compression)),
+    ]
 
 
 def _bound(workflow, cluster, *, refine=False, variant=Variant.MEAN):
@@ -115,6 +137,38 @@ class TestBatchSemantics:
         with pytest.raises(SchedulingError):
             estimate_workflow(monster, cluster)
 
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_topology_memo_keeps_bounds_bit_identical(
+        self, cluster, monkeypatch, refine
+    ):
+        """The ancestor matrix is built once per topology and reused by
+        later batches; every bound stays bit-identical to a cold model's
+        (which builds the matrix afresh, as each batch once did)."""
+        q21 = tpch_query(21)
+        workflows = [catalog()[name].factory(1.0) for name in sorted(catalog())]
+        workflows += [
+            apply_knob_value(q21, knob.key, choice)
+            for knob in q21_capacity_space(q21)
+            for choice in knob.choices
+            if choice != current_value(q21, knob)
+        ]
+        builds = []
+        build = BoundsModel._ancestor_matrix
+        monkeypatch.setattr(
+            BoundsModel,
+            "_ancestor_matrix",
+            staticmethod(lambda deps: builds.append(deps) or build(deps)),
+        )
+        model = BoundsModel(cluster, refine)
+        first = model.bounds_batch(workflows)
+        built_once = len(builds)
+        assert 0 < built_once < len(workflows)
+        for _ in range(2):
+            assert model.bounds_batch(workflows) == first
+        assert len(builds) == built_once
+        cold = [BoundsModel(cluster, refine).lower_bound(w) for w in workflows]
+        assert [b.hex() for b in first] == [b.hex() for b in cold]
+
     def test_mixed_topologies_group_correctly(self, cluster):
         entries = catalog()
         workflows = [
@@ -194,3 +248,88 @@ class TestPruneParity:
         armed = tune(True)
         assert disarmed[3] > 0
         assert armed == disarmed
+
+
+class _RecordingRunner(SweepRunner):
+    """Logs (candidates, screened, pruned) per batch a tuner submits."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def evaluate(self, candidates, cancel=None, *, prune=None, incumbent_time_s=None):
+        results = super().evaluate(
+            candidates, cancel, prune=prune, incumbent_time_s=incumbent_time_s
+        )
+        self.batches.append(
+            (len(candidates), bool(prune), sum(r.pruned for r in results))
+        )
+        return results
+
+
+class TestScreenGate:
+    """The tuner screens a batch only while the screen pays: at least one
+    rejection per screened batch so far.  The rule counts, it never reads
+    a clock, so it is a pure function of the inputs."""
+
+    def _tune(self, cluster, workflow, space=None, prune=True):
+        source = BOESource(BOEModel(cluster))
+        runner = _RecordingRunner(cluster, source=source)
+        tuner = GreedyTuner(cluster, source=source, runner=runner, prune=prune)
+        return tuner.tune(workflow, space), runner.batches, source.cache_stats
+
+    @staticmethod
+    def _assert_gate_rule(batches):
+        screened = rejected = 0
+        for candidates, screen, pruned in batches:
+            assert screen == (candidates > 1 and rejected >= screened)
+            screened += screen
+            rejected += pruned
+            if not screen:
+                assert pruned == 0
+
+    def test_closes_on_weblog_after_a_batch_that_does_not_pay(self, cluster):
+        workflow = weblog_dag(gb(25))
+        exact, _, _ = self._tune(cluster, workflow, prune=False)
+        gated, batches, _ = self._tune(cluster, workflow)
+        self._assert_gate_rule(batches)
+        screened = [pruned for _, screen, pruned in batches if screen]
+        # The first multi-candidate batch rejects nothing, which shuts the
+        # screen for the rest of the tune.
+        assert screened == [0]
+        assert gated.assignment == exact.assignment
+        assert gated.tuned_estimate_s == exact.tuned_estimate_s
+        assert gated.baseline_estimate_s == exact.baseline_estimate_s
+        assert gated.evaluations == exact.evaluations
+
+    def test_stays_open_on_the_q21_capacity_grid(self, cluster):
+        workflow = tpch_query(21)
+        space = q21_capacity_space(workflow)
+        exact, _, _ = self._tune(cluster, workflow, space, prune=False)
+        gated, batches, _ = self._tune(cluster, workflow, space)
+        self._assert_gate_rule(batches)
+        assert all(screen for candidates, screen, _ in batches if candidates > 1)
+        assert gated.pruned == 42
+        assert gated.assignment == exact.assignment
+        assert gated.tuned_estimate_s == exact.tuned_estimate_s
+
+    @pytest.mark.parametrize("name", ("weblog", "q21"))
+    def test_identical_runs_do_identical_work(self, cluster, name):
+        if name == "weblog":
+            workflow, space = weblog_dag(gb(25)), None
+        else:
+            workflow = tpch_query(21)
+            space = q21_capacity_space(workflow)
+        runs = []
+        for _ in range(2):
+            result, batches, stats = self._tune(cluster, workflow, space)
+            runs.append(
+                (
+                    result.pruned,
+                    result.evaluations,
+                    stats.hits,
+                    stats.misses,
+                    batches,
+                )
+            )
+        assert runs[0] == runs[1]

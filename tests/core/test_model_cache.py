@@ -10,11 +10,16 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import boe
 from repro.core.allocation import StageLoad, resource_users
 from repro.core.boe import BOEModel
+from repro.core.estimator import BOESource, DagEstimator
+from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES
 from repro.errors import EstimationError
 from repro.mapreduce import StageKind
 from repro.mapreduce.phases import build_task_substages
+from repro.workloads import table3_workflows
+from repro.workloads.catalog import catalog
 
 
 class TestTaskTimeCache:
@@ -113,6 +118,83 @@ class TestTaskTimeCache:
     def test_invalid_bound_rejected(self, cluster):
         with pytest.raises(EstimationError):
             BOEModel(cluster, max_cache_entries=0)
+
+
+class TestPipelineMemo:
+    """Compiled (job, kind) pipelines live as long as a cached model,
+    LRU-bounded by ``max_cache_entries``; an uncached model keeps them for
+    one batch."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every (job, kind) the model decomposes, in call order."""
+        calls = []
+        build = boe.build_task_substages
+
+        def counting(job, kind, **kwargs):
+            calls.append((job.name, kind))
+            return build(job, kind, **kwargs)
+
+        monkeypatch.setattr(boe, "build_task_substages", counting)
+        return calls
+
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_cached_estimates_equal_uncached(self, cluster, refine):
+        """One cached model shared by the catalogue and Table III @0.05
+        estimates every workflow bit-identically to a fresh uncached one."""
+        workflows = [catalog()[name].factory(1.0) for name in sorted(catalog())]
+        workflows += list(table3_workflows(0.05).values())
+        shared = DagEstimator(cluster, BOESource(BOEModel(cluster, refine=refine)))
+        for workflow in workflows:
+            got = shared.estimate(workflow)
+            want = DagEstimator(
+                cluster, BOESource(BOEModel(cluster, refine=refine, cache=False))
+            ).estimate(workflow)
+            assert got.total_time.hex() == want.total_time.hex(), workflow.name
+            assert [s.task_times for s in got.states] == [
+                s.task_times for s in want.states
+            ], workflow.name
+
+    def test_value_equal_job_hits_changed_knob_misses(self, cluster, small_ts, builds):
+        model = BOEModel(cluster)
+        model.solve_batch([(small_ts, StageKind.MAP, 40.0, ())])
+        assert len(builds) == 1
+        # A value-equal rebuild (fresh identity) reuses the compiled
+        # pipeline in a later batch; a new delta keeps the call cache out.
+        model.solve_batch([(replace(small_ts), StageKind.MAP, 20.0, ())])
+        model.task_time(replace(small_ts), StageKind.MAP, 10.0)
+        assert len(builds) == 1
+        smaller = small_ts.with_config(split_mb=small_ts.config.split_mb / 2)
+        model.solve_batch([(smaller, StageKind.MAP, 40.0, ())])
+        assert len(builds) == 2
+
+    def test_clear_cache_empties_the_memo(self, cluster, small_ts, builds):
+        model = BOEModel(cluster)
+        model.solve_batch([(small_ts, StageKind.MAP, 40.0, ())])
+        model.clear_cache()
+        model.solve_batch([(small_ts, StageKind.MAP, 40.0, ())])
+        assert len(builds) == 2
+
+    def test_memo_is_bounded(self, cluster, small_ts, builds):
+        assert BOEModel(cluster)._pipelines.max_entries == DEFAULT_CACHE_ENTRIES
+        model = BOEModel(cluster, max_cache_entries=2)
+        jobs = [replace(small_ts, input_mb=small_ts.input_mb * k) for k in (1, 2, 3)]
+        for job in jobs:
+            model.solve_batch([(job, StageKind.MAP, 40.0, ())])
+            assert len(model._pipelines) <= 2
+        # The first job's pipeline was evicted: a new point recompiles it.
+        model.solve_batch([(jobs[0], StageKind.MAP, 20.0, ())])
+        assert len(builds) == 4
+
+    def test_uncached_model_keeps_pipelines_for_one_batch(
+        self, cluster, small_ts, small_wc, builds
+    ):
+        model = BOEModel(cluster, cache=False)
+        point = (small_ts, StageKind.MAP, 40.0, [(small_wc, StageKind.MAP, 20.0)])
+        model.solve_batch([point, point])
+        assert len(builds) == 2  # ts and wc, once each within the batch
+        model.solve_batch([point])
+        assert len(builds) == 4
 
 
 class TestRefineHoist:
