@@ -35,7 +35,17 @@ _EPS = 1e-9
 #: container to be comfortably larger than it.
 _TIE_WINDOW = 1e-6
 
+#: Ring steps `_pick_node_fast` walks from a job's cursor before it looks the
+#: tie window's nodes up in the free-memory heap instead.
+_WALK_LIMIT = 64
+
 POLICIES = ("drf", "fifo", "fair")
+
+
+def _tier_admits(free_hi: float, cm: float) -> bool:
+    """Whether a ``cm`` MB container fits a top tier at ``free_hi`` MB and a
+    granted tier node leaves the scalar scan's tie window (in its floats)."""
+    return cm <= free_hi + _EPS and free_hi - cm < free_hi - _TIE_WINDOW
 
 
 def _clamp_zero(value: float) -> float:
@@ -256,7 +266,12 @@ class YarnPlacer:
         Admission is monotone in free memory, so either the globally
         least-loaded node fits (and the scan's ``best_memory`` *is* the
         global maximum) or nothing does.  The round-robin walk then only
-        pays `_node_fits` for nodes inside the 1e-6 tie window.
+        pays `_node_fits` for nodes inside the 1e-6 tie window.  When the
+        walk meets no such node within `_WALK_LIMIT` steps (a sparse top
+        tier, e.g. the ragged remainder of a layer on a large cluster), the
+        window's nodes are looked up in the heap instead, and the one
+        nearest the cursor in ring order — the node the walk would reach —
+        is picked.
         """
         nodes = self._nodes
         if self._heap_dirty:
@@ -280,8 +295,9 @@ class YarnPlacer:
             return None
         threshold = best.free_memory - 1e-6
         n_nodes = len(nodes)
-        idx = self._next_node.get(job, 0)
-        for _ in range(n_nodes):
+        cursor = self._next_node.get(job, 0)
+        idx = cursor
+        for _ in range(min(n_nodes, _WALK_LIMIT)):
             node = nodes[idx]
             idx += 1
             if idx == n_nodes:
@@ -294,7 +310,39 @@ class YarnPlacer:
             ):
                 self._next_node[job] = idx  # == (node.index + 1) % n_nodes
                 return node
-        return None  # pragma: no cover - `best` itself is reachable
+        if n_nodes <= _WALK_LIMIT:  # pragma: no cover - `best` is reachable
+            return None
+        # A sparse window: every node the walk could stop at has a heap
+        # entry inside the window (each free-memory change pushes one), so
+        # a subtree prune of the heap finds them all at a cost that follows
+        # the window's size; the walk would stop at the nearest one.
+        key = -threshold
+        size = len(heap)
+        stack = [0]
+        offset = n_nodes
+        while stack:
+            i = stack.pop()
+            neg, index = heap[i]
+            if neg > key:
+                continue  # this entry, and its whole subtree, is outside
+            node = nodes[index]
+            free = node.free_memory
+            if (
+                free >= threshold
+                and mem <= free + _EPS
+                and (not enforce or vc <= node.free_vcores + _EPS)
+            ):
+                off = (index - cursor) % n_nodes
+                if off < offset:
+                    offset = off
+            child = 2 * i + 1
+            if child < size:
+                stack.append(child)
+                if child + 1 < size:
+                    stack.append(child + 1)
+        index = (cursor + offset) % n_nodes
+        self._next_node[job] = (index + 1) % n_nodes
+        return nodes[index]
 
     def _priority(self, name: str) -> Tuple:
         """Sort key: lower = served first."""
@@ -345,12 +393,13 @@ class YarnPlacer:
 
         Grants come from two exactness-equivalent paths: a vectorised bulk
         path (:meth:`_bulk_uniform_grants`) that fires whole round-robin
-        layers at once whenever the cluster is in the *uniform regime* its
-        preconditions pin down, and the per-grant scalar loop for everything
-        else.  The bulk path performs the same float operations in the same
-        order as the scalar loop — its preconditions are chosen to make that
-        provable — so the placements and the placer's post-call state are
-        bit-identical whichever path served a grant.
+        layers over the top tier of the cluster at once whenever the jobs
+        and nodes are in the regime its preconditions pin down, and the
+        per-grant scalar loop for everything else.  The bulk path performs
+        the same float operations in the same order as the scalar loop —
+        its preconditions are chosen to make that provable — so the
+        placements and the placer's post-call state are bit-identical
+        whichever path served a grant.
         """
         remaining: Dict[str, List[List]] = {}
         for name, queues in requests.items():
@@ -385,14 +434,22 @@ class YarnPlacer:
         cap_m = self._capacity.memory_mb
         heap_limit = max(64, 8 * len(self._nodes))
         # Bulk is attempted on entry and after each successful bulk span
-        # (whose end may just mean a queue emptied); a failed attempt means
-        # the cluster left the uniform regime, which nothing inside this
-        # call re-establishes — so don't pay the precondition scan again.
+        # (whose end may just mean a queue emptied).  A failed attempt
+        # usually means a transient irregularity: a layer over a cluster
+        # whose tier does not divide by the job count leaves a ragged
+        # remainder, and one scalar turn per pending job restores tied jobs
+        # over a clean top tier.  So a failure re-arms the bulk path after
+        # ``len(remaining)`` scalar grants, and two consecutive failures end
+        # the attempts for this call — keeping the precondition scans at
+        # O(nodes) per bulk span rather than per grant.
         try_bulk = self._fast
+        bulk_wait = 0  # scalar grants left before the next bulk attempt
+        bulk_failures = 0  # consecutive failed attempts
         while remaining:
-            if try_bulk:
+            if try_bulk and not bulk_wait:
                 bulk = self._bulk_uniform_grants(remaining, prio, code_of, names)
                 if bulk is not None:
+                    bulk_failures = 0
                     if codes:
                         chunks.append(
                             (
@@ -404,7 +461,9 @@ class YarnPlacer:
                         codes, nodes_out, qidx_out = [], [], []
                     chunks.append(bulk)
                     continue
-                try_bulk = False
+                bulk_failures += 1
+                try_bulk = bulk_failures < 2
+                bulk_wait = len(remaining)
             candidates = sorted(remaining, key=prio.__getitem__)
             placed = False
             for name in candidates:
@@ -448,6 +507,8 @@ class YarnPlacer:
                         del remaining[name]
                 else:
                     queue[2] = count - 1
+                if bulk_wait:
+                    bulk_wait -= 1
                 placed = True
                 break
             if not placed:
@@ -484,9 +545,9 @@ class YarnPlacer:
         they cover the bulk of a large symmetric run:
 
         * **round-robin layer** (:meth:`_bulk_round_robin`) — several jobs
-          bit-tied on usage, requesting the bit-identical container, over a
-          bit-uniform cluster: grants provably cycle through the jobs in
-          arrival order while walking the node ring;
+          bit-tied on usage, requesting the bit-identical container: grants
+          provably cycle through the jobs in arrival order while walking
+          the top tier of bit-tied least-loaded nodes in ring order;
         * **winner run** (:meth:`_bulk_winner_run`) — one job strictly
           ahead of every other (or alone, or first under FIFO): it provably
           receives a consecutive run of grants that walks the *top tier* of
@@ -515,23 +576,26 @@ class YarnPlacer:
         code_of: Dict[str, int],
         names: List[str],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Grant one whole round-robin layer at once in the uniform regime.
+        """Grant one whole round-robin layer over the top tier at once.
 
-        In the regime that dominates large symmetric waves — every node at
-        the *bit-identical* free memory, every competing job requesting the
-        bit-identical container — the scalar loop's behaviour is provably a
-        fixed pattern: grant ``t`` lands on node ``(s + t) % n_nodes`` and
-        goes to job ``t % J`` of the (recurring) priority order.  Proof
-        sketch: all nodes tie, so a job's round-robin scan picks its own
-        cursor node unless that node was granted earlier in the span, in
-        which case it picks the node one past the granted run; a granted
-        node drops out of the 1e-6 tie window (the container is required to
-        be larger than it), so within one layer the grant frontier advances
-        one node per grant, ascending.  The span is capped at a single
-        layer (no node granted twice) because past the layer boundary the
-        scalar cursors land mid-ring and the pattern genuinely changes —
-        but a *full* layer leaves every node bit-tied again, so the next
-        bulk call chains seamlessly, re-validating per layer.
+        In the regime that dominates large symmetric waves — every competing
+        job bit-tied and requesting the bit-identical container — the scalar
+        loop's behaviour is provably a fixed pattern: grant ``t`` lands on
+        the ``t``-th node of the *top tier* (the nodes bit-tied at the
+        maximum free memory, see :meth:`_top_tier`) in ring order from job
+        0's cursor, and goes to job ``t % J`` of the (recurring) priority
+        order.  Proof sketch: only tier nodes sit inside the 1e-6 tie
+        window, so a job's round-robin scan picks the first ungranted tier
+        node at or after its cursor; a granted node drops out of the window
+        (checked in float), so within one layer the grant frontier advances
+        one tier node per grant, in ring order.  The span is capped at a
+        single layer (no node granted twice) because past the layer
+        boundary the scalar cursors land mid-ring and the pattern genuinely
+        changes — but a *full* layer leaves the granted nodes bit-tied
+        again, so the next bulk call chains, re-validating per layer.  A
+        layer that leaves a ragged remainder (tier size not a multiple of
+        ``J``) is closed by a few scalar grants, after which the caller
+        re-arms the bulk path.
 
         Preconditions (checked, else ``None`` and the caller stays scalar):
 
@@ -545,15 +609,23 @@ class YarnPlacer:
           others, so arrival order provably cycles with no drift (the
           strictness check matters: at extreme magnitudes a container add
           can round away);
-        * every node's free memory and vcores bit-equal, the container
-          fits, and each job's cursor sits within (or just past) the run
-          the span will have granted when its first turn comes.
+        * the container fits the top tier, a granted node leaves the tie
+          window, and no other node sits inside it;
+        * each job ``k``'s cursor sits within (or just past) the tier run
+          the span will have granted when its first turn comes, or past the
+          last tier node (its scan then wraps to the run): with ``rel`` the
+          tier nodes' ring offsets from job 0's cursor ``start``, ascending,
+          ``(cursor_k - start) % n <= rel[k]`` or ``> rel[-1]``.
+
+        The all-nodes-tied cluster (every even wave) is recognised by one
+        equality scan; the tier is derived only when that scan fails.
 
         State updates are float-exact versus the scalar loop: each granted
-        node sees exactly one subtraction, job usage grows through a cumsum
-        (strictly left-to-right additions), cursors land where the scan
-        would have left them, and the heap is rebuilt — a legal compaction
-        of the lazy heap.  Returns the (codes, nodes, queue idx) chunk.
+        node sees exactly one memory and one vcores subtraction, job usage
+        grows through a cumsum (strictly left-to-right additions), cursors
+        land one past each job's last tier node, and the heap is rebuilt —
+        a legal compaction of the lazy heap.  Returns the (codes, nodes,
+        queue idx) chunk.
         """
         n_jobs = len(jobs)
         nodes = self._nodes
@@ -586,27 +658,43 @@ class YarnPlacer:
                 or self._usage_m[name] != m0
             ):
                 return None
-        free0 = nodes[0].free_memory
-        vfree0 = nodes[0].free_vcores
-        for node in nodes:
-            if node.free_memory != free0 or node.free_vcores != vfree0:
-                return None
-        if cm > free0 + _EPS:
-            return None
-        # Cursor geometry: with every node bit-tied at the maximum, job k's
-        # scan picks its own cursor node unless that node was granted
-        # earlier in this cycle, in which case it picks the node one past
-        # the granted run.  The ascending pattern therefore holds iff each
-        # job's cursor sits within (or just past) the run granted so far.
         start = self._next_node.get(jobs[0], 0)
-        for k, name in enumerate(jobs[1:], start=1):
-            offset = (self._next_node.get(name, 0) - start) % n_nodes
-            if offset > k:
+        free_hi = nodes[0].free_memory
+        vfree0 = nodes[0].free_vcores
+        uniform = True
+        for node in nodes:
+            if node.free_memory != free_hi or node.free_vcores != vfree0:
+                uniform = False
+                break
+        if uniform:
+            # Every node is in the tier, at ring offset == tier position.
+            if not _tier_admits(free_hi, cm):
                 return None
-        # One layer per span: every node receives at most one grant.
-        cycles = min(min_count, n_nodes // n_jobs)
+            n_tier = n_nodes
+            rel = None
+        else:
+            top = self._top_tier(cm)
+            if top is None:
+                return None
+            free_hi, tier = top
+            n_tier = len(tier)
+            rel = (np.asarray(tier, dtype=np.int64) - start) % n_nodes
+            rel.sort()
+        # One layer per span: every tier node receives at most one grant.
+        cycles = min(min_count, n_tier // n_jobs)
         if cycles < 2:
             return None
+        # Cursor geometry: job k's scan picks the first ungranted tier node
+        # at or after its cursor, so the pattern holds iff each cursor sits
+        # within (or just past) the tier run granted before its first turn
+        # — or past the last tier node, whence the scan wraps to the run.
+        for k, name in enumerate(jobs[1:], start=1):
+            offset = (self._next_node.get(name, 0) - start) % n_nodes
+            if rel is None:
+                if offset > k:
+                    return None
+            elif rel[k] < offset <= rel[-1]:
+                return None
         # Strict share monotonicity across every level the span visits
         # (see docstring).  The level values are the exact usage floats
         # the scalar loop would store (cumsum folds left to right).
@@ -628,15 +716,22 @@ class YarnPlacer:
             return None
 
         total = cycles * n_jobs
-        grant_nodes = (start + np.arange(total, dtype=np.int64)) % n_nodes
         # Node state: each granted node sees exactly one subtraction, the
         # same single float op the scalar loop would perform.
-        free_m1 = free0 - cm
-        free_v1 = vfree0 - cv
-        for index in grant_nodes.tolist():
-            node = nodes[index]
-            node.free_memory = free_m1
-            node.free_vcores = free_v1
+        free_m1 = free_hi - cm
+        if rel is None:
+            grant_nodes = (start + np.arange(total, dtype=np.int64)) % n_nodes
+            free_v1 = vfree0 - cv
+            for index in grant_nodes.tolist():
+                node = nodes[index]
+                node.free_memory = free_m1
+                node.free_vcores = free_v1
+        else:
+            grant_nodes = (start + rel[:total]) % n_nodes
+            for index in grant_nodes.tolist():
+                node = nodes[index]
+                node.free_memory = free_m1
+                node.free_vcores -= cv
         # Job usage: `cycles` sequential adds per job via the cumsum trick
         # (acc[0]=current, acc[1:]=delta — np.cumsum folds strictly left to
         # right, the same floats as the scalar loop's += chain).
@@ -650,9 +745,9 @@ class YarnPlacer:
             self._usage_v[name] = float(np.cumsum(acc)[-1])
             prio[name] = self._priority(name)
         # Cursors: each job's scan stops one past its last granted node.
+        last = grant_nodes[total - n_jobs :].tolist()
         for k, name in enumerate(jobs):
-            last = (start + k + (cycles - 1) * n_jobs) % n_nodes
-            self._next_node[name] = (last + 1) % n_nodes
+            self._next_node[name] = (last[k] + 1) % n_nodes
         # Heap: flag for a lazy rebuild (a legal compaction, deferred to the
         # next scalar pick so chained batch spans pay for at most one).
         self._heap_dirty = True
@@ -674,6 +769,34 @@ class YarnPlacer:
             else:
                 queue[2] = queue[2] - cycles
         return code_arr, grant_nodes, qidx
+
+    def _top_tier(self, cm: float) -> Optional[Tuple[float, List[int]]]:
+        """The top tier a bulk span may walk: ``(free_hi, node indices)``.
+
+        The tier is the set of nodes bit-tied at the maximum free memory
+        ``free_hi``, in index order.  Returns ``None`` unless the scalar
+        scan provably sees exactly this tier: a container of ``cm`` MB
+        fits it, a granted tier node's subtraction leaves the 1e-6 tie
+        window (checked in the scan's exact floats), and no other node
+        sits inside the window (near-ties keep the scalar loop's exact
+        semantics).
+        """
+        # One pass: the maximum, its tier, and the largest value below it.
+        free_hi = below = float("-inf")
+        tier: List[int] = []
+        for node in self._nodes:
+            free = node.free_memory
+            if free == free_hi:
+                tier.append(node.index)
+            elif free > free_hi:
+                below = free_hi
+                free_hi = free
+                tier = [node.index]
+            elif free > below:
+                below = free
+        if not _tier_admits(free_hi, cm) or below >= free_hi - _TIE_WINDOW:
+            return None
+        return free_hi, tier
 
     def _bulk_winner_run(
         self,
@@ -701,10 +824,8 @@ class YarnPlacer:
 
         Preconditions (checked, else ``None`` and the caller stays scalar):
 
-        * the winner's head container exceeds the tie window, fits the top
-          tier, and its subtraction leaves the window (checked in float);
-        * no node sits inside the tie window without being bit-tied at the
-          maximum (near-ties keep the scalar loop's exact semantics);
+        * the winner's head container exceeds the tie window and passes
+          :meth:`_top_tier`'s checks;
         * multi-job, non-FIFO: the winner's share — recomputed at every
           usage level the run visits, with the scalar loop's exact floats —
           stays below the runner-up's static priority (ties included only
@@ -725,26 +846,12 @@ class YarnPlacer:
         cv = container.vcores
         if cm <= 2.0 * _TIE_WINDOW:
             return None
+        top = self._top_tier(cm)
+        if top is None:
+            return None
+        free_hi, tier = top
         nodes = self._nodes
         n_nodes = len(nodes)
-        free_hi = nodes[0].free_memory
-        for node in nodes:
-            if node.free_memory > free_hi:
-                free_hi = node.free_memory
-        if cm > free_hi + _EPS:
-            return None
-        # The scalar scan's tie window, in its exact floats: a granted tier
-        # node must leave the window, and no non-tier node may sit in it.
-        window = free_hi - _TIE_WINDOW
-        if free_hi - cm >= window:
-            return None
-        tier: List[int] = []
-        for node in nodes:
-            free = node.free_memory
-            if free == free_hi:
-                tier.append(node.index)
-            elif free >= window:
-                return None
         cycles = min(count, len(tier))
         if len(jobs) > 1 and self._policy != "fifo":
             # The runner-up's priority is static while the winner is served;

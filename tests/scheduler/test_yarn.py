@@ -158,7 +158,9 @@ class TestBulkUniformGrants:
         import random
 
         rng = random.Random(seed)
-        workers = rng.choice([8, 16, 33, 100])
+        # Even, odd and prime counts: a layer over an odd cluster leaves a
+        # ragged remainder that the scalar loop closes before bulk resumes.
+        workers = rng.choice([8, 9, 13, 16, 33, 61, 100, 101])
         node = NodeSpec(
             cores=rng.choice([4, 8]),
             memory_mb=rng.choice([4096.0, 8192.0]),
@@ -185,7 +187,8 @@ class TestBulkUniformGrants:
                         container = ResourceVector(
                             1.0, rng.choice([256.0, 768.0])
                         )
-                    queues.append((container, rng.randint(0, workers * 3)))
+                    # Up to ~8 round-robin layers per job and queue.
+                    queues.append((container, rng.randint(0, workers * 8)))
                 requests[f"job{j}"] = queues
             got = fast.assign_queues(requests)
             want = ref.assign_queues(requests)
@@ -224,6 +227,84 @@ class TestBulkUniformGrants:
         grants = placer.assign_queues({"a": [(CONTAINER, 100)]})
         assert len(grants) == 100
         assert sum(fired) >= 80  # the bulk span covers most of the wave
+
+    @staticmethod
+    def _pair(workers, free_memory=()):
+        """A placer and its scalar-only clone over ``workers`` paper nodes,
+        the first ones' free memory overridden by ``free_memory`` (MB;
+        ``None`` keeps a node's capacity)."""
+        cluster = paper_cluster(workers)
+        fast = YarnPlacer(cluster)
+        ref = YarnPlacer(cluster)
+        ref._bulk_uniform_grants = lambda *a, **k: None
+        for placer in (fast, ref):
+            for node, free in zip(placer._nodes, free_memory):
+                if free is not None:
+                    node.free_memory = free
+            placer._heap_dirty = True
+        return fast, ref
+
+    @staticmethod
+    def _spy_bulk(placer):
+        fired = []
+        original = type(placer)._bulk_uniform_grants
+
+        def spy(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if out is not None:
+                fired.append(len(out[0]))
+            return out
+
+        placer._bulk_uniform_grants = spy.__get__(placer)
+        return fired
+
+    @pytest.mark.parametrize("workers, n_jobs", [(33, 2), (101, 2), (100, 3)])
+    def test_bulk_fires_on_odd_clusters(self, workers, n_jobs):
+        # Tied jobs whose layers do not divide the cluster: each layer
+        # leaves a ragged remainder, a few scalar grants close it, and the
+        # re-armed bulk path serves the next layer over the new top tier.
+        fast, ref = self._pair(workers)
+        fired = self._spy_bulk(fast)
+        per_job = 8 * workers // n_jobs  # 8 layers over the cluster
+        wave = {f"job{j}": [(CONTAINER, per_job)] for j in range(n_jobs)}
+        got = fast.assign_queues(wave)
+        want = ref.assign_queues(wave)
+        assert len(got) == n_jobs * per_job
+        assert got == want
+        assert self._state(fast) == self._state(ref)
+        assert sum(fired) >= 0.95 * len(got)
+
+    @pytest.mark.parametrize("cursor, bulk", [(1, True), (50, False), (100, True)])
+    def test_round_robin_cursor_geometry_on_ragged_tier(self, cursor, bulk):
+        # Node 100 sits a container lower, so the top tier is nodes 0..99.
+        # Job b's scan reaches its turn's tier node only from a cursor
+        # inside the granted run (1) or past the tier, wrapping (100); from
+        # mid-tier (50) it would grab node 50, so bulk must stay scalar.
+        fast, ref = self._pair(101, [None] * 100 + [30000.0])
+        for placer in (fast, ref):
+            placer.register_job("a")
+            placer.register_job("b")
+            placer._next_node["b"] = cursor
+        fired = self._spy_bulk(fast)
+        wave = {"a": [(CONTAINER, 40)], "b": [(CONTAINER, 40)]}
+        got = fast.assign_queues(wave)
+        want = ref.assign_queues(wave)
+        assert got == want
+        assert self._state(fast) == self._state(ref)
+        assert bool(fired) == bulk
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_near_tie_outside_tier_keeps_scalar(self, jobs):
+        # A node 0.5e-6 MB below the maximum is inside the scalar scan's
+        # 1e-6 tie window without being bit-tied, so no bulk span may skip
+        # it: the bulk path must refuse and the grants match the scalar.
+        fast, ref = self._pair(33, [None] * 7 + [32000.0 - 5e-7])
+        wave = {f"job{j}": [(CONTAINER, 20)] for j in range(jobs)}
+        got = fast.assign_queues(wave)
+        want = ref.assign_queues(wave)
+        assert got == want
+        assert self._state(fast) == self._state(ref)
+        assert 7 in [node for _name, node, _q in got[:8]]
 
     def test_winner_run_fires_on_unequal_usage(self):
         # Two jobs with unequal usage never bit-tie, so the round-robin

@@ -139,6 +139,63 @@ class TestConfigParity:
         )
 
 
+class TestBulkGrantParity:
+    """The YARN placer's bulk grants are invisible to the engines.
+
+    Odd worker counts exercise the bulk path's ragged layers and its
+    re-arm after scalar grants.  The trace of a run whose placer serves
+    whole layers in bulk must bit-equal the same run on the scalar-only
+    placer: every placement, instant and makespan, not just within a
+    tolerance.
+    """
+
+    @staticmethod
+    def _trace(result):
+        tasks = sorted(
+            (
+                t.job,
+                t.kind.value,
+                t.index,
+                t.node,
+                t.t_ready,
+                t.t_start,
+                t.t_end,
+                tuple((s.name, s.t_start, s.t_end) for s in t.substages),
+            )
+            for t in result.tasks
+        )
+        return result.makespan, tasks
+
+    @pytest.mark.parametrize("engine", ["fast", "columnar"])
+    @pytest.mark.parametrize("workers", [33, 101])
+    def test_bit_identical_to_scalar_grants(self, monkeypatch, engine, workers):
+        from repro.scheduler.yarn import YarnPlacer
+
+        size = gb(1.875 * workers)
+        workflow = hybrid(
+            "WC+TS", micro_workflow("wc", size), micro_workflow("ts", size)
+        )
+        cluster = Cluster(node=PAPER_NODE, workers=workers)
+        config = SimulationConfig(engine=engine)
+        bulk_grants = []
+        original = YarnPlacer._bulk_uniform_grants
+
+        def spy(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            if out is not None:
+                bulk_grants.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(YarnPlacer, "_bulk_uniform_grants", spy)
+        bulk = simulate(workflow, cluster, config)
+        monkeypatch.setattr(
+            YarnPlacer, "_bulk_uniform_grants", lambda self, *a, **k: None
+        )
+        scalar = simulate(workflow, cluster, config)
+        assert self._trace(bulk) == self._trace(scalar)
+        assert sum(bulk_grants) > 0.5 * len(bulk.tasks)  # bulk did serve
+
+
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, ten_nodes):
         with pytest.raises(SimulationError):
