@@ -62,7 +62,7 @@ MIN_COLUMNAR_SPEEDUP = 10.0
 #: object-engine comparison itself gets starved).
 MIN_COLUMNAR_TASKS_PER_S = 20_000.0
 #: Soft target after the cohort-batching rewrite: ~575k tasks/s at 100k
-#: and ~345k tasks/s at 1M on a quiet 8-core box (pure-numpy kernels).
+#: and ~345k tasks/s at 1M on a quiet 8-core box (numpy only, no compiled code).
 #: Reported, not asserted — shared runners are too noisy for a hard bar
 #: this high, but the smoke log flags when a run lands below it.
 TARGET_COLUMNAR_TASKS_PER_S = 300_000.0

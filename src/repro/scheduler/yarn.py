@@ -243,8 +243,6 @@ class YarnPlacer:
         always wins the even heartbeat, job B the odd one), silently removing
         the cross-job resource contention this whole library studies.
         """
-        if self._fast:
-            return self._pick_node_fast(container, job)
         fitting = [n for n in self._nodes if self._node_fits(n, container)]
         if not fitting:
             return None
@@ -923,50 +921,6 @@ class YarnPlacer:
         else:
             head[2] = count - cycles
         return code_arr, grant_nodes, qidx
-
-    def assign(
-        self, requests: Dict[str, Tuple[ResourceVector, int]]
-    ) -> List[Tuple[str, int]]:
-        """Place as many requested containers as currently fit.
-
-        Args:
-            requests: job name -> (container size, number of tasks wanted).
-
-        Returns:
-            Placements as (job name, node index) pairs, in grant order.
-        """
-        remaining = {
-            name: [container, count]
-            for name, (container, count) in requests.items()
-            if count > 0
-        }
-        for name in remaining:
-            self.register_job(name)
-        placements: List[Tuple[str, int]] = []
-        while remaining:
-            # DRF: always (re)pick the currently most deserving job.
-            candidates = sorted(remaining, key=self._priority)
-            placed = False
-            for name in candidates:
-                container, count = remaining[name]
-                node = self._pick_node(container, name)
-                if node is None:
-                    continue
-                node.free_vcores -= container.vcores
-                node.free_memory -= container.memory_mb
-                self._touch(node)
-                self._usage_v[name] = self._usage_v[name] + container.vcores
-                self._usage_m[name] = self._usage_m[name] + container.memory_mb
-                placements.append((name, node.index))
-                if count == 1:
-                    del remaining[name]
-                else:
-                    remaining[name][1] = count - 1
-                placed = True
-                break
-            if not placed:
-                break  # nothing fits anywhere
-        return placements
 
     # -- introspection ----------------------------------------------------------
 

@@ -14,17 +14,18 @@ state dominates.  This engine re-hosts the same event loop on columns:
   ``(job, kind, input_mb)`` into a **class registry**, so a node's sharing
   problem is described by a small (class id → count) composition; identical
   compositions across nodes resolve through one cached call to
-  :func:`~repro.simulator.sharing.solve_max_min_classes` — the array-native
-  class-level solver — instead of one solve per node;
+  :func:`~repro.simulator.sharing.solve_max_min_classes` — the class-level
+  solver the fast engine also runs — instead of one solve per node;
 * the deadline heap (:class:`~repro.simulator.events.CohortDeadlineHeap`)
   stores index *cohorts* — arrays of slots sharing one class, rate and
   predicted instant — validated by per-slot epochs instead of tokens.
 
 Fidelity discipline is identical to the fast engine's: the object loops are
 the oracle, and ``tests/simulator/test_columnar_parity.py`` pins this
-engine's traces against them across the workload catalog.  The solver
-arithmetic is bit-identical by construction (shared canonical class order,
-same operation sequence — see :func:`~repro.simulator.sharing.class_sort_key`);
+engine's traces against them across the workload catalog.  Rates are
+bit-identical by construction: both engines run the one class solver over
+the same canonical class order (see
+:func:`~repro.simulator.sharing.class_sort_key`);
 the only tolerated divergence is the ordering of same-instant decisions,
 which the parity suite bounds at 1e-9 relative.
 """
@@ -54,7 +55,6 @@ from repro.simulator.engine import (
     _JobState,
 )
 from repro.obs.metrics import get_metrics
-from repro.simulator import kernels as _kernels
 from repro.simulator.events import CohortDeadlineHeap
 from repro.simulator.sharing import class_sort_key, solve_max_min_classes
 from repro.simulator.trace import (
@@ -733,8 +733,12 @@ class ColumnarSimulator(Simulator):
         # target first (gating caps the advance), then re-base.
         targets = self._targets_for(act)
         rate = self._s_rate[act]
-        prog = _kernels.advance_progress(
-            self._s_progress[act], self._s_tbase[act], rate, targets, now
+        prog = self._s_progress[act]
+        tbase = self._s_tbase[act]
+        prog = np.where(
+            (rate > 0.0) & (now > tbase),
+            np.minimum(targets, prog + (now - tbase) * rate),
+            prog,
         )
         self._s_progress[act] = prog
         self._s_tbase[act] = now
@@ -811,7 +815,7 @@ class ColumnarSimulator(Simulator):
             prog_ok = prog_inc[alive]
             scid_ok = scid_inc[alive]
             rate_ok = new_rates[alive]
-        when = _kernels.deadline_when(now, tgt_ok, prog_ok, rate_ok)
+        when = now + np.maximum(0.0, tgt_ok - prog_ok) / rate_ok
         self._epoch += 1
         epoch = self._epoch
         self._s_epoch[ok] = epoch
@@ -899,12 +903,12 @@ class ColumnarSimulator(Simulator):
         now = self._now
         self._s_epoch[all_slots] = -1
         rates = self._s_rate[all_slots]
-        prog = _kernels.advance_progress(
-            self._s_progress[all_slots],
-            self._s_tbase[all_slots],
-            rates,
-            np.ones(all_slots.size),
-            now,
+        prog = self._s_progress[all_slots]
+        tbase = self._s_tbase[all_slots]
+        prog = np.where(
+            (rates > 0.0) & (now > tbase),
+            np.minimum(np.ones(all_slots.size), prog + (now - tbase) * rates),
+            prog,
         )
         self._s_progress[all_slots] = prog
         self._s_tbase[all_slots] = now

@@ -30,7 +30,9 @@ Two event loops are provided, selected by ``SimulationConfig.engine``:
   completion-time heap; entries are invalidated (lazy cancellation) only
   when the run's node is re-solved.  The sharing problems themselves
   collapse symmetric flows into equivalence classes
-  (:func:`~repro.simulator.sharing.solve_max_min` with ``collapse=True``).
+  (:func:`~repro.simulator.sharing.solve_max_min` with ``collapse=True``
+  groups them and hands the classes to
+  :func:`~repro.simulator.sharing.solve_max_min_classes`).
 * ``"reference"`` is the historical loop that rescans and advances every
   active flow on every event — O(active flows) per event.  It is retained
   as the oracle: ``benchmarks/bench_engine_scale.py`` and
@@ -38,7 +40,7 @@ Two event loops are provided, selected by ``SimulationConfig.engine``:
   traces, so every accuracy result in EXPERIMENTS.md is preserved.
 * ``"columnar"`` (:mod:`repro.simulator.columnar`) re-hosts the fast loop's
   state in flat numpy arrays — per-run progress/rate/deadline columns keyed
-  by slot index, class-level sharing via
+  by slot index, class-level sharing through the same
   :func:`~repro.simulator.sharing.solve_max_min_classes`, and a deadline
   heap of index *cohorts* instead of objects — for million-task DAGs.
   ``tests/simulator/test_columnar_parity.py`` pins it against this engine.
@@ -295,10 +297,10 @@ class Simulator:
         self._state_start = 0.0
 
         # Fast-engine structures: runs grouped by node (insertion-ordered so
-        # symmetric tasks tie-break like the reference loop's run dict), a
-        # completion-time heap with lazy cancellation, and a memo of
-        # sub-stage pipelines (identical tasks share one immutable spec
-        # list instead of rebuilding it per launch).
+        # symmetric tasks tie-break like the reference loop's run dict) and
+        # a completion-time heap with lazy cancellation.  Both object loops
+        # share the memo of sub-stage pipelines (identical tasks share one
+        # immutable spec list instead of rebuilding it per launch).
         self._node_runs: List[Dict[str, _RunState]] = [
             {} for _ in range(cluster.workers)
         ]
@@ -699,17 +701,9 @@ class Simulator:
         """Sub-stage pipeline for one task.
 
         Identical tasks (same job, kind and input size — the overwhelmingly
-        common case without skew) share one immutable spec list; the memo is
-        only consulted by the fast engine so the reference loop stays the
-        historical code path.
+        common case without skew) share one immutable spec list, in both
+        object loops.
         """
-        if not self._fast:
-            return build_task_substages(
-                js.job,
-                spec.kind,
-                task_input_mb=spec.input_mb if spec.input_mb > 0 else None,
-                remote_fraction=self._cluster.remote_fraction,
-            )
         key = (js.job.name, spec.kind, spec.input_mb)
         substages = self._substage_cache.get(key)
         if substages is None:

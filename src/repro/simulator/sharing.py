@@ -43,9 +43,11 @@ unique max-min-fair point and is invariant under permuting identical flows).
 ``solve_max_min`` therefore collapses each group of identical flows into one
 *equivalence class* with a multiplicity and iterates over classes: a node
 running six identical map tasks solves a 1-class problem, not a 6-flow
-Gauss–Seidel.  Pass ``collapse=False`` for the historical per-flow
-iteration (kept as the reference implementation the collapsed solver is
-tested against).
+Gauss–Seidel.  :func:`solve_max_min_classes` is that class-level solver,
+the one both engines run: the fast engine through ``solve_max_min``, the
+columnar engine directly on its interned classes.  Pass ``collapse=False``
+for the historical per-flow iteration (kept as the reference implementation
+the class solver is tested against).
 """
 
 from __future__ import annotations
@@ -54,10 +56,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.simulator import kernels as _kernels
 
 _EPS = 1e-12
 _MAX_ITER = 500
@@ -178,25 +177,6 @@ def _nonconvergence(
     )
 
 
-def _hungry_level_grouped_arrays(
-    demands: np.ndarray, counts: np.ndarray, capacity: float, hungry: int
-) -> float:
-    """Vectorised :func:`_hungry_level_grouped` over parallel arrays.
-
-    Bit-identical to the scalar version by construction: ``np.lexsort`` with
-    ``demands`` primary and ``counts`` secondary reproduces the tuple sort of
-    ``sorted([(demand, count), ...])``, and ``np.cumsum`` accumulates float64
-    partial sums strictly left-to-right — the same additions in the same
-    order as the scalar ``prefix +=`` loop.  A property test
-    (``test_sharing.py::TestClassSolver``) pins the two paths to exact float
-    equality.
-
-    Dispatches to :mod:`repro.simulator.kernels`, which holds the
-    implementation.
-    """
-    return _kernels.water_fill_grouped(demands, counts, capacity, hungry)
-
-
 def class_sort_key(cap: Optional[float], items: Tuple[Tuple[str, float], ...]):
     """Canonical ordering key of one equivalence class.
 
@@ -213,82 +193,46 @@ def solve_max_min_classes(
     cls_caps: Sequence[Optional[float]],
     multiplicity: Sequence[int],
     capacities: Mapping[str, float],
-) -> np.ndarray:
-    """Array-native class-level solver — the columnar engine's entry point.
+) -> List[float]:
+    """Gauss-Seidel over equivalence classes of identical flows.
 
-    Takes the equivalence classes *pre-grouped* (in :func:`class_sort_key`
-    order) and returns one rate per class as a float64 array, skipping the
-    per-flow dict plumbing of :func:`solve_max_min` entirely.  Water levels
-    are computed by the vectorised :func:`_hungry_level_grouped_arrays`; the
-    Gauss-Seidel sweep itself stays sequential because that is what
-    Gauss-Seidel *is* — each class update must see its predecessors' fresh
-    rates within the sweep.
-
-    The arithmetic is bit-identical to :func:`_solve_collapsed` (same
-    operations, same order — pinned by a property test), so an engine
-    resolving a node through either path lands on the same float rates.
+    Takes the classes *pre-grouped* in :func:`class_sort_key` order and
+    returns one rate per class.  Each class carries its multiplicity into
+    the water-level computation (a class of ``m`` flows contributes ``m``
+    demanders to every pool it uses).  Both engines solve through here: the
+    columnar engine directly, the fast engine via ``solve_max_min``.
     """
     n_classes = len(cls_weights)
-    rates = np.zeros(n_classes)
-    if n_classes == 0:
-        return rates
-
-    # Pools in first-seen order over the canonical class sequence — the same
-    # insertion order _solve_collapsed's pool_users dict ends up with, which
-    # matters to _repair_feasible's (rarely triggered) scaling order.
-    pool_ids: List[str] = []
-    seen_pools = set()
-    for agg in cls_weights:
-        for pool_id in agg:
-            if pool_id not in seen_pools:
-                seen_pools.add(pool_id)
-                pool_ids.append(pool_id)
-    pidx = {pool_id: i for i, pool_id in enumerate(pool_ids)}
-    n_pools = len(pool_ids)
-
-    weights = np.zeros((n_classes, n_pools))
+    pool_users: Dict[str, List[int]] = {}
     for ci, agg in enumerate(cls_weights):
-        for pool_id, weight in agg.items():
-            weights[ci, pidx[pool_id]] = weight
-    caps_vec = np.array([float(capacities[p]) for p in pool_ids])
-    mult = np.asarray(multiplicity, dtype=np.int64)
-    cap_arr = np.array(
-        [math.inf if c is None else float(c) for c in cls_caps]
-    )
+        for pool_id in agg:
+            pool_users.setdefault(pool_id, []).append(ci)
 
-    # users[p]: classes demanding pool p (ascending ci = canonical order);
-    # others[ci][p]: those users minus ci, pre-gathered for the sweep.
-    users = [np.flatnonzero(weights[:, p] > 0.0) for p in range(n_pools)]
-    class_pools: List[List[int]] = [
-        [int(p) for p in np.flatnonzero(weights[ci] > 0.0)]
-        for ci in range(n_classes)
-    ]
-    others = [
-        {p: users[p][users[p] != ci] for p in class_pools[ci]}
-        for ci in range(n_classes)
-    ]
-
-    # Optimistic start: each class's flows alone on the cluster (min over
-    # the same divisions as the scalar start loop; min is order-free).
-    with np.errstate(divide="ignore"):
-        alone = np.where(weights > 0.0, caps_vec / weights, math.inf)
-    rates[:] = np.minimum(cap_arr, alone.min(axis=1, initial=math.inf))
+    # Optimistic start: each class's flows alone on the cluster.
+    rates: List[float] = []
+    for ci in range(n_classes):
+        bound = cls_caps[ci] if cls_caps[ci] is not None else float("inf")
+        for pool_id, weight in cls_weights[ci].items():
+            bound = min(bound, capacities[pool_id] / weight)
+        rates.append(bound)
 
     def sweep(damping: float) -> float:
+        """One class-level sweep; returns the largest relative change."""
         max_change = 0.0
         for ci in range(n_classes):
-            bound = cap_arr[ci]
-            hungry = int(mult[ci])
-            for p in class_pools[ci]:
-                up = others[ci][p]
-                level = _hungry_level_grouped_arrays(
-                    weights[up, p] * rates[up],
-                    mult[up],
-                    caps_vec[p],
-                    hungry,
+            bound = cls_caps[ci] if cls_caps[ci] is not None else float("inf")
+            for pool_id, weight in cls_weights[ci].items():
+                others: List[Tuple[float, int]] = []
+                for cj in pool_users[pool_id]:
+                    if cj != ci:
+                        others.append(
+                            (cls_weights[cj][pool_id] * rates[cj], multiplicity[cj])
+                        )
+                level = _hungry_level_grouped(
+                    others, capacities[pool_id], hungry=multiplicity[ci]
                 )
-                bound = min(bound, level / weights[ci, p])
-            if bound == math.inf:
+                bound = min(bound, level / weight)
+            if bound == float("inf"):  # pragma: no cover - FlowSpec forbids
                 raise SimulationError(f"class {ci} is unbounded")
             updated = damping * rates[ci] + (1.0 - damping) * bound
             max_change = max(
@@ -297,8 +241,8 @@ def solve_max_min_classes(
             rates[ci] = updated
         return max_change
 
-    residual = math.inf
     converged = False
+    residual = math.inf
     for _ in range(_MAX_ITER):
         residual = sweep(damping=0.0)
         if residual <= _REL_TOL_COLLAPSED:
@@ -315,10 +259,9 @@ def solve_max_min_classes(
             residual, n_classes, 0.5, _REL_TOL_COLLAPSED_DAMPED
         )
 
-    final = [max(float(r), 0.0) for r in rates]
-    pool_users = {p: [int(ci) for ci in users[pidx[p]]] for p in pool_ids}
-    _repair_feasible(final, cls_weights, [int(m) for m in mult], pool_users, capacities)
-    return np.asarray(final)
+    final = [max(r, 0.0) for r in rates]
+    _repair_feasible(final, cls_weights, multiplicity, pool_users, capacities)
+    return final
 
 
 def _repair_feasible(
@@ -476,15 +419,13 @@ def _solve_collapsed(
     weights: List[Dict[str, float]],
     capacities: Mapping[str, float],
 ) -> Dict[str, float]:
-    """Gauss-Seidel over equivalence classes of identical flows.
+    """Group identical flows into classes and solve them with
+    :func:`solve_max_min_classes`.
 
     Flows with the same aggregated ``(pool, weight)`` signature and the same
     cap are interchangeable: the max-min-fair allocation is unique and
-    invariant under permuting them, so they share one rate.  Each class
-    carries its multiplicity into the water-level computation (a class of
-    ``m`` flows contributes ``m`` demanders to every pool it uses).
+    invariant under permuting them, so they share one rate.
     """
-    class_of_key: Dict[Tuple, int] = {}
     member_map: Dict[Tuple, List[int]] = {}
     for idx, flow in enumerate(flows):
         key = (flow.cap, tuple(sorted(weights[idx].items())))
@@ -494,83 +435,21 @@ def _solve_collapsed(
     # presenting the same *multiset* of flows perform bit-identical sweeps.
     # This matters to the engine — symmetric cluster nodes must converge to
     # float-identical rates so their completion deadlines coincide exactly.
-    def class_order(key: Tuple):
-        return class_sort_key(*key)
-
-    members: List[List[int]] = []
-    for key in sorted(member_map, key=class_order):
-        class_of_key[key] = len(members)
-        members.append(member_map[key])
-
-    n_classes = len(members)
-    cls_weights = [weights[group[0]] for group in members]
-    cls_caps = [flows[group[0]].cap for group in members]
-    mult = [len(group) for group in members]
-
-    pool_users: Dict[str, List[int]] = {}
-    for ci, agg in enumerate(cls_weights):
-        for pool_id in agg:
-            pool_users.setdefault(pool_id, []).append(ci)
-
-    # Optimistic start: each class's flows alone on the cluster.
-    rates: List[float] = []
-    for ci in range(n_classes):
-        bound = cls_caps[ci] if cls_caps[ci] is not None else float("inf")
-        for pool_id, weight in cls_weights[ci].items():
-            bound = min(bound, capacities[pool_id] / weight)
-        rates.append(bound)
-
-    def sweep(damping: float) -> float:
-        """One class-level sweep; returns the largest relative change."""
-        max_change = 0.0
-        for ci in range(n_classes):
-            bound = cls_caps[ci] if cls_caps[ci] is not None else float("inf")
-            for pool_id, weight in cls_weights[ci].items():
-                others: List[Tuple[float, int]] = []
-                for cj in pool_users[pool_id]:
-                    if cj != ci:
-                        others.append((cls_weights[cj][pool_id] * rates[cj], mult[cj]))
-                level = _hungry_level_grouped(
-                    others, capacities[pool_id], hungry=mult[ci]
-                )
-                bound = min(bound, level / weight)
-            if bound == float("inf"):  # pragma: no cover - FlowSpec forbids
-                raise SimulationError(
-                    f"flow {flows[members[ci][0]].flow_id!r} is unbounded"
-                )
-            updated = damping * rates[ci] + (1.0 - damping) * bound
-            max_change = max(
-                max_change, abs(updated - rates[ci]) / max(rates[ci], _EPS)
-            )
-            rates[ci] = updated
-        return max_change
-
-    converged = False
-    residual = math.inf
-    for _ in range(_MAX_ITER):
-        residual = sweep(damping=0.0)
-        if residual <= _REL_TOL_COLLAPSED:
-            converged = True
-            break
-    if not converged:
-        for _ in range(_MAX_ITER):
-            residual = sweep(damping=0.5)
-            if residual <= _REL_TOL_COLLAPSED_DAMPED:
-                converged = True
-                break
-    if not converged:
-        raise _nonconvergence(
-            residual, n_classes, 0.5, _REL_TOL_COLLAPSED_DAMPED
-        )
-
-    final = [max(r, 0.0) for r in rates]
-    _repair_feasible(final, cls_weights, mult, pool_users, capacities)
-    result: Dict[str, float] = {}
-    for ci, group in enumerate(members):
-        for idx in group:
-            result[flows[idx].flow_id] = final[ci]
-    return result
-
+    members = [
+        member_map[key]
+        for key in sorted(member_map, key=lambda key: class_sort_key(*key))
+    ]
+    rates = solve_max_min_classes(
+        [weights[group[0]] for group in members],
+        [flows[group[0]].cap for group in members],
+        [len(group) for group in members],
+        capacities,
+    )
+    return {
+        flows[idx].flow_id: rate
+        for group, rate in zip(members, rates)
+        for idx in group
+    }
 
 def pool_utilisation(
     flows: Sequence[FlowSpec],

@@ -12,10 +12,15 @@ from repro.scheduler import YarnPlacer
 CONTAINER = ResourceVector(1.0, 2000.0)
 
 
+def _pairs(grants):
+    """(job, node) pairs of ``assign_queues`` triples."""
+    return [(job, node) for job, node, _ in grants]
+
+
 class TestPlacement:
     def test_spreads_one_job_across_nodes(self):
         placer = YarnPlacer(paper_cluster())
-        placements = placer.assign({"a": (CONTAINER, 20)})
+        placements = _pairs(placer.assign_queues({"a": [(CONTAINER, 20)]}))
         counts = collections.Counter(node for _, node in placements)
         assert len(placements) == 20
         assert all(c == 2 for c in counts.values())
@@ -24,7 +29,9 @@ class TestPlacement:
         # The critical behaviour: two jobs must share nodes, not segregate
         # onto disjoint halves (that would erase cross-job contention).
         placer = YarnPlacer(paper_cluster())
-        placements = placer.assign({"a": (CONTAINER, 40), "b": (CONTAINER, 40)})
+        placements = _pairs(placer.assign_queues(
+            {"a": [(CONTAINER, 40)], "b": [(CONTAINER, 40)]}
+        ))
         per_node = collections.defaultdict(set)
         for job, node in placements:
             per_node[node].add(job)
@@ -34,18 +41,20 @@ class TestPlacement:
         # 16 x 2 GB containers fit a 32 GB / 6-core node.
         cluster = Cluster(node=NodeSpec(), workers=1)
         placer = YarnPlacer(cluster)
-        placements = placer.assign({"a": (CONTAINER, 100)})
+        placements = _pairs(placer.assign_queues({"a": [(CONTAINER, 100)]}))
         assert len(placements) == 16
 
     def test_enforce_vcores_limits_to_cores(self):
         cluster = Cluster(node=NodeSpec(), workers=1)
         placer = YarnPlacer(cluster, enforce_vcores=True)
-        placements = placer.assign({"a": (CONTAINER, 100)})
+        placements = _pairs(placer.assign_queues({"a": [(CONTAINER, 100)]}))
         assert len(placements) == 6
 
     def test_drf_splits_capacity_evenly(self):
         placer = YarnPlacer(paper_cluster())
-        placements = placer.assign({"a": (CONTAINER, 500), "b": (CONTAINER, 500)})
+        placements = _pairs(placer.assign_queues(
+            {"a": [(CONTAINER, 500)], "b": [(CONTAINER, 500)]}
+        ))
         counts = collections.Counter(job for job, _ in placements)
         assert counts["a"] == counts["b"] == 80
 
@@ -53,9 +62,9 @@ class TestPlacement:
         placer = YarnPlacer(paper_cluster(), policy="fifo")
         placer.register_job("first")
         placer.register_job("second")
-        placements = placer.assign(
-            {"second": (CONTAINER, 500), "first": (CONTAINER, 500)}
-        )
+        placements = _pairs(placer.assign_queues(
+            {"second": [(CONTAINER, 500)], "first": [(CONTAINER, 500)]}
+        ))
         counts = collections.Counter(job for job, _ in placements)
         assert counts["first"] == 160
         assert "second" not in counts
@@ -63,7 +72,7 @@ class TestPlacement:
     def test_release_returns_capacity(self):
         cluster = Cluster(node=NodeSpec(), workers=1)
         placer = YarnPlacer(cluster)
-        [(job, node)] = placer.assign({"a": (CONTAINER, 1)})
+        [(job, node)] = _pairs(placer.assign_queues({"a": [(CONTAINER, 1)]}))
         placer.release(job, node, CONTAINER)
         assert placer.free_capacity().memory_mb == pytest.approx(32_000.0)
 
@@ -80,12 +89,14 @@ class TestPlacement:
     def test_nothing_fits_returns_partial(self):
         cluster = Cluster(node=NodeSpec(), workers=1)
         placer = YarnPlacer(cluster)
-        placements = placer.assign({"a": (ResourceVector(1, 20_000.0), 5)})
+        placements = _pairs(
+            placer.assign_queues({"a": [(ResourceVector(1, 20_000.0), 5)]})
+        )
         assert len(placements) == 1  # only one 20 GB container fits
 
     def test_usage_tracking(self):
         placer = YarnPlacer(paper_cluster())
-        placer.assign({"a": (CONTAINER, 3)})
+        placer.assign_queues({"a": [(CONTAINER, 3)]})
         assert placer.usage_of("a").memory_mb == pytest.approx(6000.0)
 
 

@@ -295,20 +295,13 @@ class TestFeasibilityRepair:
         assert all(r >= 0 for r in rates)
 
 
-# -- the array-native class solver (columnar engine's path) ---------------------
+# -- the class solver, called directly (columnar engine's path) ------------------
 
 import math
 import random
 
-import numpy as np
-
 from repro.simulator import sharing
-from repro.simulator.sharing import (
-    _hungry_level_grouped,
-    _hungry_level_grouped_arrays,
-    class_sort_key,
-    solve_max_min_classes,
-)
+from repro.simulator.sharing import class_sort_key, solve_max_min_classes
 
 _POOLS = ("cpu", "disk", "net")
 
@@ -348,36 +341,10 @@ def _group_classes(flows):
 
 
 class TestClassSolver:
-    """The vectorised water level and the array-native class solver must be
-    *bit-identical* to their scalar/dict counterparts — the columnar engine
-    relies on this to stay float-exact with the object engine."""
-
-    def test_vectorised_water_level_matches_scalar(self):
-        rng = random.Random(7)
-        for _ in range(400):
-            n = rng.randint(0, 6)
-            groups = [
-                (round(rng.uniform(0.01, 5.0), 4), rng.randint(1, 8))
-                for _ in range(n)
-            ]
-            # Inject demand ties so lexsort's secondary key is exercised.
-            if n >= 2 and rng.random() < 0.5:
-                groups[1] = (groups[0][0], groups[1][1])
-            capacity = round(rng.uniform(0.5, 20.0), 4)
-            hungry = rng.randint(1, 6)
-            scalar = _hungry_level_grouped(list(groups), capacity, hungry)
-            vector = _hungry_level_grouped_arrays(
-                np.array([d for d, _ in groups]),
-                np.array([c for _, c in groups], dtype=np.int64),
-                capacity,
-                hungry,
-            )
-            assert vector == scalar  # exact float equality, not approx
-
-    def test_empty_groups(self):
-        assert _hungry_level_grouped_arrays(
-            np.empty(0), np.empty(0, dtype=np.int64), 8.0, 4
-        ) == _hungry_level_grouped([], 8.0, 4) == 2.0
+    """Called on pre-grouped classes, the class solver must give every
+    member of a class the *bit-identical* rate ``solve_max_min`` gives it —
+    the columnar engine relies on this to stay float-exact with the fast
+    engine."""
 
     def test_class_solver_matches_collapsed(self):
         rng = random.Random(21)
@@ -399,7 +366,7 @@ class TestClassSolver:
 
     def test_empty_class_list(self):
         out = solve_max_min_classes([], [], [], {"cpu": 4.0})
-        assert out.size == 0
+        assert len(out) == 0
 
 
 class TestNonConvergence:
