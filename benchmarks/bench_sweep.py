@@ -141,7 +141,7 @@ def _run_grid_scenario(reducers, splits) -> dict:
         # Spawn every worker and round-trip one trivial task each, so the
         # timed sweep below runs on a warm pool.
         t0 = time.perf_counter()
-        pool.map_chunks(abs, range(2 * processes))
+        list(pool.run_chunks(abs, range(2 * processes)))
         spawn_s = time.perf_counter() - t0
         with SweepRunner(cluster, pool=pool) as pooled:
             t0 = time.perf_counter()

@@ -23,22 +23,19 @@ mean makespan, within the usual hard min/max replication bounds.
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.dag.workflow import Workflow
 from repro.errors import SpecificationError
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.simulator.engine import SimulationConfig
 from repro.ensemble.engine import (
     EnsembleConfig,
     VariantSpec,
     _Accumulator,
-    _EnsembleSetup,
-    _ReplicationDriver,
+    _replicate,
 )
 from repro.ensemble.quantiles import RunningStat, mean_halfwidth
 
@@ -183,55 +180,29 @@ def compare_paired(
         workflow_a.name,
         workflow_b.name,
     )
-    t0 = time.perf_counter()
     tracer = get_tracer()
-    span = (
-        tracer.begin("ensemble.compare", a=label_a, b=label_b)
-        if tracer.enabled
-        else None
-    )
-    registry = get_metrics()
-    replication_ctr = (
-        registry.counter("ensemble.replications") if registry.enabled else None
-    )
-    acc_a = _Accumulator(ens.tracked_quantiles(), replication_ctr)
-    acc_b = _Accumulator(ens.tracked_quantiles(), replication_ctr)
-    setup = _EnsembleSetup(
-        variants=(
+    span = tracer.begin("ensemble.compare", a=label_a, b=label_b)
+
+    def converged(accumulators: List[_Accumulator]) -> bool:
+        acc_a, acc_b = accumulators
+        deltas = RunningStat()
+        for a, b in zip(acc_a.samples, acc_b.samples):
+            deltas.push(b - a)
+        halfwidth = mean_halfwidth(deltas.count, deltas.std, ens.ci_z)
+        baseline = acc_a.makespan.mean
+        return baseline > 0 and halfwidth <= ens.ci_tol * baseline
+
+    run = _replicate(
+        [
             VariantSpec(workflow_a, cluster, config),
             VariantSpec(
                 workflow_b, cluster_b if cluster_b is not None else cluster, config
             ),
-        ),
-        base_seed=ens.base_seed,
-        keep_trace_below=0,
+        ],
+        replace(ens, exemplars=0),
+        stop=converged if ens.ci_tol is not None else None,
     )
-    early_stopped = False
-    with _ReplicationDriver(setup, ens.processes, ens.chunksize) as driver:
-        for target in ens.round_targets():
-            items = []
-            for i in range(acc_a.count, target):
-                items.append((0, i))
-                items.append((1, i))
-            for variant_idx, record, trace in driver.run(items):
-                (acc_a if variant_idx == 0 else acc_b).add(record, trace)
-            assert acc_a.settled() and acc_b.settled()
-            if ens.ci_tol is None or acc_a.count >= ens.replications:
-                continue
-            deltas = RunningStat()
-            for a, b in zip(acc_a.samples, acc_b.samples):
-                deltas.push(b - a)
-            halfwidth = mean_halfwidth(deltas.count, deltas.std, ens.ci_z)
-            if acc_a.makespan.mean > 0 and (
-                halfwidth <= ens.ci_tol * acc_a.makespan.mean
-            ):
-                early_stopped = True
-                if registry.enabled:
-                    registry.counter("ensemble.early_stops").inc()
-                break
-        pool_used = driver.pool_used
-        cpu_s = driver.cpu_time_s
-
+    acc_a, acc_b = run.accumulators
     comparison = paired_from_samples(
         label_a,
         acc_a.samples,
@@ -239,18 +210,17 @@ def compare_paired(
         acc_b.samples,
         base_seed=ens.base_seed,
         z=ens.ci_z,
-        early_stopped=early_stopped,
-        wall_time_s=time.perf_counter() - t0,
-        cpu_time_s=cpu_s,
-        processes=ens.processes,
-        pool_used=pool_used,
+        early_stopped=run.early_stopped,
+        wall_time_s=run.wall_s,
+        cpu_time_s=run.cpu_s,
+        processes=run.processes,
+        pool_used=run.pooled,
     )
-    if span is not None:
-        tracer.finish(
-            span,
-            replications=comparison.replications,
-            early_stopped=early_stopped,
-            pooled=pool_used,
-        )
+    tracer.finish(
+        span,
+        replications=comparison.replications,
+        early_stopped=comparison.early_stopped,
+        pooled=comparison.pool_used,
+    )
     logger.debug("paired comparison: %s", comparison.describe())
     return comparison

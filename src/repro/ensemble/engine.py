@@ -10,32 +10,37 @@ and deterministically:
   :class:`~repro.simulator.engine.SimulationConfig` through
   :func:`~repro.simulator.seeding.replication_config`, a pure function of
   ``(base_seed, i)``, so any process may run any replication.
-* **Ship-once shared setup** — the workflow/cluster/config triple is the
-  pool context of
+* **One replication driver** — :class:`EnsembleRunner`,
+  :func:`repro.ensemble.compare.compare_paired` and
+  :meth:`repro.sweep.SweepRunner.simulate_candidates` all run through
+  ``_replicate``: the variants are the pool context of
   :meth:`~repro.service.pool.ResilientPool.map_with_context`, pickled once
-  per run; work items are bare ``(variant, index)`` integer pairs.
+  per run, and work items are bare ``(variant, index)`` integer pairs.
+  Callers differ only in their early-stopping rule.
 * **Streaming aggregation** — each replication reduces to a small
   :class:`ReplicationRecord` inside the worker; the parent folds records
   into P² quantile markers, Welford summaries and per-state duration
   summaries *in replication order* (an index-ordered reorder buffer), so
   no trace is retained beyond the configurable ``exemplars`` prefix.
-* **Adaptive early stopping** — after each round the order-statistic CI of
-  the target quantile is checked against ``ci_tol``; rounds are fixed by
-  the config (never by the worker count), so the replication count at
-  which an ensemble stops is itself deterministic.
+* **Adaptive early stopping** — after each round the caller's stop rule
+  (for :class:`EnsembleRunner`, the order-statistic CI of the target
+  quantile against ``ci_tol``) is checked; rounds are fixed by the config
+  (never by the worker count), so the replication count at which an
+  ensemble stops is itself deterministic.
 
 Determinism contract: a given ``(base_seed, n)`` produces bit-identical
 aggregates regardless of process count or chunk arrival order, enforced by
 ``tests/ensemble/test_engine.py`` against the serial path (mirroring the
-sweep layer's parity contract).
+sweep layer's parity contract) and pinned to the bit by
+``tests/ensemble/test_ensemble_golden.py``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.dag.workflow import Workflow
@@ -44,7 +49,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.service.pool import CancelCheck, ResilientPool
 from repro.simulator.engine import SimulationConfig, simulate
-from repro.simulator.seeding import replication_seeds
+from repro.simulator.seeding import replication_config
 from repro.simulator.trace import SimulationResult
 from repro.ensemble.quantiles import (
     P2Quantile,
@@ -236,17 +241,12 @@ def run_replication(
     The full trace is dropped inside the worker unless ``keep_trace`` —
     this is the streaming-aggregation boundary.
     """
-    skew_seed, failure_seed = replication_seeds(base_seed, index)
-    config = replace(
-        variant.config,
-        skew=replace(variant.config.skew, seed=skew_seed),
-        failures=replace(variant.config.failures, seed=failure_seed),
-    )
+    config = replication_config(variant.config, base_seed, index)
     result = simulate(variant.workflow, variant.cluster, config)
     record = ReplicationRecord(
         index=index,
-        skew_seed=skew_seed,
-        failure_seed=failure_seed,
+        skew_seed=config.skew.seed,
+        failure_seed=config.failures.seed,
         makespan=result.makespan,
         tasks=result.task_count,
         states=len(result.states),
@@ -318,6 +318,30 @@ class _Accumulator:
     def target_ci(self, q: float, z: float) -> Tuple[float, float]:
         return quantile_ci(sorted(self.samples), q, z)
 
+    def result(
+        self, label: str, ens: EnsembleConfig, run: _Replicated
+    ) -> EnsembleResult:
+        """The :class:`EnsembleResult` of this accumulator's replications."""
+        return EnsembleResult(
+            workflow=label,
+            replications=self.count,
+            max_replications=ens.replications,
+            early_stopped=run.early_stopped,
+            base_seed=ens.base_seed,
+            target_quantile=ens.target_quantile,
+            ci=self.target_ci(ens.target_quantile, ens.ci_z),
+            quantiles=self.quantiles(),
+            makespan=self.makespan.snapshot(),
+            failed_attempts=self.failed.snapshot(),
+            state_durations=tuple(s.snapshot() for s in self.states),
+            samples=tuple(self.samples),
+            exemplars=tuple(self.exemplars[i] for i in sorted(self.exemplars)),
+            wall_time_s=run.wall_s,
+            cpu_time_s=run.cpu_s,
+            processes=run.processes,
+            pool_used=run.pooled,
+        )
+
 
 # -- pooled execution -------------------------------------------------------------
 
@@ -353,49 +377,75 @@ def _evaluate_items(
     return out
 
 
-class _ReplicationDriver:
-    """Runs work items through an owned or a borrowed
-    :class:`~repro.service.pool.ResilientPool`, accumulating CPU time; the
-    round / early-stopping policy lives with the caller."""
+class _Replicated(NamedTuple):
+    """What :func:`_replicate` returns: one accumulator per variant plus
+    the run's telemetry."""
 
-    def __init__(
-        self,
-        setup: _EnsembleSetup,
-        processes: int,
-        chunksize: Optional[int],
-        pool: Optional[ResilientPool] = None,
-    ):
-        self._setup = setup
-        self._chunksize = chunksize
-        self._own_pool = pool is None
-        self._pool = pool if pool is not None else ResilientPool(processes, label="ensemble")
-        self.cpu_time_s = 0.0
-        self.pool_used = False
+    accumulators: List[_Accumulator]
+    wall_s: float
+    cpu_s: float
+    processes: int
+    pooled: bool
+    early_stopped: bool
 
-    @property
-    def processes(self) -> int:
-        return max(1, self._pool.processes)
 
-    def __enter__(self) -> "_ReplicationDriver":
-        return self
+def _replicate(
+    variants: Sequence[VariantSpec],
+    ens: EnsembleConfig,
+    pool: Optional[ResilientPool] = None,
+    cancel: Optional[CancelCheck] = None,
+    stop: Optional[Callable[[List[_Accumulator]], bool]] = None,
+) -> _Replicated:
+    """Run ``ens``'s replications of every variant under common seeds.
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._pool.release(self._setup)
-        if self._own_pool:
-            self._pool.close()
-
-    def run(
-        self, items: Sequence[_Item], cancel: Optional[CancelCheck] = None
-    ) -> List[Tuple[int, ReplicationRecord, Optional[SimulationResult]]]:
-        mapped = self._pool.map_with_context(
-            self._setup, _evaluate_items, items, chunksize=self._chunksize, cancel=cancel
-        )
-        self.cpu_time_s += mapped.cpu_s
-        self.pool_used = self.pool_used or mapped.pooled
-        return [output for chunk in mapped.outputs for output in chunk]
+    The one replication driver: every variant's replication ``i`` runs
+    under the seeds of ``(ens.base_seed, i)``.  ``pool`` is borrowed (the
+    sweep runner's, the service's); without one an ``ens.processes`` pool
+    is owned for the call.  With ``stop`` the budget runs in the rounds of
+    :meth:`EnsembleConfig.round_targets`, and the run ends after the
+    first round whose accumulators satisfy ``stop``; without it the whole
+    budget is one batch.  ``cancel`` is polled between chunks.
+    """
+    t0 = time.perf_counter()
+    registry = get_metrics()
+    counter = registry.counter("ensemble.replications") if registry.enabled else None
+    accumulators = [_Accumulator(ens.tracked_quantiles(), counter) for _ in variants]
+    setup = _EnsembleSetup(tuple(variants), ens.base_seed, ens.exemplars)
+    owned = pool is None
+    if pool is None:
+        pool = ResilientPool(ens.processes, label="ensemble")
+    cpu_s, pooled, early_stopped = 0.0, False, False
+    done = 0
+    try:
+        for target in ens.round_targets() if stop is not None else [ens.replications]:
+            items = [(v, i) for i in range(done, target) for v in range(len(variants))]
+            mapped = pool.map_with_context(
+                setup, _evaluate_items, items, chunksize=ens.chunksize, cancel=cancel
+            )
+            cpu_s += mapped.cpu_s
+            pooled = pooled or mapped.pooled
+            for outputs in mapped.outputs:
+                for variant_idx, record, trace in outputs:
+                    accumulators[variant_idx].add(record, trace)
+            assert all(acc.settled() for acc in accumulators)
+            done = target
+            if stop is not None and done < ens.replications and stop(accumulators):
+                early_stopped = True
+                if registry.enabled:
+                    registry.counter("ensemble.early_stops").inc()
+                break
+    finally:
+        pool.release(setup)
+        if owned:
+            pool.close()
+    return _Replicated(
+        accumulators,
+        time.perf_counter() - t0,
+        cpu_s,
+        max(1, pool.processes),
+        pooled,
+        early_stopped,
+    )
 
 
 class EnsembleRunner:
@@ -440,80 +490,34 @@ class EnsembleRunner:
         raise its own typed error (the service's cooperative deadlines).
         """
         ens = self._ensemble
-        t0 = time.perf_counter()
         tracer = get_tracer()
-        span = (
-            tracer.begin(
-                "ensemble.run",
-                workflow=workflow.name,
-                max_replications=ens.replications,
-                processes=ens.processes,
-            )
-            if tracer.enabled
-            else None
-        )
-        registry = get_metrics()
-        replication_ctr = (
-            registry.counter("ensemble.replications") if registry.enabled else None
-        )
-        accumulator = _Accumulator(ens.tracked_quantiles(), replication_ctr)
-        setup = _EnsembleSetup(
-            variants=(VariantSpec(workflow, self._cluster, self._config),),
-            base_seed=ens.base_seed,
-            keep_trace_below=ens.exemplars,
-        )
-        early_stopped = False
-        with _ReplicationDriver(
-            setup, ens.processes, ens.chunksize, pool=self._pool
-        ) as driver:
-            for target in ens.round_targets():
-                items = [(0, i) for i in range(accumulator.count, target)]
-                for _, record, trace in driver.run(items, cancel):
-                    accumulator.add(record, trace)
-                assert accumulator.settled()
-                if ens.ci_tol is None or accumulator.count >= ens.replications:
-                    continue
-                lo, hi = accumulator.target_ci(ens.target_quantile, ens.ci_z)
-                estimate = sample_quantile(
-                    sorted(accumulator.samples), ens.target_quantile
-                )
-                if estimate > 0 and (hi - lo) / 2.0 <= ens.ci_tol * estimate:
-                    early_stopped = True
-                    if registry.enabled:
-                        registry.counter("ensemble.early_stops").inc()
-                    break
-            pool_used = driver.pool_used
-            cpu_s = driver.cpu_time_s
-            processes = driver.processes
-
-        result = EnsembleResult(
+        span = tracer.begin(
+            "ensemble.run",
             workflow=workflow.name,
-            replications=accumulator.count,
             max_replications=ens.replications,
-            early_stopped=early_stopped,
-            base_seed=ens.base_seed,
-            target_quantile=ens.target_quantile,
-            ci=accumulator.target_ci(ens.target_quantile, ens.ci_z),
-            quantiles=accumulator.quantiles(),
-            makespan=accumulator.makespan.snapshot(),
-            failed_attempts=accumulator.failed.snapshot(),
-            state_durations=tuple(s.snapshot() for s in accumulator.states),
-            samples=tuple(accumulator.samples),
-            exemplars=tuple(
-                accumulator.exemplars[i] for i in sorted(accumulator.exemplars)
-            ),
-            wall_time_s=time.perf_counter() - t0,
-            cpu_time_s=cpu_s,
-            processes=processes,
-            pool_used=pool_used,
+            processes=ens.processes,
         )
-        if span is not None:
-            tracer.finish(
-                span,
-                replications=result.replications,
-                early_stopped=result.early_stopped,
-                pooled=result.pool_used,
-            )
+
+        def converged(accumulators: List[_Accumulator]) -> bool:
+            (acc,) = accumulators
+            lo, hi = acc.target_ci(ens.target_quantile, ens.ci_z)
+            estimate = sample_quantile(sorted(acc.samples), ens.target_quantile)
+            return estimate > 0 and (hi - lo) / 2.0 <= ens.ci_tol * estimate
+
+        run = _replicate(
+            [VariantSpec(workflow, self._cluster, self._config)],
+            ens,
+            pool=self._pool,
+            cancel=cancel,
+            stop=converged if ens.ci_tol is not None else None,
+        )
+        result = run.accumulators[0].result(workflow.name, ens, run)
+        tracer.finish(
+            span,
+            replications=result.replications,
+            early_stopped=result.early_stopped,
+            pooled=result.pool_used,
+        )
         logger.debug("ensemble %s: %s", workflow.name, result.describe())
         return result
 

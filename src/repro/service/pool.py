@@ -6,11 +6,11 @@ service's jobs all fan pure work out through
 such calls over one pool.  This module owns everything they share:
 
 * **Context shipping.**  A caller's read-only context (cluster, task-time
-  sources, simulation variants) is pickled once per context object.  A
-  blob of at least :data:`repro.service.shm.MIN_SHIP_BYTES` is parked in
-  a shared-memory segment and chunks carry its handle; a smaller one rides
-  inline.  Workers memoise the unpickled context under a per-context key,
-  so the caches inside it stay warm across chunks and calls.
+  sources, simulation variants) is pickled once per context object, and
+  every chunk carries the blob inline (measured contexts are 1–12 KB).
+  Workers memoise the unpickled context under a per-context key in a
+  bounded FIFO cache, so the caches inside it stay warm across chunks and
+  calls.
 * **Loud serial degradation.**  A context that does not pickle (closures,
   open handles) cannot ride a pool.  The pickle probe logs the reason at
   WARNING and counts ``pool.serial_fallback``, because silent degradation
@@ -53,14 +53,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.errors import JobCancelledError
 from repro.obs.context import clear_context
 from repro.obs.metrics import get_metrics, snapshot_delta
 from repro.obs.tracer import get_tracer
-from repro.service import shm
 
 logger = logging.getLogger(__name__)
 
@@ -99,16 +97,10 @@ class MappedChunks(NamedTuple):
 
 class _Shipment(NamedTuple):
     """A context as chunks carry it: worker cache key plus the pickled
-    blob (inline) or the shared segment holding it."""
+    blob."""
 
     key: str
-    shipped: Union[bytes, shm.ShmHandle]
-
-
-def _unlink(shipment: Optional[_Shipment]) -> None:
-    """Parent-side: unlink a shipment's shared segment, if it has one."""
-    if shipment is not None and isinstance(shipment.shipped, shm.ShmHandle):
-        shm.release(shipment.shipped)
+    blob: bytes
 
 
 # -- worker side -----------------------------------------------------------------
@@ -135,11 +127,10 @@ def _init_worker(metrics_enabled: bool, trace_enabled: bool) -> None:
         get_tracer().enable()
 
 
-def resolve_context(key: str, shipped: Union[bytes, shm.ShmHandle]) -> Any:
+def resolve_context(key: str, blob: bytes) -> Any:
     """Worker-side: the context behind a shipment, unpickled once per key."""
     if key in _worker_contexts:
         return _worker_contexts[key]
-    blob = shm.load(shipped) if isinstance(shipped, shm.ShmHandle) else shipped
     context = pickle.loads(blob)
     while len(_worker_contexts) >= WORKER_CACHE_ENTRIES:
         _worker_contexts.popitem(last=False)
@@ -157,8 +148,8 @@ def _run_chunk(payload: Tuple[Any, ...]) -> Tuple[Any, float, Dict, List]:
     :meth:`~repro.obs.tracer.Tracer.ingest`.  Workers are single-threaded,
     so ``process_time`` is exactly the chunk's CPU share.
     """
-    key, shipped, work, items, metrics_on, trace_on = payload
-    context = resolve_context(key, shipped)
+    key, blob, work, items, metrics_on, trace_on = payload
+    context = resolve_context(key, blob)
     registry = get_metrics()
     before = registry.snapshot() if metrics_on else {}
     tracer = get_tracer()
@@ -222,15 +213,12 @@ class ResilientPool:
         return self._broken
 
     def close(self) -> None:
-        """Shut the executor down and release every shipped context."""
+        """Shut the executor down and forget every shipped context."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
         with self._lock:
-            entries = list(self._shipments.values())
             self._shipments.clear()
-        for _, shipment in entries:
-            _unlink(shipment)
 
     def __enter__(self) -> "ResilientPool":
         return self
@@ -284,25 +272,18 @@ class ResilientPool:
                     exc,
                 )
             else:
-                handle = shm.pack(blob, self._label)
-                shipment = (
-                    _Shipment(handle.name, handle)
-                    if handle is not None
-                    else _Shipment(os.urandom(16).hex(), blob)
-                )
+                shipment = _Shipment(os.urandom(16).hex(), blob)
             self._shipments[id(context)] = (context, shipment)
             return shipment
 
     def release(self, context: Any) -> None:
-        """Forget ``context``'s shipment and unlink its shared segment.
+        """Forget ``context``'s shipment.
 
         Runners call this when they close; workers' copies age out of
         their bounded caches.  Releasing an unshipped context is a no-op.
         """
         with self._lock:
-            entry = self._shipments.pop(id(context), None)
-        if entry is not None:
-            _unlink(entry[1])
+            self._shipments.pop(id(context), None)
 
     # -- crash bookkeeping -------------------------------------------------------
 
@@ -367,7 +348,7 @@ class ResilientPool:
         registry = get_metrics()
         tracer = get_tracer()
         payloads = [
-            (shipment.key, shipment.shipped, work, chunk, registry.enabled, tracer.enabled)
+            (shipment.key, shipment.blob, work, chunk, registry.enabled, tracer.enabled)
             for chunk in chunks
         ]
         outputs = []
@@ -467,16 +448,6 @@ class ResilientPool:
             if serial_ctr is not None:
                 serial_ctr.inc()
             yield result
-
-    def map_chunks(
-        self,
-        fn: Callable[[Any], Any],
-        chunks: Sequence[Any],
-        serial_fn: Optional[Callable[[Any], Any]] = None,
-        cancel: Optional[CancelCheck] = None,
-    ) -> List[Any]:
-        """Eager :meth:`run_chunks` — all results as a list."""
-        return list(self.run_chunks(fn, chunks, serial_fn=serial_fn, cancel=cancel))
 
 
 def parent_cpu_clock() -> float:

@@ -340,49 +340,47 @@ class DagService:
 
     def _handle_estimate(self, params: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         workflow = self._workflow(str(self._require(params, "workload")))
-        variant = Variant(str(params.get("variant", "mean")))
+        variant = _param(params, "variant", lambda v: Variant(str(v)), Variant.MEAN)
         cluster = self._cluster_override(params)
         payload = self.estimates.estimate(
             workflow,
             cluster=cluster,
             variant=variant,
-            timeout=_opt_float(params, "timeout_s"),
+            timeout=_param(params, "timeout_s", float),
         )
         return (200 if payload["ok"] else 422), payload
 
     def _cluster_override(self, params: Dict[str, Any]) -> Optional[Cluster]:
-        workers = params.get("workers")
+        workers = _param(params, "workers", int)
         if workers is None:
             return None
-        workers = int(workers)
         if workers < 1:
             raise ServiceError(f"workers must be >= 1: {workers}")
         return Cluster(node=PAPER_NODE, workers=workers, name=f"{workers}w")
 
-    def _job_spec(
+    def _run_job(
         self,
         kind: str,
         label: str,
         params: Dict[str, Any],
         run: Callable[[Optional[CancelCheck]], Any],
-    ) -> JobSpec:
-        return JobSpec(
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Submit ``run`` as a job and wait for it unless ``wait`` is off;
+        a malformed parameter fails before anything is submitted."""
+        spec = JobSpec(
             kind=kind,
             run=run,
             label=label,
-            priority=int(params.get("priority", 1)),
-            deadline_s=_opt_float(params, "deadline_s"),
-            retries=int(params.get("retries", 0)),
-            backoff_s=float(params.get("backoff_s", 0.05)),
+            priority=_param(params, "priority", int, 1),
+            deadline_s=_param(params, "deadline_s", float),
+            retries=_param(params, "retries", int, 0),
+            backoff_s=_param(params, "backoff_s", float, 0.05),
         )
-
-    def _finish_job(
-        self, job, params: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+        timeout = _param(params, "timeout_s", float)
+        job = self.scheduler.submit(spec)
         if params.get("wait", True) in (False, "0", "false", "no"):
             return 202, job.describe()
-        result = job.outcome(_opt_float(params, "timeout_s"))
-        return 200, dict(result, job=job.describe())
+        return 200, dict(job.outcome(timeout), job=job.describe())
 
     def _handle_sweep(self, params: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         from repro.sweep.runner import Candidate, SweepRunner
@@ -419,10 +417,7 @@ class DagService:
                 "pool_used": runner.report.pool_used,
             }
 
-        job = self.scheduler.submit(
-            self._job_spec("sweep", f"{workload} x{len(sizes)}", params, run)
-        )
-        return self._finish_job(job, params)
+        return self._run_job("sweep", f"{workload} x{len(sizes)}", params, run)
 
     def _handle_ensemble(self, params: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         from repro.ensemble.engine import EnsembleConfig, EnsembleRunner
@@ -431,12 +426,12 @@ class DagService:
         workload = str(self._require(params, "workload"))
         workflow = self._workflow(workload)
         cluster = self._cluster_override(params) or self._cluster
-        replications = int(params.get("replications", 16))
+        replications = _param(params, "replications", int, 16)
         ensemble = EnsembleConfig(
             replications=replications,
             min_replications=min(8, replications),
-            base_seed=int(params.get("seed", 42)),
-            exemplars=max(1, int(params.get("exemplars", 1))),
+            base_seed=_param(params, "seed", int, 42),
+            exemplars=max(1, _param(params, "exemplars", int, 1)),
             processes=self.pool.processes,
         )
         config = SimulationConfig()
@@ -467,15 +462,24 @@ class DagService:
                 payload["bottlenecks"] = report.to_rows()
             return payload
 
-        job = self.scheduler.submit(
-            self._job_spec("ensemble", workload, params, run)
-        )
-        return self._finish_job(job, params)
+        return self._run_job("ensemble", workload, params, run)
 
 
-def _opt_float(params: Dict[str, Any], key: str) -> Optional[float]:
+def _param(
+    params: Dict[str, Any],
+    key: str,
+    parse: Callable[[Any], Any],
+    default: Any = None,
+) -> Any:
+    """``parse(params[key])``, or ``default`` when absent; a value that
+    does not parse is a :class:`~repro.errors.ServiceError` (400)."""
     value = params.get(key)
-    return None if value is None else float(value)
+    if value is None:
+        return default
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"malformed parameter {key!r}: {value!r} ({exc})") from None
 
 
 def _worker_sizes(raw: Any) -> list:

@@ -18,17 +18,17 @@ batched-cached-parallel:
   rate, wall vs CPU time, per-phase breakdown — surfaced by the CLI, the
   examples and ``benchmarks/bench_sweep.py``;
 * candidates can also be evaluated *distributionally*
-  (:meth:`SweepRunner.simulate_candidates`): a Monte Carlo replication
-  ensemble of the ground-truth simulator per candidate, sharing the same
-  worker pool, with common random numbers across candidates so two
-  configurations rank by paired deltas
+  (:meth:`SweepRunner.simulate_candidates`): after the bound screen, the
+  surviving candidates run through the ensemble layer's one replication
+  driver on the same worker pool, with common random numbers across
+  candidates so two configurations rank by paired deltas
   (:meth:`SweepRunner.compare_paired`) rather than two noisy points.
 
 Process-pool semantics: batches run through
 :meth:`~repro.service.pool.ResilientPool.map_with_context`.  The worker
 context (cluster, task-time sources, estimator configuration) ships once
-per runner and each worker keeps its copy, caches included, warm across
-batches.  A runner whose source does not pickle (e.g. a closure-based test
+per runner, inline in each chunk, and each worker keeps its copy, caches
+included, warm across batches.  A runner whose source does not pickle (e.g. a closure-based test
 stub) degrades to the serial path with a WARNING and a
 ``pool.serial_fallback`` count, and a worker that crashes mid-map
 (``BrokenProcessPool``) marks the pool broken (``pool.broken``), finishes
@@ -521,6 +521,31 @@ class SweepRunner:
         self._bounds_models[cluster] = model
         return model
 
+    def _lower_bounds(
+        self, pairs: Sequence[Tuple[Optional[Cluster], Workflow]]
+    ) -> List[Optional[float]]:
+        """Analytic makespan lower bound per ``(cluster, workflow)`` pair.
+
+        Pairs are batched through
+        :meth:`~repro.core.bounds.BoundsModel.bounds_batch` per cluster key
+        (``None`` is the runner's cluster); a pair whose cluster has no
+        bounds model (see :meth:`_bounds_for`) gets ``None``.
+        """
+        bounds: List[Optional[float]] = [None] * len(pairs)
+        by_cluster: Dict[Optional[Cluster], List[int]] = {}
+        for position, (cluster, _) in enumerate(pairs):
+            by_cluster.setdefault(cluster, []).append(position)
+        for cluster, positions in by_cluster.items():
+            model = self._bounds_for(
+                cluster if cluster is not None else self._context._cluster
+            )
+            if model is None:
+                continue
+            batch = model.bounds_batch([pairs[p][1] for p in positions])
+            for position, lower in zip(positions, batch):
+                bounds[position] = lower
+        return bounds
+
     def _prune_items(
         self,
         items: List[_Item],
@@ -538,19 +563,8 @@ class SweepRunner:
         the threshold also lower-bounds below it, so the batch winner can
         never be pruned.
         """
-        bounds: List[Optional[float]] = [None] * len(items)
-        by_cluster: Dict[Optional[Cluster], List[int]] = {}
+        bounds = self._lower_bounds([(item[3], item[2]) for item in items])
         registry = get_metrics()
-        for position, item in enumerate(items):
-            by_cluster.setdefault(item[3], []).append(position)
-        for cluster_key, positions in by_cluster.items():
-            target = cluster_key if cluster_key is not None else self._context._cluster
-            model = self._bounds_for(target)
-            if model is None:
-                continue
-            batch = model.bounds_batch([items[p][2] for p in positions])
-            for position, lower in zip(positions, batch):
-                bounds[position] = lower
         threshold = incumbent_time_s
         reason = "incumbent"
         reference: Optional[CandidateResult] = None
@@ -758,32 +772,17 @@ class SweepRunner:
             One :class:`~repro.ensemble.EnsembleResult` per candidate, in
             submission order; a pruned candidate's slot is ``None``.
         """
-        from repro.ensemble.engine import (
-            EnsembleConfig,
-            EnsembleResult,
-            VariantSpec,
-            _Accumulator,
-            _EnsembleSetup,
-            _evaluate_items,
-        )
+        from repro.ensemble.engine import EnsembleConfig, VariantSpec, _replicate
         from repro.simulator.engine import SimulationConfig
 
         ens = ensemble if ensemble is not None else EnsembleConfig()
         config = config if config is not None else SimulationConfig()
         t0 = time.perf_counter()
         tracer = get_tracer()
-        span = (
-            tracer.begin(
-                "sweep.simulate_batch",
-                candidates=len(candidates),
-                replications=ens.replications,
-            )
-            if tracer.enabled
-            else None
-        )
-        registry = get_metrics()
-        replication_ctr = (
-            registry.counter("ensemble.replications") if registry.enabled else None
+        span = tracer.begin(
+            "sweep.simulate_batch",
+            candidates=len(candidates),
+            replications=ens.replications,
         )
         variants: List[Tuple[str, VariantSpec]] = []
         for entry in candidates:
@@ -797,10 +796,7 @@ class SweepRunner:
             variants.append(
                 (entry.name, VariantSpec(entry.workflow, cluster, config))
             )
-        accumulators = [
-            _Accumulator(ens.tracked_quantiles(), replication_ctr)
-            for _ in variants
-        ]
+        report = self._report
         # Bound screen: an analytic lower bound above the incumbent's
         # evaluated makespan skips the candidate's whole replication
         # budget — the biggest single saving pruning can buy, since one
@@ -808,96 +804,42 @@ class SweepRunner:
         pruned_out = [False] * len(variants)
         should_prune = self._prune if prune is None else prune
         if should_prune and incumbent_time_s is not None and variants:
-            by_cluster: Dict[Cluster, List[int]] = {}
-            for pos, (_, variant) in enumerate(variants):
-                by_cluster.setdefault(variant.cluster, []).append(pos)
-            pruned_ctr = (
-                registry.labeled_counter("sweep.pruned", reason="incumbent")
-                if registry.enabled
-                else None
+            bounds = self._lower_bounds(
+                [(variant.cluster, variant.workflow) for _, variant in variants]
             )
-            for cluster, positions in by_cluster.items():
-                model = self._bounds_for(cluster)
-                if model is None:
-                    continue
-                batch = model.bounds_batch(
-                    [variants[p][1].workflow for p in positions]
-                )
-                for pos, lower in zip(positions, batch):
-                    if lower is not None and lower > incumbent_time_s:
-                        pruned_out[pos] = True
-                        if pruned_ctr is not None:
-                            pruned_ctr.inc()
+            pruned_out = [b is not None and b > incumbent_time_s for b in bounds]
             skipped = sum(pruned_out)
+            registry = get_metrics()
+            if registry.enabled:
+                registry.labeled_counter("sweep.pruned", reason="incumbent").inc(
+                    skipped
+                )
             if skipped:
-                self._report.pruned += skipped
-                self._report.pruned_reasons["incumbent"] = (
-                    self._report.pruned_reasons.get("incumbent", 0) + skipped
+                report.pruned += skipped
+                report.pruned_reasons["incumbent"] = (
+                    report.pruned_reasons.get("incumbent", 0) + skipped
                 )
-        # One context for the whole batch: work items are
-        # (candidate, replication) pairs, so chunks may span candidates.
-        setup = _EnsembleSetup(
-            variants=tuple(variant for _, variant in variants),
-            base_seed=ens.base_seed,
-            keep_trace_below=ens.exemplars,
+        # The survivors replicate as one batch under common seeds: work
+        # items are (candidate, replication) pairs, so chunks may span
+        # candidates.
+        run = _replicate(
+            [variant for (_, variant), out in zip(variants, pruned_out) if not out],
+            ens,
+            pool=self._pool,
+            cancel=cancel,
         )
-        items = [
-            (cand_idx, index)
-            for cand_idx in range(len(variants))
-            if not pruned_out[cand_idx]
-            for index in range(ens.replications)
+        survivors = iter(run.accumulators)
+        results = [
+            None if out else next(survivors).result(label, ens, run)
+            for (label, _), out in zip(variants, pruned_out)
         ]
-        try:
-            mapped = self._pool.map_with_context(
-                setup, _evaluate_items, items, chunksize=ens.chunksize, cancel=cancel
-            )
-        finally:
-            self._pool.release(setup)
-        for outputs in mapped.outputs:
-            for cand_idx, record, trace in outputs:
-                accumulators[cand_idx].add(record, trace)
-        cpu_s, pooled = mapped.cpu_s, mapped.pooled
-        wall_s = time.perf_counter() - t0
-
-        results: List[Optional[EnsembleResult]] = []
-        for cand_idx, ((label, _), acc) in enumerate(zip(variants, accumulators)):
-            if pruned_out[cand_idx]:
-                results.append(None)
-                continue
-            assert acc.settled()
-            results.append(
-                EnsembleResult(
-                    workflow=label,
-                    replications=acc.count,
-                    max_replications=ens.replications,
-                    early_stopped=False,
-                    base_seed=ens.base_seed,
-                    target_quantile=ens.target_quantile,
-                    ci=acc.target_ci(ens.target_quantile, ens.ci_z),
-                    quantiles=acc.quantiles(),
-                    makespan=acc.makespan.snapshot(),
-                    failed_attempts=acc.failed.snapshot(),
-                    state_durations=tuple(s.snapshot() for s in acc.states),
-                    samples=tuple(acc.samples),
-                    exemplars=tuple(
-                        acc.exemplars[i] for i in sorted(acc.exemplars)
-                    ),
-                    wall_time_s=wall_s,
-                    cpu_time_s=cpu_s,
-                    processes=self._processes,
-                    pool_used=pooled,
-                )
-            )
-        survived = sum(1 for r in results if r is not None)
-        report = self._report
         report.candidates += len(results)
-        report.succeeded += survived
+        report.succeeded += len(run.accumulators)
         report.batches += 1
-        report.cpu_time_s += cpu_s
-        report.wall_time_s += wall_s
-        report.pool_used = report.pool_used or pooled
-        if span is not None:
-            tracer.finish(span, pooled=pooled)
+        report.cpu_time_s += run.cpu_s
+        report.wall_time_s += time.perf_counter() - t0
+        report.pool_used = report.pool_used or run.pooled
+        tracer.finish(span, pooled=run.pooled)
         logger.debug("distributional sweep batch: %s", report.describe())
         return results
 

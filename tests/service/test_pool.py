@@ -1,16 +1,24 @@
 """Tests for the crash-tolerant shared pool engine."""
 
 import os
+import pickle
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster import paper_cluster
+from repro.dag import single_job_workflow
+from repro.ensemble.engine import EnsembleConfig, EnsembleRunner
 from repro.errors import JobCancelledError, JobTimeoutError
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import get_metrics, set_metrics
+from repro.service import pool as pool_module
 from repro.service.pool import ResilientPool, check_cancel, parent_cpu_clock
 from repro.service.scheduler import deadline_checker
+from repro.sweep import Candidate, SweepRunner
+from repro.workloads import terasort, wordcount
 
 #: Captured at import time in the parent; forked pool workers inherit it,
 #: so ``os.getpid() != _PARENT_PID`` is True exactly in worker processes.
@@ -90,6 +98,52 @@ class TestProbeFallback:
             pooled = pool.map_with_context(3, _scale, [1, 2], chunksize=1)
             assert pooled.outputs == [[3], [6]]
             assert pooled.pooled
+
+    def test_unpicklable_declines_instead_of_raising(self):
+        """A context with an unpicklable member runs in process."""
+        context = [lambda: None]
+        with ResilientPool(2) as pool:
+            mapped = pool.map_with_context(context, _context_size, [1, 2])
+        assert mapped.outputs == [1, 1]
+        assert not mapped.pooled
+
+
+def _context_size(context, chunk):
+    return len(context)
+
+
+def _blob(obj):
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class TestWorkerContextCache:
+    """Worker side of context shipping: one unpickle per key, bounded."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_cache(self):
+        pool_module._worker_contexts.clear()
+        yield
+        pool_module._worker_contexts.clear()
+
+    def test_resolve_unpickles_the_inline_blob(self):
+        obj = {"not": "a handle"}
+        assert pool_module.resolve_context("inline-key", _blob(obj)) == obj
+
+    def test_resolve_memoises_by_key(self):
+        blob = _blob([1, 2, 3])
+        first = pool_module.resolve_context("key", blob)
+        second = pool_module.resolve_context("key", blob)
+        assert first is second  # cache hit, not a second unpickle
+
+    def test_worker_cache_is_bounded(self):
+        keys = [f"key-{i}" for i in range(pool_module.WORKER_CACHE_ENTRIES + 3)]
+        for i, key in enumerate(keys):
+            pool_module.resolve_context(key, _blob(f"payload-{i}"))
+        cache = pool_module._worker_contexts
+        assert len(cache) == pool_module.WORKER_CACHE_ENTRIES
+        # FIFO: the oldest entries were evicted, the newest retained.
+        assert keys[-1] in cache
+        assert keys[0] not in cache
 
 
 class TestMapWithContext:
@@ -241,3 +295,47 @@ class TestParentCpuClock:
         for i in range(2_000_00):
             x += i * i
         assert parent_cpu_clock() - t0 > 0.0
+
+
+def _grid_candidates(n=6):
+    base = terasort()
+    return [
+        Candidate(single_job_workflow(replace(base, num_reducers=r)), label=f"r{r}")
+        for r in range(2, 2 + 2 * n, 2)
+    ]
+
+
+class TestTransportParity:
+    """Pooled runs on owned and borrowed pools are bit-identical to the
+    serial path."""
+
+    def test_sweep_results_identical(self):
+        cluster = paper_cluster()
+        candidates = _grid_candidates()
+        serial = SweepRunner(cluster).evaluate(candidates)
+        expected = [(r.label, r.total_time_s, r.states) for r in serial]
+        with SweepRunner(cluster, processes=2) as owned:
+            results = owned.evaluate(candidates)
+            assert owned.report.pool_used
+        assert [(r.label, r.total_time_s, r.states) for r in results] == expected
+        with ResilientPool(2, label="service") as pool:
+            with SweepRunner(cluster, pool=pool) as borrowed:
+                results = borrowed.evaluate(candidates)
+                assert borrowed.report.pool_used
+        assert [(r.label, r.total_time_s, r.states) for r in results] == expected
+
+    def test_ensemble_aggregates_identical(self):
+        """(base_seed, n) determinism holds on owned and borrowed pools."""
+        cluster = paper_cluster()
+        workflow = single_job_workflow(wordcount())
+        serial_config = EnsembleConfig(replications=4, min_replications=4, base_seed=7)
+        serial = EnsembleRunner(cluster, ensemble=serial_config).run(workflow)
+        config = replace(serial_config, processes=2)
+        owned = EnsembleRunner(cluster, ensemble=config).run(workflow)
+        with ResilientPool(2, label="service") as pool:
+            borrowed = EnsembleRunner(cluster, ensemble=config, pool=pool).run(workflow)
+        for shipped in (owned, borrowed):
+            assert shipped.samples == serial.samples
+            assert shipped.quantiles == serial.quantiles
+            assert shipped.makespan == serial.makespan
+            assert shipped.pool_used

@@ -6,9 +6,12 @@ work of ONE request (measured through the ``boe.batch_points`` counter),
 every response bit-identical to a direct library call.
 """
 
+import http.client
+import json
 import threading
 import time
 from collections import Counter
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -251,6 +254,63 @@ class TestHttpServer:
                 )
         finally:
             service.close()
+
+
+#: One malformed value per parsed parameter: (endpoint, params).
+_MALFORMED = [
+    ("/ensemble", {"replications": "many"}),
+    ("/ensemble", {"seed": "x"}),
+    ("/ensemble", {"exemplars": [1]}),
+    ("/estimate", {"workers": "four"}),
+    ("/estimate", {"variant": "p99"}),
+    ("/estimate", {"timeout_s": "later"}),
+    ("/sweep", {"priority": "high"}),
+    ("/sweep", {"retries": "1.5"}),
+    ("/sweep", {"backoff_s": "soon"}),
+    ("/sweep", {"deadline_s": "tomorrow"}),
+    ("/sweep", {"timeout_s": {}}),
+]
+
+
+class TestMalformedParameters:
+    """A value that does not parse fails closed: a typed 400, no job."""
+
+    @pytest.fixture
+    def service(self, obs_sandbox):
+        service = DagService(scale=SCALE, processes=1, job_workers=1)
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize(
+        "path,params", _MALFORMED, ids=[f"{p}-{next(iter(q))}" for p, q in _MALFORMED]
+    )
+    def test_handle_returns_400(self, service, path, params):
+        body = dict(params, workload="wc")
+        if path == "/sweep":
+            body.setdefault("workers", [4])
+        status, payload = service.handle("POST", path, body)
+        assert status == 400
+        assert "malformed parameter" in payload["error"]
+        assert repr(next(iter(params))) in payload["error"]
+        assert not service.scheduler.jobs()
+
+    def test_http_returns_400(self, obs_sandbox):
+        with serve_in_thread(scale=SCALE, processes=1, job_workers=1) as handle:
+            url = urlsplit(handle.url)
+            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+            try:
+                connection.request(
+                    "POST",
+                    "/ensemble",
+                    body=json.dumps({"workload": "wc", "replications": "many"}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+        assert response.status == 400
+        assert "malformed parameter 'replications'" in payload["error"]
 
 
 def _counter_from(metrics, name):

@@ -169,7 +169,7 @@ class TestLabeledMetrics:
         # A one-process pool never builds an executor, so every chunk
         # takes the serial fallback path — and is counted as such.
         with ResilientPool(1, label="t") as pool:
-            assert pool.map_chunks(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+            assert list(pool.run_chunks(lambda x: x * 2, [1, 2, 3])) == [2, 4, 6]
         snap = get_metrics().snapshot()
         assert snap["pool.chunks{path=serial,pool=t}"]["value"] == 3
         assert snap["pool.chunks{path=pooled,pool=t}"]["value"] == 0
