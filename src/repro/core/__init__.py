@@ -25,7 +25,6 @@ from repro.core.estimator import (
 from repro.core.fingerprint import (
     CacheStats,
     LRUCache,
-    concurrent_fingerprint,
     job_fingerprint,
     value_fingerprint,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "align_substage",
     "changed_jobs",
     "completion_rate",
-    "concurrent_fingerprint",
     "estimate_parallelism",
     "estimate_workflow",
     "job_fingerprint",

@@ -230,11 +230,11 @@ class BOEModel:
     fixed cluster and model configuration, so what-if sweeps that revisit a
     combination — coordinate descent perturbing one knob, an experiment grid
     sharing sub-stage estimates across panels — pay for the fixed-point
-    solve once.  The key is a call-time fingerprint of every input
-    (:mod:`repro.core.fingerprint`), so a hit returns the *identical*
-    (frozen) estimate the cold path would compute: cached and uncached
-    results are bit-for-bit equal, and mutated jobs can never match a stale
-    entry.  ``cache_stats`` exposes the hit/miss ledger.
+    solve once.  The keys hash every input by value (jobs are frozen
+    dataclasses), so a hit returns the *identical* (frozen) estimate the
+    cold path would compute: cached and uncached results are bit-for-bit
+    equal, and a changed job can never match a stale entry.
+    ``cache_stats`` exposes the hit/miss ledger.
     """
 
     def __init__(

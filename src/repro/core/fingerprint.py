@@ -1,27 +1,19 @@
-"""Canonical fingerprints for memoising cost-model evaluations.
+"""Value fingerprints and the shared cache primitives of the cost models.
 
-What-if analysis (configuration tuning, capacity planning, the experiment
-grids) evaluates the estimator thousands of times on *nearly identical*
-inputs: coordinate descent perturbs one knob at a time, so most (job, stage,
-Delta, concurrent-load) combinations recur verbatim across candidates.  The
-BOE solve for such a combination is a pure function of
+:func:`value_fingerprint` reduces a model input to a hashable tuple of
+primitives, walking dataclasses field by field (tagged with the class name,
+so two types with equal fields stay distinct).  It recurses into nested
+dataclasses such as ``JobConfig`` and into subclasses with extra fields
+(e.g. :class:`~repro.spark.SparkStageJob`'s ``input_from``/``output_to``).
+:func:`job_fingerprint` applies it to one job specification; its one
+caller is :class:`~repro.core.bounds.BoundsModel` (``_job_fp``), whose
+second cache level keys on it so a value-identical job rebuilt by a later
+tuning pass hits.  :class:`~repro.core.boe.BOEModel` needs no fingerprint:
+jobs are frozen dataclasses, so its caches key on the jobs themselves,
+hashed by value.
 
-* the job specification (every field, including the nested ``JobConfig``),
-* the stage kind and its degree of parallelism ``Delta``,
-* the concurrent-load signature (the same triple for every co-running
-  stage, *in state order* — the fixed-point iteration visits stages in
-  order, so order is part of the identity),
-* the cluster and model parameters (held fixed per model instance, hence
-  left out of the per-call key).
-
-:func:`job_fingerprint` reduces a job to a hashable tuple of primitives at
-**call time** — a fresh fingerprint is taken on every lookup, so mutating a
-job (or passing a different-but-equal copy) can never serve a stale entry.
-Jobs are frozen dataclasses; the fingerprint walks their fields recursively,
-which also covers subclasses with extra fields (e.g.
-:class:`~repro.spark.SparkStageJob`'s ``input_from``/``output_to``).
-
-:class:`CacheStats` is the shared hit/miss ledger every cache in the package
+:class:`LRUCache` is the bounded map behind those caches, and
+:class:`CacheStats` the shared hit/miss ledger every cache in the package
 reports through (:class:`~repro.core.boe.BOEModel`,
 :class:`~repro.sweep.SweepReport`).
 """
@@ -31,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from enum import Enum
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.errors import EstimationError
 
@@ -90,18 +82,6 @@ def value_fingerprint(value: object) -> Hashable:
 def job_fingerprint(job: object) -> Hashable:
     """Call-time fingerprint of one job specification."""
     return value_fingerprint(job)
-
-
-def stage_fingerprint(job: object, kind: object, delta: float) -> Hashable:
-    """Fingerprint of one (job, stage, parallelism) triple."""
-    return (job_fingerprint(job), value_fingerprint(kind), float(delta))
-
-
-def concurrent_fingerprint(
-    concurrent: Sequence[Tuple[object, object, float]],
-) -> Hashable:
-    """Fingerprint of a concurrent-load signature, preserving state order."""
-    return tuple(stage_fingerprint(job, kind, delta) for job, kind, delta in concurrent)
 
 
 @dataclasses.dataclass

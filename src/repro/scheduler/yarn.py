@@ -390,10 +390,10 @@ class YarnPlacer:
         a million tuples.
 
         Grants come from two exactness-equivalent paths: a vectorised bulk
-        path (:meth:`_bulk_uniform_grants`) that fires whole round-robin
-        layers over the top tier of the cluster at once whenever the jobs
-        and nodes are in the regime its preconditions pin down, and the
-        per-grant scalar loop for everything else.  The bulk path performs
+        path (:meth:`_bulk_uniform_grants`) that grants one whole layer over
+        the top tier of the cluster at once whenever the jobs and nodes are
+        in the regime its preconditions pin down, and the per-grant scalar
+        loop for everything else.  The bulk path performs
         the same float operations in the same order as the scalar loop —
         its preconditions are chosen to make that provable — so the
         placements and the placer's post-call state are bit-identical
@@ -409,7 +409,8 @@ class YarnPlacer:
             if live:
                 remaining[name] = live
         for name in remaining:
-            self.register_job(name)
+            if name not in self._arrival:  # keep a registered job's weight
+                self.register_job(name)
         names: List[str] = []
         code_of: Dict[str, int] = {}
         chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -537,227 +538,130 @@ class YarnPlacer:
         code_of: Dict[str, int],
         names: List[str],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Grant a whole provable span of the scalar loop at once.
+        """Grant one layer over the top tier to a group of jobs at once.
 
-        Two regimes of the scalar loop admit a closed form, and together
-        they cover the bulk of a large symmetric run:
+        The *top tier* is the set of nodes bit-tied at the maximum free
+        memory (see :meth:`_top_tier`).  Only tier nodes sit inside the
+        scalar scan's 1e-6 tie window, and a granted node drops out of it,
+        so the scalar loop's grants walk the ungranted tier nodes in ring
+        order.  Two regimes of the scalar loop follow that walk provably,
+        and together they cover the bulk of a large symmetric run:
 
-        * **round-robin layer** (:meth:`_bulk_round_robin`) — several jobs
-          bit-tied on usage, requesting the bit-identical container: grants
-          provably cycle through the jobs in arrival order while walking
-          the top tier of bit-tied least-loaded nodes in ring order;
-        * **winner run** (:meth:`_bulk_winner_run`) — one job strictly
-          ahead of every other (or alone, or first under FIFO): it provably
-          receives a consecutive run of grants that walks the *top tier* of
-          bit-tied least-loaded nodes in ring order.
-
-        Both paths perform the same float operations in the same order as
-        the scalar loop — their preconditions are chosen to make that
-        provable — so placements and post-call state are bit-identical
-        whichever path served a grant.  Returns the (codes, nodes, queue
-        idx) chunk, or ``None`` when neither regime's preconditions hold.
-        """
-        if len(self._nodes) < 8:
-            return None
-        jobs = sorted(remaining, key=prio.__getitem__)
-        if len(jobs) > 1:
-            out = self._bulk_round_robin(jobs, remaining, prio, code_of, names)
-            if out is not None:
-                return out
-        return self._bulk_winner_run(jobs, remaining, prio, code_of, names)
-
-    def _bulk_round_robin(
-        self,
-        jobs: List[str],
-        remaining: Dict[str, List[List]],
-        prio: Dict[str, Tuple],
-        code_of: Dict[str, int],
-        names: List[str],
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Grant one whole round-robin layer over the top tier at once.
-
-        In the regime that dominates large symmetric waves — every competing
-        job bit-tied and requesting the bit-identical container — the scalar
-        loop's behaviour is provably a fixed pattern: grant ``t`` lands on
-        the ``t``-th node of the *top tier* (the nodes bit-tied at the
-        maximum free memory, see :meth:`_top_tier`) in ring order from job
-        0's cursor, and goes to job ``t % J`` of the (recurring) priority
-        order.  Proof sketch: only tier nodes sit inside the 1e-6 tie
-        window, so a job's round-robin scan picks the first ungranted tier
-        node at or after its cursor; a granted node drops out of the window
-        (checked in float), so within one layer the grant frontier advances
-        one tier node per grant, in ring order.  The span is capped at a
-        single layer (no node granted twice) because past the layer
-        boundary the scalar cursors land mid-ring and the pattern genuinely
-        changes — but a *full* layer leaves the granted nodes bit-tied
-        again, so the next bulk call chains, re-validating per layer.  A
-        layer that leaves a ragged remainder (tier size not a multiple of
-        ``J``) is closed by a few scalar grants, after which the caller
-        re-arms the bulk path.
-
-        Preconditions (checked, else ``None`` and the caller stays scalar):
-
-        * >= 2 jobs and not FIFO (FIFO never rotates; both the single-job
-          and the FIFO-head cases belong to :meth:`_bulk_winner_run`);
-        * every job's head-queue container bit-equal, with memory above the
-          tie window;
-        * bit-equal usage vectors and weights across the jobs, and a
-          *strictly* increasing share at every usage level the span visits
-          — bit-tied fields plus a strict riser put each winner behind all
-          others, so arrival order provably cycles with no drift (the
-          strictness check matters: at extreme magnitudes a container add
-          can round away);
-        * the container fits the top tier, a granted node leaves the tie
-          window, and no other node sits inside it;
-        * each job ``k``'s cursor sits within (or just past) the tier run
-          the span will have granted when its first turn comes, or past the
-          last tier node (its scan then wraps to the run): with ``rel`` the
-          tier nodes' ring offsets from job 0's cursor ``start``, ascending,
+        * **round-robin** — every remaining job bit-tied (usage, weight and
+          head container) under DRF or fair, with a *strictly* rising
+          share at every usage level the span visits: each grant puts its
+          job behind all the others, so grant ``t`` goes to job ``t % J``
+          in arrival order and lands on the ``t``-th tier node from job 0's
+          cursor.  Each job's cursor must sit within (or just past) the
+          tier run granted before its first turn, or past the last tier
+          node, whence its scan wraps to the run: with ``rel`` the tier
+          nodes' ring offsets from job 0's cursor ``start``, ascending,
           ``(cursor_k - start) % n <= rel[k]`` or ``> rel[-1]``.
+        * **winner** — otherwise ``J = 1``: the priority winner keeps
+          winning until its share passes the runner-up's static priority
+          (ties go its way only when its arrival order wins them), so the
+          span is truncated at the first level where it would not.  Tied
+          jobs whose container add rounds away (the share stops rising)
+          land here: the scalar loop never rotates them.
 
-        The all-nodes-tied cluster (every even wave) is recognised by one
-        equality scan; the tier is derived only when that scan fails.
+        The span is capped at one layer, one grant per tier node: past it
+        the scalar cursors land mid-ring.  A full layer leaves the granted
+        nodes bit-tied at the new level, so the next call re-derives the
+        tier and chains (that is how the scalar loop water-fills a ragged
+        cluster); a ragged remainder is closed by a few scalar grants,
+        after which the caller re-arms this path.
 
-        State updates are float-exact versus the scalar loop: each granted
-        node sees exactly one memory and one vcores subtraction, job usage
-        grows through a cumsum (strictly left-to-right additions), cursors
-        land one past each job's last tier node, and the heap is rebuilt —
-        a legal compaction of the lazy heap.  Returns the (codes, nodes,
-        queue idx) chunk.
+        State updates perform the scalar loop's float operations in the
+        same order: one memory and one vcores subtraction per granted node,
+        usage grown through a cumsum (strictly left-to-right additions),
+        cursors one past each job's last granted node, and a heap rebuild
+        (a legal compaction of the lazy heap).  Placements and post-call
+        state are therefore bit-identical whichever path served a grant.
+        Returns the (codes, nodes, queue idx) chunk, or ``None`` when no
+        span of at least two grants is provable.
         """
-        n_jobs = len(jobs)
         nodes = self._nodes
         n_nodes = len(nodes)
-        if self._policy == "fifo":
+        if n_nodes < 8:
             return None
-        head0 = remaining[jobs[0]][0]
-        container = head0[1]
+        jobs = sorted(remaining, key=prio.__getitem__)
+        winner = jobs[0]
+        _idx, container, count = remaining[winner][0]
         cm = container.memory_mb
         cv = container.vcores
         if cm <= 2.0 * _TIE_WINDOW:
             return None
-        min_count = head0[2]
-        for name in jobs:
-            _idx, cont, count = remaining[name][0]
-            if cont.memory_mb != cm or cont.vcores != cv:
-                return None
-            if count < min_count:
-                min_count = count
-        # Bit-tied jobs + bit-equal per-grant increments: after every
-        # full cycle the jobs are bit-tied again, so the winner order is
-        # provably the arrival order, every cycle, with no drift.
-        w0 = self._weights.get(jobs[0], 1.0)
-        v0 = self._usage_v[jobs[0]]
-        m0 = self._usage_m[jobs[0]]
-        for name in jobs[1:]:
-            if (
-                self._weights.get(name, 1.0) != w0
-                or self._usage_v[name] != v0
-                or self._usage_m[name] != m0
-            ):
-                return None
-        start = self._next_node.get(jobs[0], 0)
-        free_hi = nodes[0].free_memory
-        vfree0 = nodes[0].free_vcores
-        uniform = True
-        for node in nodes:
-            if node.free_memory != free_hi or node.free_vcores != vfree0:
-                uniform = False
-                break
-        if uniform:
-            # Every node is in the tier, at ring offset == tier position.
-            if not _tier_admits(free_hi, cm):
-                return None
-            n_tier = n_nodes
-            rel = None
-        else:
-            top = self._top_tier(cm)
-            if top is None:
-                return None
-            free_hi, tier = top
-            n_tier = len(tier)
-            rel = (np.asarray(tier, dtype=np.int64) - start) % n_nodes
-            rel.sort()
-        # One layer per span: every tier node receives at most one grant.
-        cycles = min(min_count, n_tier // n_jobs)
-        if cycles < 2:
+        top = self._top_tier(cm)
+        if top is None:
             return None
-        # Cursor geometry: job k's scan picks the first ungranted tier node
-        # at or after its cursor, so the pattern holds iff each cursor sits
-        # within (or just past) the tier run granted before its first turn
-        # — or past the last tier node, whence the scan wraps to the run.
-        for k, name in enumerate(jobs[1:], start=1):
-            offset = (self._next_node.get(name, 0) - start) % n_nodes
-            if rel is None:
-                if offset > k:
-                    return None
-            elif rel[k] < offset <= rel[-1]:
-                return None
-        # Strict share monotonicity across every level the span visits
-        # (see docstring).  The level values are the exact usage floats
-        # the scalar loop would store (cumsum folds left to right).
-        lv = np.empty(cycles + 1)
-        lm = np.empty(cycles + 1)
-        lv[0] = v0
-        lm[0] = m0
+        free_hi, tier = top
+        start = self._next_node.get(winner, 0)
+        rel = (np.asarray(tier, dtype=np.int64) - start) % n_nodes
+        rel.sort()
+        # The winner's usage before each grant of the longest possible span
+        # (one extra level: the usage after it).  These are the exact floats
+        # the scalar loop stores (cumsum folds left to right), so a bit-tied
+        # group shares them and a truncated span reads its prefix.
+        levels = min(count, len(tier)) + 1
+        lv = np.empty(levels)
+        lm = np.empty(levels)
+        lv[0] = self._usage_v[winner]
+        lm[0] = self._usage_m[winner]
         lv[1:] = cv
         lm[1:] = cm
         np.cumsum(lv, out=lv)
         np.cumsum(lm, out=lm)
         if self._policy == "fair":
             shares = lm / self._capacity.memory_mb
-        else:  # drf
+        else:  # drf (fifo reads no shares)
             shares = np.maximum(
                 lv / self._capacity.vcores, lm / self._capacity.memory_mb
             )
-        if not bool(np.all(shares[1:] > shares[:-1])):
-            return None
+        shares /= self._weights.get(winner, 1.0)
 
-        total = cycles * n_jobs
-        # Node state: each granted node sees exactly one subtraction, the
-        # same single float op the scalar loop would perform.
-        free_m1 = free_hi - cm
-        if rel is None:
-            grant_nodes = (start + np.arange(total, dtype=np.int64)) % n_nodes
-            free_v1 = vfree0 - cv
-            for index in grant_nodes.tolist():
-                node = nodes[index]
-                node.free_memory = free_m1
-                node.free_vcores = free_v1
+        cycles = self._round_robin_cycles(jobs, remaining, rel, start, shares)
+        if cycles:
+            group = jobs
         else:
-            grant_nodes = (start + rel[:total]) % n_nodes
-            for index in grant_nodes.tolist():
-                node = nodes[index]
-                node.free_memory = free_m1
-                node.free_vcores -= cv
-        # Job usage: `cycles` sequential adds per job via the cumsum trick
-        # (acc[0]=current, acc[1:]=delta — np.cumsum folds strictly left to
-        # right, the same floats as the scalar loop's += chain).
-        acc = np.empty(cycles + 1)
-        for name in jobs:
-            acc[0] = self._usage_m[name]
-            acc[1:] = cm
-            self._usage_m[name] = float(np.cumsum(acc)[-1])
-            acc[0] = self._usage_v[name]
-            acc[1:] = cv
-            self._usage_v[name] = float(np.cumsum(acc)[-1])
-            prio[name] = self._priority(name)
-        # Cursors: each job's scan stops one past its last granted node.
+            group = jobs[:1]
+            cycles = levels - 1
+            if len(jobs) > 1 and self._policy != "fifo":
+                runner_share, runner_arrival, runner_name = prio[jobs[1]]
+                if (self._arrival.get(winner, 1 << 30), winner) < (
+                    runner_arrival,
+                    runner_name,
+                ):
+                    allowed = shares[:cycles] <= runner_share
+                else:
+                    allowed = shares[:cycles] < runner_share
+                if not bool(allowed[-1]):
+                    cycles = int(np.argmin(allowed))
+            if cycles < 2:
+                return None
+
+        n_jobs = len(group)
+        total = cycles * n_jobs
+        grant_nodes = (start + rel[:total]) % n_nodes
+        free_m1 = free_hi - cm
+        for index in grant_nodes.tolist():
+            node = nodes[index]
+            node.free_memory = free_m1
+            node.free_vcores -= cv
+        end_v = float(lv[cycles])
+        end_m = float(lm[cycles])
         last = grant_nodes[total - n_jobs :].tolist()
-        for k, name in enumerate(jobs):
-            self._next_node[name] = (last[k] + 1) % n_nodes
-        # Heap: flag for a lazy rebuild (a legal compaction, deferred to the
-        # next scalar pick so chained batch spans pay for at most one).
-        self._heap_dirty = True
-        # Queue bookkeeping, exactly as `cycles` scalar grants would leave it.
         qidx = np.empty(total, dtype=np.int64)
         code_arr = np.empty(total, dtype=np.int64)
-        for k, name in enumerate(jobs):
-            queue = remaining[name][0]
+        for k, name in enumerate(group):
+            self._usage_v[name] = end_v
+            self._usage_m[name] = end_m
+            prio[name] = self._priority(name)
+            self._next_node[name] = (last[k] + 1) % n_nodes
             code = code_of.get(name)
             if code is None:
                 code = code_of[name] = len(names)
                 names.append(name)
+            queue = remaining[name][0]
             code_arr[k::n_jobs] = code
             qidx[k::n_jobs] = queue[0]
             if queue[2] == cycles:
@@ -765,8 +669,49 @@ class YarnPlacer:
                 if not remaining[name]:
                     del remaining[name]
             else:
-                queue[2] = queue[2] - cycles
+                queue[2] -= cycles
+        # Flag a lazy heap rebuild, deferred to the next scalar pick so
+        # chained spans pay for at most one.
+        self._heap_dirty = True
         return code_arr, grant_nodes, qidx
+
+    def _round_robin_cycles(
+        self,
+        jobs: List[str],
+        remaining: Dict[str, List[List]],
+        rel: np.ndarray,
+        start: int,
+        shares: np.ndarray,
+    ) -> int:
+        """Grants per job of a provable round-robin layer over all ``jobs``
+        (see :meth:`_bulk_uniform_grants`), or 0 when the regime fails."""
+        if len(jobs) < 2 or self._policy == "fifo":
+            return 0
+        lead = jobs[0]
+        _idx, container, min_count = remaining[lead][0]
+        weight = self._weights.get(lead, 1.0)
+        usage = (self._usage_v[lead], self._usage_m[lead])
+        for name in jobs[1:]:
+            _idx, other, count = remaining[name][0]
+            if (
+                other.memory_mb != container.memory_mb
+                or other.vcores != container.vcores
+                or self._weights.get(name, 1.0) != weight
+                or (self._usage_v[name], self._usage_m[name]) != usage
+            ):
+                return 0
+            min_count = min(min_count, count)
+        cycles = min(min_count, len(rel) // len(jobs))
+        if cycles < 2:
+            return 0
+        n_nodes = len(self._nodes)
+        for k, name in enumerate(jobs[1:], start=1):
+            offset = (self._next_node.get(name, 0) - start) % n_nodes
+            if rel[k] < offset <= rel[-1]:
+                return 0
+        if not bool(np.all(shares[1 : cycles + 1] > shares[:cycles])):
+            return 0
+        return cycles
 
     def _top_tier(self, cm: float) -> Optional[Tuple[float, List[int]]]:
         """The top tier a bulk span may walk: ``(free_hi, node indices)``.
@@ -795,132 +740,6 @@ class YarnPlacer:
         if not _tier_admits(free_hi, cm) or below >= free_hi - _TIE_WINDOW:
             return None
         return free_hi, tier
-
-    def _bulk_winner_run(
-        self,
-        jobs: List[str],
-        remaining: Dict[str, List[List]],
-        prio: Dict[str, Tuple],
-        code_of: Dict[str, int],
-        names: List[str],
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Grant a consecutive run to the strictly-winning job at once.
-
-        When one job sits strictly ahead of every other in the priority
-        order — because it is alone, or FIFO puts it first, or its share
-        stays below the runner-up's for the whole run — the scalar loop
-        hands it every grant of the run, and each grant provably lands on
-        the *top tier*: the set of nodes bit-tied at the maximum free
-        memory.  Proof sketch: `_pick_node_fast` scans the ring from the
-        job's cursor for the first node within the 1e-6 tie window of the
-        maximum; a granted node drops below the window (precondition), so
-        successive grants walk the ungranted tier nodes in ring order from
-        the cursor, and the span caps at one grant per tier node.  A fully
-        granted tier leaves its nodes bit-tied again at the new level, so
-        the next bulk call re-derives the new top tier and chains — which
-        is exactly how the scalar loop water-fills a ragged cluster.
-
-        Preconditions (checked, else ``None`` and the caller stays scalar):
-
-        * the winner's head container exceeds the tie window and passes
-          :meth:`_top_tier`'s checks;
-        * multi-job, non-FIFO: the winner's share — recomputed at every
-          usage level the run visits, with the scalar loop's exact floats —
-          stays below the runner-up's static priority (ties included only
-          when the winner's arrival order wins them); the run is truncated
-          at the first level where it would not.
-
-        State updates are float-exact versus the scalar loop: one memory
-        subtraction per granted node (bit-tied inputs give the bit-equal
-        result the shared value stores), per-node vcores subtraction,
-        winner usage via the cumsum trick, cursor one past the last grant,
-        heap rebuilt (a legal compaction).  Returns the (codes, nodes,
-        queue idx) chunk.
-        """
-        winner = jobs[0]
-        head = remaining[winner][0]
-        queue_idx, container, count = head
-        cm = container.memory_mb
-        cv = container.vcores
-        if cm <= 2.0 * _TIE_WINDOW:
-            return None
-        top = self._top_tier(cm)
-        if top is None:
-            return None
-        free_hi, tier = top
-        nodes = self._nodes
-        n_nodes = len(nodes)
-        cycles = min(count, len(tier))
-        if len(jobs) > 1 and self._policy != "fifo":
-            # The runner-up's priority is static while the winner is served;
-            # truncate the run at the first level where the winner would no
-            # longer be sorted first.  Shares are the exact floats the
-            # scalar loop stores (cumsum folds left to right), so the cut
-            # lands on the exact grant where the scalar winner changes.
-            runner_share, runner_arrival, runner_name = prio[jobs[1]]
-            lv = np.empty(cycles)
-            lm = np.empty(cycles)
-            lv[0] = self._usage_v[winner]
-            lm[0] = self._usage_m[winner]
-            lv[1:] = cv
-            lm[1:] = cm
-            np.cumsum(lv, out=lv)
-            np.cumsum(lm, out=lm)
-            if self._policy == "fair":
-                shares = lm / self._capacity.memory_mb
-            else:  # drf
-                shares = np.maximum(
-                    lv / self._capacity.vcores, lm / self._capacity.memory_mb
-                )
-            shares /= self._weights.get(winner, 1.0)
-            winner_key = (self._arrival.get(winner, 1 << 30), winner)
-            if winner_key < (runner_arrival, runner_name):
-                allowed = shares <= runner_share
-            else:
-                allowed = shares < runner_share
-            if not bool(allowed[-1]):
-                cycles = int(np.argmin(allowed))
-        if cycles < 2:
-            return None
-        # Grants walk the ungranted tier nodes in ring order from the cursor.
-        start = self._next_node.get(winner, 0)
-        tier_arr = np.asarray(tier, dtype=np.int64)
-        rel = (tier_arr - start) % n_nodes
-        rel.sort()
-        grant_nodes = (start + rel[:cycles]) % n_nodes
-        # Node state: one subtraction per granted node, the same float op
-        # the scalar loop performs (bit-tied inputs, bit-equal result).
-        free_m1 = free_hi - cm
-        for index in grant_nodes.tolist():
-            node = nodes[index]
-            node.free_memory = free_m1
-            node.free_vcores -= cv
-        # Winner usage: `cycles` sequential adds via the cumsum trick.
-        acc = np.empty(cycles + 1)
-        acc[0] = self._usage_m[winner]
-        acc[1:] = cm
-        self._usage_m[winner] = float(np.cumsum(acc)[-1])
-        acc[0] = self._usage_v[winner]
-        acc[1:] = cv
-        self._usage_v[winner] = float(np.cumsum(acc)[-1])
-        prio[winner] = self._priority(winner)
-        self._next_node[winner] = int((grant_nodes[-1] + 1) % n_nodes)
-        # Heap: flag for a lazy rebuild (a legal compaction, deferred to the
-        # next scalar pick so chained batch spans pay for at most one).
-        self._heap_dirty = True
-        code = code_of.get(winner)
-        if code is None:
-            code = code_of[winner] = len(names)
-            names.append(winner)
-        code_arr = np.full(cycles, code, dtype=np.int64)
-        qidx = np.full(cycles, queue_idx, dtype=np.int64)
-        if count == cycles:
-            remaining[winner].pop(0)
-            if not remaining[winner]:
-                del remaining[winner]
-        else:
-            head[2] = count - cycles
-        return code_arr, grant_nodes, qidx
 
     # -- introspection ----------------------------------------------------------
 

@@ -39,16 +39,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
-from repro.dag.workflow import Workflow
 from repro.errors import SchedulingError, SimulationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.phases import SubStageSpec, build_task_substages
 from repro.mapreduce.stage import StageKind, stage_input_mb
 from repro.scheduler.container import container_for
 from repro.simulator.engine import (
-    SimulationConfig,
     Simulator,
     _EPS,
     _TIME_TOL,
@@ -119,17 +116,8 @@ class _TaskQueue:
     def __len__(self) -> int:
         return (len(self.uids) - self.head) + (len(self.retries) - self.rhead)
 
-    def pop(self) -> int:
-        if self.head < len(self.uids):
-            uid = int(self.uids[self.head])
-            self.head += 1
-            return uid
-        uid = self.retries[self.rhead]
-        self.rhead += 1
-        return uid
-
     def pop_batch(self, n: int) -> np.ndarray:
-        """Pop ``n`` uids at once — same order as ``n`` sequential pops."""
+        """Pop the next ``n`` uids: the initial block first, then retries."""
         avail = len(self.uids) - self.head
         if n <= avail:
             out = self.uids[self.head : self.head + n]
@@ -267,13 +255,9 @@ class ColumnarSimulator(Simulator):
         ("_t_first", np.float64),
     )
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        workflow: Workflow,
-        config: SimulationConfig = SimulationConfig(),
-    ):
-        super().__init__(cluster, workflow, config)
+    def _init_loop_state(self) -> None:
+        """Registries, slot/task columns and the cohort heap of this loop."""
+        cluster = self._cluster
         node = cluster.node
         self._capacities = {
             "cpu": float(node.cores),
@@ -282,7 +266,7 @@ class ColumnarSimulator(Simulator):
         }
 
         # Job registry: stable integer ids in workflow order.
-        self._job_names = [j.name for j in workflow.jobs]
+        self._job_names = [j.name for j in self._workflow.jobs]
         self._jid_of = {name: i for i, name in enumerate(self._job_names)}
         self._js_by_jid = [self._jobs[name] for name in self._job_names]
         rank_of = {n: r for r, n in enumerate(sorted(self._job_names))}
@@ -876,63 +860,6 @@ class ColumnarSimulator(Simulator):
                 np.unique(self._s_node[slots[moved]]).tolist()
             )
 
-    def _fire_cohorts(self, cohorts: List[Tuple[np.ndarray, float]]) -> None:
-        """Fire several same-instant cohorts as one vectorised pass.
-
-        The advance/classify arithmetic is hoisted across the whole batch
-        (cohorts are disjoint by the epoch construction, and every valid
-        slot's rate column equals its cohort's pushed rate, so the batched
-        elementwise ops are the per-cohort ops verbatim).  Two couplings
-        force care:
-
-        * slow-start-gated slots read job state (``maps_completed``) that
-          an earlier cohort's completions may move *at this instant* — if
-          any slot in the batch is gated, fall back to the sequential
-          per-cohort path, which is the oracle there;
-        * kills and completions stay per-cohort in pop order: retry-queue
-          append order and the release/bookkeeping sequences are
-          observable, and the sequential path is their definition.
-        """
-        all_slots = np.concatenate([slots for slots, _ in cohorts])
-        if self._s_gate[all_slots].any():
-            for slots, rate in cohorts:
-                self._fire_cohort(slots, rate)
-            return
-        if self._ctr_deadlines is not None:
-            self._ctr_deadlines.inc(all_slots.size)
-        now = self._now
-        self._s_epoch[all_slots] = -1
-        rates = self._s_rate[all_slots]
-        prog = self._s_progress[all_slots]
-        tbase = self._s_tbase[all_slots]
-        prog = np.where(
-            (rates > 0.0) & (now > tbase),
-            np.minimum(np.ones(all_slots.size), prog + (now - tbase) * rates),
-            prog,
-        )
-        self._s_progress[all_slots] = prog
-        self._s_tbase[all_slots] = now
-        failed = (self._s_fail_sub[all_slots] == self._s_stage[all_slots]) & (
-            prog >= self._s_fail_frac[all_slots] - _EPS
-        )
-        completed = ~failed & (prog >= 1.0 - _EPS)
-        moved = ~(failed | completed)
-        offset = 0
-        for slots, _rate in cohorts:
-            end = offset + slots.size
-            f = failed[offset:end]
-            c = completed[offset:end]
-            if f.any():
-                for slot in slots[f].tolist():
-                    self._kill_slot(slot)
-            if c.any():
-                self._complete_batch(slots[c])
-            offset = end
-        if moved.any():
-            self._dirty_nodes.update(
-                np.unique(self._s_node[all_slots[moved]]).tolist()
-            )
-
     def _kill_slot(self, slot: int) -> None:
         uid = int(self._s_uid[slot])
         attempt = int(self._s_attempt[slot])
@@ -1040,7 +967,7 @@ class ColumnarSimulator(Simulator):
 
     # -- event loop -----------------------------------------------------------------
 
-    def _run_columnar(self) -> SimulationResult:
+    def _run_engine(self) -> SimulationResult:
         for name in self._workflow.roots():
             self._arrive(name)
         self._schedule_pending()
@@ -1092,18 +1019,13 @@ class ColumnarSimulator(Simulator):
             # Pop the whole cohort group within the _EPS progress window of
             # t_next — the same fuzzy-window rule as the fast loop, per
             # cohort because a cohort shares one rate by construction —
-            # then fire it as one batch.
+            # then fire its cohorts in pop order.
             if phases is not None:
                 mark = perf_counter()
-            cohorts = dl.pop_due(t_next, self._s_epoch, _EPS)
-            if cohorts:
+            for cohort_slots, rate in dl.pop_due(t_next, self._s_epoch, _EPS):
                 if self._hist_cohort is not None:
-                    for cohort_slots, _rate in cohorts:
-                        self._hist_cohort.observe(cohort_slots.size)
-                if len(cohorts) == 1:
-                    self._fire_cohort(cohorts[0][0], cohorts[0][1])
-                else:
-                    self._fire_cohorts(cohorts)
+                    self._hist_cohort.observe(cohort_slots.size)
+                self._fire_cohort(cohort_slots, rate)
             if phases is not None:
                 time_pop += perf_counter() - mark
                 mark = perf_counter()

@@ -20,7 +20,7 @@ Algorithm 1 — only the workload description.  Model accuracy measured
 against these traces is therefore a genuine comparison, mirroring the
 paper's model-vs-cluster evaluation.
 
-Two event loops are provided, selected by ``SimulationConfig.engine``:
+Three event loops are provided, selected by ``SimulationConfig.engine``:
 
 * ``"fast"`` (default) keeps per-event work proportional to the flows a
   state change actually affects.  Progress is *materialised lazily*: a run
@@ -238,7 +238,25 @@ def _pool_id(resource: Resource, node: int) -> str:
 
 
 class Simulator:
-    """Executes one workflow on one cluster and returns its trace."""
+    """Executes one workflow on one cluster and returns its trace.
+
+    ``Simulator(cluster, workflow, config)`` with ``config.engine ==
+    "columnar"`` constructs a
+    :class:`~repro.simulator.columnar.ColumnarSimulator`; the other engines
+    run on this class.
+    """
+
+    def __new__(
+        cls,
+        cluster: Cluster,
+        workflow: Workflow,
+        config: SimulationConfig = SimulationConfig(),
+    ):
+        if cls is Simulator and config.engine == "columnar":
+            from repro.simulator.columnar import ColumnarSimulator
+
+            cls = ColumnarSimulator
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -253,61 +271,22 @@ class Simulator:
         self._cluster = cluster
         self._workflow = workflow
         self._config = config
-        self._fast = config.engine == "fast"
         self._placer = YarnPlacer(
             cluster,
             policy=config.policy,
             enforce_vcores=config.enforce_vcores,
             fast=config.engine != "reference",
         )
-        node = cluster.node
-        self._pools: Dict[str, float] = {}
-        for i in range(cluster.workers):
-            self._pools[f"cpu:{i}"] = float(node.cores)
-            self._pools[f"disk:{i}"] = node.disk_mb_s
-            self._pools[f"net:{i}"] = node.network_mb_s
-
-        # Per-node pool sub-maps: flows only ever touch their own node's
-        # pools, so the sharing problem decomposes by node and only nodes
-        # whose flow set changed need re-solving (a large speed-up).
-        self._node_pools: List[Dict[str, float]] = [
-            {
-                f"cpu:{i}": float(node.cores),
-                f"disk:{i}": node.disk_mb_s,
-                f"net:{i}": node.network_mb_s,
-            }
-            for i in range(cluster.workers)
-        ]
-        self._rates: Dict[str, float] = {}
         self._dirty_nodes = set(range(cluster.workers))
-
         self._jobs: Dict[str, _JobState] = {
             j.name: _JobState(j) for j in workflow.jobs
         }
         self._events = EventQueue()
         self._now = 0.0
-        self._runs: Dict[str, _RunState] = {}  # task_id -> run (launched, not finished)
-        self._attempts: Dict[str, int] = {}  # task_id -> attempts launched
-        self._first_launch: Dict[str, float] = {}  # task_id -> first attempt's launch
-        self._failed_attempts: List[Tuple[str, int, float]] = []
-        self._finished_tasks: List[TaskTrace] = []
         self._stage_traces: List[StageTrace] = []
         self._states: List[StateTrace] = []
         self._open_set: FrozenSet[Tuple[str, StageKind]] = frozenset()
         self._state_start = 0.0
-
-        # Fast-engine structures: runs grouped by node (insertion-ordered so
-        # symmetric tasks tie-break like the reference loop's run dict) and
-        # a completion-time heap with lazy cancellation.  Both object loops
-        # share the memo of sub-stage pipelines (identical tasks share one
-        # immutable spec list instead of rebuilding it per launch).
-        self._node_runs: List[Dict[str, _RunState]] = [
-            {} for _ in range(cluster.workers)
-        ]
-        self._deadlines = EventQueue()
-        self._substage_cache: Dict[
-            Tuple[str, StageKind, float], List[SubStageSpec]
-        ] = {}
 
         # Observability hooks resolve to None when disabled, so every hot-path
         # hook is a single predicated attribute test (the overhead budget in
@@ -334,19 +313,44 @@ class Simulator:
             self._ctr_deadlines = None
             self._ctr_sched = None
             self._hist_state = None
+        self._init_loop_state()
+
+    def _init_loop_state(self) -> None:
+        """State of the object event loops (``fast`` and ``reference``)."""
+        node = self._cluster.node
+        workers = self._cluster.workers
+        # Per-node pool maps: flows only ever touch their own node's pools,
+        # so the sharing problem decomposes by node and only nodes whose
+        # flow set changed need re-solving (a large speed-up).
+        self._node_pools: List[Dict[str, float]] = [
+            {
+                f"cpu:{i}": float(node.cores),
+                f"disk:{i}": node.disk_mb_s,
+                f"net:{i}": node.network_mb_s,
+            }
+            for i in range(workers)
+        ]
+        self._rates: Dict[str, float] = {}
+        self._runs: Dict[str, _RunState] = {}  # task_id -> run (launched, not finished)
+        self._attempts: Dict[str, int] = {}  # task_id -> attempts launched
+        self._first_launch: Dict[str, float] = {}  # task_id -> first attempt's launch
+        self._failed_attempts: List[Tuple[str, int, float]] = []
+        self._finished_tasks: List[TaskTrace] = []
+        # Fast-engine structures: runs grouped by node (insertion-ordered so
+        # symmetric tasks tie-break like the reference loop's run dict) and
+        # a completion-time heap with lazy cancellation.  Both object loops
+        # share the memo of sub-stage pipelines (identical tasks share one
+        # immutable spec list instead of rebuilding it per launch).
+        self._node_runs: List[Dict[str, _RunState]] = [{} for _ in range(workers)]
+        self._deadlines = EventQueue()
+        self._substage_cache: Dict[
+            Tuple[str, StageKind, float], List[SubStageSpec]
+        ] = {}
 
     # -- public API --------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         """Execute the workflow to completion and return its trace."""
-        if self._config.engine == "columnar" and type(self) is Simulator:
-            # The columnar loop lives in its own subclass; hand this still
-            # untouched simulation over to a fresh instance of it.
-            from repro.simulator.columnar import ColumnarSimulator
-
-            return ColumnarSimulator(
-                self._cluster, self._workflow, self._config
-            ).run()
         if self._otr is None:
             return self._run_engine()
         with self._otr.span(
@@ -365,9 +369,9 @@ class Simulator:
             return result
 
     def _run_engine(self) -> SimulationResult:
-        if self._config.engine == "columnar":
-            return self._run_columnar()  # type: ignore[attr-defined]
-        return self._run_fast() if self._fast else self._run_reference()
+        if self._config.engine == "fast":
+            return self._run_fast()
+        return self._run_reference()
 
     # -- reference event loop ----------------------------------------------------
 

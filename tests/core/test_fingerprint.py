@@ -10,14 +10,12 @@ from repro.core.fingerprint import (
     DEFAULT_CACHE_ENTRIES,
     CacheStats,
     LRUCache,
-    concurrent_fingerprint,
     job_fingerprint,
     value_fingerprint,
 )
 from repro.errors import EstimationError
-from repro.mapreduce import StageKind
 from repro.units import gb
-from repro.workloads import terasort, wordcount
+from repro.workloads import terasort
 
 
 class TestValueFingerprint:
@@ -76,12 +74,6 @@ class TestJobFingerprint:
         assert job_fingerprint(base) != job_fingerprint(
             base.with_config(split_mb=base.config.split_mb * 2)
         )
-
-    def test_concurrent_fingerprint_is_order_sensitive(self):
-        wc, ts = wordcount(gb(1)), terasort(gb(1))
-        a = [(wc, StageKind.MAP, 4.0), (ts, StageKind.MAP, 4.0)]
-        assert concurrent_fingerprint(a) == concurrent_fingerprint(list(a))
-        assert concurrent_fingerprint(a) != concurrent_fingerprint(a[::-1])
 
 
 class TestCacheStats:

@@ -73,6 +73,48 @@ class TestSimulatorInstrumentation:
         assert metrics.snapshot()["sim.tasks_launched"]["value"] > 0
 
 
+class TestColumnarInstrumentation:
+    """An armed columnar ``simulate``: the instruments behind the ledger's
+    ``simulator.phase_s.*`` rows record, and the trace stays bit-identical."""
+
+    PHASES = ("pop", "solve", "launch", "bookkeep")
+
+    def test_armed_run_records_once_and_keeps_the_trace(
+        self, workflow, cluster, monkeypatch
+    ):
+        from repro.simulator import SimulationConfig, Simulator
+
+        config = SimulationConfig(engine="columnar")
+        baseline = simulate(workflow, cluster, config)
+        built = []
+        init = Simulator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "__init__", counting_init)
+        tracer, metrics = _armed()
+        traced = simulate(workflow, cluster, config)
+
+        assert built == ["ColumnarSimulator"]  # one simulator per run
+        runs = [s for s in tracer.snapshot() if s.name == "sim.run"]
+        assert len(runs) == 1
+        assert runs[0].attrs["engine"] == "columnar"
+        assert runs[0].attrs["makespan_s"] == traced.makespan
+        assert runs[0].attrs["tasks"] == traced.task_count
+        snap = metrics.snapshot()
+        for phase in self.PHASES:
+            assert snap[f"engine.phase_time{{phase={phase}}}"]["count"] == 1
+        cohorts = snap["engine.cohort_size"]
+        assert cohorts["count"] > 0
+        assert cohorts["sum"] == snap["sim.deadline_fires"]["value"]
+        assert traced.makespan == baseline.makespan  # bit-identical
+        assert [t.t_end for t in traced.tasks] == [
+            t.t_end for t in baseline.tasks
+        ]
+
+
 class TestEstimatorInstrumentation:
     def test_spans_and_counters(self, workflow, cluster):
         tracer, metrics = _armed()

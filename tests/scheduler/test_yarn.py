@@ -165,7 +165,12 @@ class TestBulkUniformGrants:
             dict(placer._next_node),
         )
 
-    def _run_pair(self, seed):
+    def _run_pair(self, seed, widen=False):
+        """One randomised placer/scalar-clone comparison.
+
+        ``widen`` also draws per-job weights and unequal starting usage,
+        from a stream of their own so the plain seeds keep their cases.
+        """
         import random
 
         rng = random.Random(seed)
@@ -186,6 +191,15 @@ class TestBulkUniformGrants:
         ref._bulk_uniform_grants = lambda *a, **k: None  # scalar-only oracle
         njobs = rng.choice([1, 1, 2, 3, 5])
         base = ResourceVector(1.0, rng.choice([512.0, 1024.0, 1536.0]))
+        if widen:
+            extra = random.Random(f"widen-{seed}")
+            for j in range(njobs):
+                weight = extra.choice([1.0, 1.0, 0.5, 2.0, 3.0])
+                held = extra.choice([0, 0, 1, 3, 40])
+                for placer in (fast, ref):
+                    placer.register_job(f"job{j}", weight)
+                    placer._usage_v[f"job{j}"] = held * base.vcores
+                    placer._usage_m[f"job{j}"] = held * base.memory_mb
         placed = []
         for _ in range(rng.randint(1, 4)):
             requests = {}
@@ -220,33 +234,50 @@ class TestBulkUniformGrants:
     def test_bulk_matches_scalar_exactly(self, seed):
         self._run_pair(seed)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_weighted_unequal_usage_matches_scalar_exactly(self, seed):
+        self._run_pair(seed, widen=True)
+
+    @pytest.mark.parametrize("policy", ["drf", "fair", "fifo"])
+    def test_tied_jobs_whose_add_rounds_away_take_one_job_spans(self, policy):
+        # At 2**64 of usage a container add rounds away, so two bit-tied
+        # jobs are still tied after a grant and the scalar loop never
+        # rotates: the arrival-first job takes every grant.  The bulk path
+        # must serve that as one-job spans, not as a round-robin layer.
+        fast, ref = self._pair(33, policy=policy)
+        for placer in (fast, ref):
+            for name in ("a", "b"):
+                placer.register_job(name)
+                placer._usage_v[name] = 2.0**64
+                placer._usage_m[name] = 2.0**64
+        fired = self._spy_bulk(fast)
+        wave = {"a": [(CONTAINER, 40)], "b": [(CONTAINER, 40)]}
+        got = fast.assign_queues(wave)
+        want = ref.assign_queues(wave)
+        assert got == want
+        assert self._state(fast) == self._state(ref)
+        assert [name for name, _, _ in got[:40]] == ["a"] * 40
+        assert fired and all(jobs == 1 for _, jobs in fired)
+        assert sum(n for n, _ in fired) >= 60
+
     def test_bulk_path_actually_fires(self):
         # Guard against the preconditions silently never matching: a fresh
         # symmetric cluster with one big uniform wave must take the bulk
         # path, not just agree with it.
         placer = YarnPlacer(paper_cluster())
-        fired = []
-        original = type(placer)._bulk_uniform_grants
-
-        def spy(self, *args, **kwargs):
-            out = original(self, *args, **kwargs)
-            if out is not None:
-                fired.append(len(out[0]))
-            return out
-
-        placer._bulk_uniform_grants = spy.__get__(placer)
+        fired = self._spy_bulk(placer)
         grants = placer.assign_queues({"a": [(CONTAINER, 100)]})
         assert len(grants) == 100
-        assert sum(fired) >= 80  # the bulk span covers most of the wave
+        assert sum(n for n, _ in fired) >= 80  # bulk covers most of the wave
 
     @staticmethod
-    def _pair(workers, free_memory=()):
+    def _pair(workers, free_memory=(), policy="drf"):
         """A placer and its scalar-only clone over ``workers`` paper nodes,
         the first ones' free memory overridden by ``free_memory`` (MB;
         ``None`` keeps a node's capacity)."""
         cluster = paper_cluster(workers)
-        fast = YarnPlacer(cluster)
-        ref = YarnPlacer(cluster)
+        fast = YarnPlacer(cluster, policy=policy)
+        ref = YarnPlacer(cluster, policy=policy)
         ref._bulk_uniform_grants = lambda *a, **k: None
         for placer in (fast, ref):
             for node, free in zip(placer._nodes, free_memory):
@@ -257,13 +288,15 @@ class TestBulkUniformGrants:
 
     @staticmethod
     def _spy_bulk(placer):
+        """Record ``(grants, distinct jobs)`` of each bulk span ``placer``
+        serves."""
         fired = []
         original = type(placer)._bulk_uniform_grants
 
         def spy(self, *args, **kwargs):
             out = original(self, *args, **kwargs)
             if out is not None:
-                fired.append(len(out[0]))
+                fired.append((len(out[0]), len(set(out[0].tolist()))))
             return out
 
         placer._bulk_uniform_grants = spy.__get__(placer)
@@ -283,7 +316,7 @@ class TestBulkUniformGrants:
         assert len(got) == n_jobs * per_job
         assert got == want
         assert self._state(fast) == self._state(ref)
-        assert sum(fired) >= 0.95 * len(got)
+        assert sum(n for n, _ in fired) >= 0.95 * len(got)
 
     @pytest.mark.parametrize("cursor, bulk", [(1, True), (50, False), (100, True)])
     def test_round_robin_cursor_geometry_on_ragged_tier(self, cursor, bulk):
@@ -318,34 +351,26 @@ class TestBulkUniformGrants:
         assert 7 in [node for _name, node, _q in got[:8]]
 
     def test_winner_run_fires_on_unequal_usage(self):
-        # Two jobs with unequal usage never bit-tie, so the round-robin
-        # layer can't fire — but the job with the lower share provably wins
-        # a consecutive run, which the winner-run path must serve in bulk.
+        # Two jobs with unequal usage never bit-tie, so no round-robin
+        # layer can fire — but the job with the lower share provably wins
+        # a consecutive run, which bulk must serve as one-job spans.
         placer = YarnPlacer(paper_cluster())
         placer.assign_queues({"b": [(CONTAINER, 40)]})  # b gets a head start
-        fired = []
-        original = type(placer)._bulk_winner_run
-
-        def spy(self, *args, **kwargs):
-            out = original(self, *args, **kwargs)
-            if out is not None:
-                fired.append(len(out[0]))
-            return out
-
-        placer._bulk_winner_run = spy.__get__(placer)
+        fired = self._spy_bulk(placer)
         grants = placer.assign_queues(
             {"a": [(CONTAINER, 60)], "b": [(CONTAINER, 60)]}
         )
         # DRF serves the idle job exclusively until it catches up to b's
         # 40-container head start...
         assert [name for name, _, _ in grants[:40]] == ["a"] * 40
-        # ...and that catch-up run went through the bulk winner-run path.
-        assert sum(fired) >= 30
+        # ...and that catch-up run went through bulk as one-job spans.
+        assert sum(n for n, jobs in fired if jobs == 1) >= 30
 
     def test_winner_run_water_fills_ragged_tiers(self):
-        # A cluster whose nodes sit at two distinct free-memory levels: the
-        # winner-run path must fill the top tier first (in bulk), then chain
-        # onto the merged tier — matching the scalar water-fill exactly.
+        # A cluster whose nodes sit at two distinct free-memory levels: a
+        # lone job's one-job spans must fill the top tier first (in bulk),
+        # then chain onto the merged tier — matching the scalar water-fill
+        # exactly.
         cluster = paper_cluster()
         fast = YarnPlacer(cluster)
         ref = YarnPlacer(cluster)
@@ -354,16 +379,7 @@ class TestBulkUniformGrants:
         for placer in (fast, ref):
             grants = placer.assign_queues(warm)
             assert len(grants) == 10  # nodes 0..9 now one container lower
-        fired = []
-        original = type(fast)._bulk_winner_run
-
-        def spy(self, *args, **kwargs):
-            out = original(self, *args, **kwargs)
-            if out is not None:
-                fired.append(len(out[0]))
-            return out
-
-        fast._bulk_winner_run = spy.__get__(fast)
+        fired = self._spy_bulk(fast)
         wave = {"a": [(CONTAINER, 30)]}
         got = fast.assign_queues(wave)
         want = ref.assign_queues(wave)
@@ -371,4 +387,5 @@ class TestBulkUniformGrants:
         assert [
             (n.free_vcores, n.free_memory) for n in fast._nodes
         ] == [(n.free_vcores, n.free_memory) for n in ref._nodes]
-        assert sum(fired) >= 20  # both tiers served in bulk
+        assert all(jobs == 1 for _, jobs in fired)
+        assert sum(n for n, _ in fired) >= 20  # both tiers served in bulk

@@ -180,16 +180,13 @@ class TestTieHeavyCohorts:
     inside the engine's fuzzy fire window) on a uniform 64-node cluster, no
     skew, no failures: every map wave retires as a multi-cohort pop group
     ~1024 slots wide, and whole waves share bit-equal instants within each
-    cohort.  This pins the three orderings the batch path must preserve:
+    cohort.  This pins the two orderings the cohort path must preserve:
 
     * **cohort pop order** — FIFO within the tie window (the heap unit
       tests pin the heap itself; here the group actually forms in anger);
     * **within-node tie-breaks** — the object-engine parity check requires
       *exact* node assignments for every subsequent wave, which are
-      downstream of the order tied completions release containers;
-    * **batched vs sequential firing** — ``_fire_cohorts`` (one vectorised
-      pass over the whole group) must be bit-identical to firing each
-      cohort through ``_fire_cohort`` in pop order.
+      downstream of the order tied completions release containers.
     """
 
     @staticmethod
@@ -244,40 +241,10 @@ class TestTieHeavyCohorts:
         obj, col = _compare(self._workload, big_cluster)
         assert col.task_count >= 3000
         # The adversarial shape actually formed: at least one pop group a
-        # thousand slots wide, and multi-cohort groups (the `_fire_cohorts`
-        # batch path, not just the single-cohort one) fired.
+        # thousand slots wide, and multi-cohort groups (several cohorts
+        # fired in pop order at one instant, not just single cohorts).
         assert max(total for _, total in groups) >= 1000
         assert any(n_cohorts > 1 for n_cohorts, _ in groups)
-
-    def test_batched_firing_matches_sequential_bit_exact(
-        self, big_cluster, monkeypatch
-    ):
-        # The batched multi-cohort pass against its own sequential oracle:
-        # not 1e-9-close — *bit*-identical, kills and completions included.
-        batched = simulate(
-            self._workload(), big_cluster, SimulationConfig(engine="columnar")
-        )
-
-        def sequential(self, cohorts):
-            for slots, rate in cohorts:
-                self._fire_cohort(slots, rate)
-
-        monkeypatch.setattr(ColumnarSimulator, "_fire_cohorts", sequential)
-        scalar = simulate(
-            self._workload(), big_cluster, SimulationConfig(engine="columnar")
-        )
-        assert batched.makespan == scalar.makespan
-        key = lambda t: (t.job, t.kind, t.index)
-        flat = lambda t: (
-            t.node,
-            t.t_ready,
-            t.t_start,
-            t.t_end,
-            tuple((s.name, s.t_start, s.t_end) for s in t.substages),
-        )
-        assert {key(t): flat(t) for t in batched.tasks} == {
-            key(t): flat(t) for t in scalar.tasks
-        }
 
 
 class TestEngineSelection:
