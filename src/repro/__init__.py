@@ -41,6 +41,7 @@ export of simulation runs and the per-state bottleneck attribution report —
 see ``docs/observability.md``.
 """
 
+import importlib as _importlib
 import logging as _logging
 
 # Library etiquette: ``repro.*`` modules log via logging.getLogger(__name__)
@@ -48,196 +49,83 @@ import logging as _logging
 # CLI's --log-level) configures a handler.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-from repro.baselines import (
-    BOEPredictor,
-    ErnestModel,
-    MRTunerBestCase,
-    RegressionModel,
-    StarfishBestCase,
-)
-from repro.cluster import (
-    Cluster,
-    NodeSpec,
-    Resource,
-    ResourceVector,
-    paper_cluster,
-    single_node_cluster,
-)
-from repro.core import (
-    BOEModel,
-    BOESource,
-    CacheStats,
-    DagEstimate,
-    DagEstimator,
-    ScaledSource,
-    TaskEstimate,
-    TaskTimeDistribution,
-    Variant,
-    estimate_workflow,
-)
-from repro.ensemble import (
-    EnsembleConfig,
-    EnsembleResult,
-    EnsembleRunner,
-    PairedComparison,
-    compare_paired,
-    run_ensemble,
-)
-from repro.dag import (
-    Workflow,
-    WorkflowBuilder,
-    chain,
-    parallel,
-    sequence,
-    single_job_workflow,
-)
-from repro.errors import (
-    EstimationError,
-    ProfileError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    SpecificationError,
-    TraceWindowError,
-    WorkflowError,
-)
-from repro.mapreduce import (
-    CompressionSpec,
-    JobConfig,
-    MapReduceJob,
-    SkewModel,
-    StageKind,
-)
-from repro.obs import (
-    AttributionReport,
-    MetricsRegistry,
-    Tracer,
-    attribute_bottlenecks,
-    configure_logging,
-    enable_tracing,
-    get_metrics,
-    get_tracer,
-    to_chrome_trace,
-    trace_span,
-    write_trace,
-)
-from repro.profiling import JobProfile, ProfileSource, profile_job, profile_workflow
-from repro.progress import ProgressEstimator, ProgressReport, snapshot_at
-from repro.simulator import (
-    FailureModel,
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    replication_config,
-    replication_seeds,
-    simulate,
-)
-from repro.spark import SparkAppBuilder, SparkStageJob, spark_kmeans, spark_pagerank, spark_sort
-from repro.sweep import Candidate, CandidateResult, SweepReport, SweepRunner
-from repro.tuning import GreedyTuner, TuningResult, tune_workflow
-from repro.workloads import (
-    kmeans,
-    pagerank,
-    table3_workflows,
-    terasort,
-    terasort_3r,
-    tpch_query,
-    weblog_dag,
-    wordcount,
-)
+#: Public name -> the subpackage that defines it.  ``import repro`` loads
+#: none of them: the first access to a name imports its subpackage (PEP 562
+#: module ``__getattr__``), so a command pays only for what it uses.
+_EXPORTS = {
+    "repro.baselines": (
+        "BOEPredictor", "ErnestModel", "MRTunerBestCase", "RegressionModel",
+        "StarfishBestCase",
+    ),
+    "repro.cluster": (
+        "Cluster", "NodeSpec", "Resource", "ResourceVector", "paper_cluster",
+        "single_node_cluster",
+    ),
+    "repro.core": (
+        "BOEModel", "BOESource", "CacheStats", "DagEstimate", "DagEstimator",
+        "ScaledSource", "TaskEstimate", "TaskTimeDistribution", "Variant",
+        "estimate_workflow",
+    ),
+    "repro.dag": (
+        "Workflow", "WorkflowBuilder", "chain", "parallel", "sequence",
+        "single_job_workflow",
+    ),
+    "repro.ensemble": (
+        "EnsembleConfig", "EnsembleResult", "EnsembleRunner", "PairedComparison",
+        "compare_paired", "run_ensemble",
+    ),
+    "repro.errors": (
+        "EstimationError", "ProfileError", "ReproError", "SchedulingError",
+        "SimulationError", "SpecificationError", "TraceWindowError", "WorkflowError",
+    ),
+    "repro.mapreduce": (
+        "CompressionSpec", "JobConfig", "MapReduceJob", "SkewModel", "StageKind",
+    ),
+    "repro.obs": (
+        "AttributionReport", "MetricsRegistry", "Tracer", "attribute_bottlenecks",
+        "configure_logging", "enable_tracing", "get_metrics", "get_tracer",
+        "to_chrome_trace", "trace_span", "write_trace",
+    ),
+    "repro.profiling": (
+        "JobProfile", "ProfileSource", "profile_job", "profile_workflow",
+    ),
+    "repro.progress": (
+        "ProgressEstimator", "ProgressReport", "snapshot_at",
+    ),
+    "repro.simulator": (
+        "FailureModel", "SimulationConfig", "SimulationResult", "Simulator",
+        "replication_config", "replication_seeds", "simulate",
+    ),
+    "repro.spark": (
+        "SparkAppBuilder", "SparkStageJob", "spark_kmeans", "spark_pagerank",
+        "spark_sort",
+    ),
+    "repro.sweep": (
+        "Candidate", "CandidateResult", "SweepReport", "SweepRunner",
+    ),
+    "repro.tuning": (
+        "GreedyTuner", "TuningResult", "tune_workflow",
+    ),
+    "repro.workloads": (
+        "kmeans", "pagerank", "table3_workflows", "terasort", "terasort_3r",
+        "tpch_query", "weblog_dag", "wordcount",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AttributionReport",
-    "MetricsRegistry",
-    "Tracer",
-    "attribute_bottlenecks",
-    "configure_logging",
-    "enable_tracing",
-    "get_metrics",
-    "get_tracer",
-    "to_chrome_trace",
-    "trace_span",
-    "write_trace",
-    "tune_workflow",
-    "spark_sort",
-    "spark_pagerank",
-    "spark_kmeans",
-    "snapshot_at",
-    "TuningResult",
-    "SparkStageJob",
-    "SparkAppBuilder",
-    "ScaledSource",
-    "ProgressReport",
-    "ProgressEstimator",
-    "GreedyTuner",
-    "FailureModel",
-    "BOEModel",
-    "BOEPredictor",
-    "BOESource",
-    "CacheStats",
-    "Candidate",
-    "CandidateResult",
-    "Cluster",
-    "CompressionSpec",
-    "DagEstimate",
-    "DagEstimator",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "EnsembleRunner",
-    "ErnestModel",
-    "EstimationError",
-    "JobConfig",
-    "JobProfile",
-    "MRTunerBestCase",
-    "MapReduceJob",
-    "NodeSpec",
-    "PairedComparison",
-    "ProfileError",
-    "ProfileSource",
-    "RegressionModel",
-    "ReproError",
-    "Resource",
-    "ResourceVector",
-    "SchedulingError",
-    "SimulationConfig",
-    "SimulationError",
-    "SimulationResult",
-    "Simulator",
-    "SkewModel",
-    "SpecificationError",
-    "StageKind",
-    "StarfishBestCase",
-    "SweepReport",
-    "SweepRunner",
-    "TaskEstimate",
-    "TaskTimeDistribution",
-    "TraceWindowError",
-    "Variant",
-    "Workflow",
-    "WorkflowBuilder",
-    "WorkflowError",
-    "chain",
-    "compare_paired",
-    "estimate_workflow",
-    "kmeans",
-    "pagerank",
-    "paper_cluster",
-    "parallel",
-    "profile_job",
-    "profile_workflow",
-    "replication_config",
-    "replication_seeds",
-    "run_ensemble",
-    "sequence",
-    "simulate",
-    "single_job_workflow",
-    "single_node_cluster",
-    "table3_workflows",
-    "terasort",
-    "terasort_3r",
-    "tpch_query",
-    "weblog_dag",
-    "wordcount",
-]
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_DEFINED_IN))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.baselines.base import TaskTimePredictor
 from repro.errors import ProfileError
@@ -54,6 +53,10 @@ class ErnestModel(TaskTimePredictor):
             raise ProfileError(
                 f"Ernest needs at least 2 training points, got {len(observations)}"
             )
+        # Imported on first fit, not at module level, to keep scipy off
+        # ``import repro``.
+        from scipy.optimize import nnls
+
         X = np.stack([_features(delta) for delta, _ in observations])
         y = np.array([t for _, t in observations], dtype=float)
         coeffs, _ = nnls(X, y)

@@ -24,8 +24,6 @@ import statistics
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from scipy.stats import norm
-
 from repro.errors import EstimationError
 
 
@@ -86,6 +84,10 @@ class TaskTimeDistribution:
             raise EstimationError(f"wave size must be positive: {k}")
         if k == 1 or self.std == 0.0:
             return self.mean
+        # Imported here, not at module level: scipy.stats is most of a cold
+        # start's import time, and only this branch needs it.
+        from scipy.stats import norm
+
         quantile = (k - 0.375) / (k + 0.25)
         return self.mean + self.std * float(norm.ppf(quantile))
 

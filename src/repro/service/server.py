@@ -486,7 +486,8 @@ def _worker_sizes(raw: Any) -> list:
     if isinstance(raw, str):
         raw = [part for part in raw.split(",") if part.strip()]
     try:
-        sizes = [int(w) for w in raw]
+        # Sorted and de-duplicated, as ``repro-dag sweep --workers`` does.
+        sizes = sorted({int(w) for w in raw})
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"workers must be integers: {exc}")
     if not sizes or any(w < 1 for w in sizes):

@@ -1,5 +1,6 @@
 """Tests for the baseline predictors (Starfish, MRTuner, Ernest, regression)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -9,6 +10,7 @@ from repro.baselines import (
     RegressionModel,
     StarfishBestCase,
 )
+from repro.baselines.ernest import _features
 from repro.core import BOEModel
 from repro.errors import ProfileError
 from repro.mapreduce import StageKind
@@ -90,6 +92,38 @@ class TestErnest:
         model.fit(small_wc, StageKind.MAP, [(1, 1.0), (2, 2.0)])
         with pytest.raises(ProfileError):
             model.predict(small_wc, StageKind.MAP, 0.0)
+
+    def test_coefficients_are_scipy_nnls_bit_for_bit(self, small_wc):
+        from scipy.optimize import nnls
+
+        points = [(d, 3.0 + 70.0 / d + 0.02 * d) for d in (1, 2, 3, 5, 8, 13, 21)]
+        model = ErnestModel()
+        model.fit(small_wc, StageKind.MAP, points)
+        X = np.stack([_features(d) for d, _ in points])
+        expected, _ = nnls(X, np.array([t for _, t in points]))
+        got = model._coeffs[(small_wc.name, StageKind.MAP, None)]
+        assert got.tobytes() == expected.tobytes()
+
+    def test_first_fit_in_a_fresh_process(self, fresh_python):
+        """scipy is imported on the first fit, which gives the same bits
+        as a direct ``nnls``."""
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.baselines.ernest import ErnestModel, _features\n"
+            "from repro.mapreduce import MapReduceJob, StageKind\n"
+            "assert 'scipy' not in sys.modules\n"
+            "job = MapReduceJob(name='j', input_mb=1024.0)\n"
+            "points = [(1, 9.0), (2, 5.5), (4, 4.0), (8, 3.5)]\n"
+            "model = ErnestModel()\n"
+            "model.fit(job, StageKind.MAP, points)\n"
+            "from scipy.optimize import nnls\n"
+            "X = np.stack([_features(d) for d, _ in points])\n"
+            "expected, _ = nnls(X, np.array([t for _, t in points]))\n"
+            "got = model._coeffs[('j', StageKind.MAP, None)]\n"
+            "assert got.tobytes() == expected.tobytes(), (got, expected)\n"
+        )
+        fresh_python(probe)
 
 
 class TestRegression:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable
+
 import pytest
 
+import repro
 from repro.cluster import Cluster, NodeSpec, paper_cluster, single_node_cluster
 from repro.mapreduce import JobConfig, MapReduceJob, SNAPPY_TEXT
 from repro.units import gb
@@ -49,3 +56,30 @@ def small_ts() -> MapReduceJob:
         num_reducers=40,
         config=JobConfig(replicas=1),
     )
+
+
+@pytest.fixture
+def fresh_python() -> Callable[..., str]:
+    """Runs a script in a new interpreter that imports this checkout's
+    ``repro``, with the observability switches unset unless passed as
+    keyword arguments; returns its stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(script: str, **switches: str) -> str:
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("REPRO_TRACE", "REPRO_METRICS")
+        }
+        env.update(switches, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

@@ -67,6 +67,29 @@ class TestWaveMax:
         with pytest.raises(EstimationError):
             TaskTimeDistribution.point(1.0).expected_wave_max(0)
 
+    @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (37.25, 4.125)])
+    def test_blom_quantile_is_scipy_norm_ppf_bit_for_bit(self, mean, std):
+        from scipy.stats import norm
+
+        dist = TaskTimeDistribution(mean=mean, median=mean, std=std)
+        for k in range(1, 5001):
+            expected = mean + std * float(norm.ppf((k - 0.375) / (k + 0.25)))
+            assert dist.expected_wave_max(k) == expected, k
+
+    def test_first_call_in_a_fresh_process(self, fresh_python):
+        """scipy is imported on first use, and that first call gives the
+        same bits as a direct ``norm.ppf``."""
+        probe = (
+            "import sys\n"
+            "from repro.core.distributions import TaskTimeDistribution\n"
+            "assert 'scipy' not in sys.modules\n"
+            "got = TaskTimeDistribution(mean=3.0, median=3.0, std=0.5)"
+            ".expected_wave_max(10)\n"
+            "from scipy.stats import norm\n"
+            "assert got == 3.0 + 0.5 * float(norm.ppf(9.625 / 10.25)), got\n"
+        )
+        fresh_python(probe)
+
 
 class TestWaveSizes:
     def test_exact_division(self):

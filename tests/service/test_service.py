@@ -313,6 +313,39 @@ class TestMalformedParameters:
         assert "malformed parameter 'replications'" in payload["error"]
 
 
+class TestSweepWorkerSizes:
+    """``/sweep`` reads its worker sizes as ``repro-dag sweep --workers``
+    does: sorted and de-duplicated, with a typed 400 for bad input."""
+
+    @pytest.fixture
+    def service(self, obs_sandbox):
+        service = DagService(scale=SCALE, processes=1, job_workers=1)
+        yield service
+        service.close()
+
+    def _rows(self, service, workers):
+        status, payload = service.handle(
+            "POST", "/sweep", {"workload": "wc", "workers": workers}
+        )
+        assert status == 200, payload
+        return payload["results"]
+
+    @pytest.mark.parametrize("workers", ["8,4,8", [8, 4, 8]], ids=["csv", "list"])
+    def test_unsorted_duplicates_give_the_sorted_unique_rows(self, service, workers):
+        rows = self._rows(service, workers)
+        assert [row["workers"] for row in rows] == [4, 8]
+        assert rows == self._rows(service, "4,8")
+
+    @pytest.mark.parametrize("workers", ["4,x", "", [0, 4], {"a": 1}])
+    def test_bad_sizes_are_a_400(self, service, workers):
+        status, payload = service.handle(
+            "POST", "/sweep", {"workload": "wc", "workers": workers}
+        )
+        assert status == 400, payload
+        assert "workers must be" in payload["error"]
+        assert not service.scheduler.jobs()
+
+
 def _counter_from(metrics, name):
     return metrics.get(name, {}).get("value", 0)
 
