@@ -1,4 +1,11 @@
-"""Accuracy metrics and table rendering for the experiment harness."""
+"""Accuracy metrics and table rendering for the experiment harness.
+
+The timeline renderers read simulation results and so import the
+simulator; they load on first access (PEP 562 module ``__getattr__``), so
+code that only needs accuracy or tables does not load the simulator.
+"""
+
+import importlib as _importlib
 
 from repro.analysis.accuracy import (
     AccuracySummary,
@@ -8,7 +15,8 @@ from repro.analysis.accuracy import (
     summarise,
 )
 from repro.analysis.tables import percentage, render_series, render_table
-from repro.analysis.timeline import render_gantt, render_utilisation, utilisation_series
+
+_TIMELINE = ("render_gantt", "render_utilisation", "utilisation_series")
 
 __all__ = [
     "AccuracySummary",
@@ -23,3 +31,15 @@ __all__ = [
     "summarise",
     "utilisation_series",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _TIMELINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module("repro.analysis.timeline"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_TIMELINE))

@@ -51,7 +51,6 @@ from repro.core.estimator import estimate_workflow
 from repro.dag.workflow import Workflow
 from repro.errors import ReproError
 from repro.mapreduce.task import SkewModel
-from repro.simulator.engine import SimulationConfig, simulate
 from repro.units import format_seconds
 
 
@@ -68,6 +67,14 @@ def _resolve(name: str, scale: float) -> Workflow:
             f"unknown workload {name!r}; run `repro-dag list` for choices"
         )
     return workflows[name]
+
+
+def _simulate(workflow: Workflow, cluster: Cluster, skew: float):
+    """One simulation at skew ``skew``.  The simulator is imported here, so
+    the commands that never simulate (``estimate`` first) do not load it."""
+    from repro.simulator.engine import SimulationConfig, simulate
+
+    return simulate(workflow, cluster, SimulationConfig(skew=SkewModel(sigma=skew)))
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -100,9 +107,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cluster = paper_cluster()
     workflow = _resolve(args.workload, args.scale)
-    result = simulate(
-        workflow, cluster, SimulationConfig(skew=SkewModel(sigma=args.skew))
-    )
+    result = _simulate(workflow, cluster, args.skew)
     print(f"workflow : {workflow.describe()}")
     print(f"makespan : {format_seconds(result.makespan)} ({result.makespan:.1f} s)")
     print(f"tasks    : {len(result.tasks)}, states: {len(result.states)}")
@@ -122,9 +127,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     cluster = paper_cluster()
     workflow = _resolve(args.workload, args.scale)
-    result = simulate(
-        workflow, cluster, SimulationConfig(skew=SkewModel(sigma=args.skew))
-    )
+    result = _simulate(workflow, cluster, args.skew)
     estimate = estimate_workflow(workflow, cluster, variant=Variant(args.variant))
     acc = accuracy(estimate.total_time, result.makespan)
     print(f"workflow  : {workflow.describe()}")
@@ -139,9 +142,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
     cluster = paper_cluster()
     workflow = _resolve(args.workload, args.scale)
-    result = simulate(
-        workflow, cluster, SimulationConfig(skew=SkewModel(sigma=args.skew))
-    )
+    result = _simulate(workflow, cluster, args.skew)
     print(f"workflow : {workflow.describe()}")
     print(f"makespan : {result.makespan:.1f}s\n")
     print(render_gantt(result, width=args.width))
@@ -166,9 +167,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     get_metrics().enable()
     cluster = paper_cluster()
     workflow = _resolve(args.workload, args.scale)
-    result = simulate(
-        workflow, cluster, SimulationConfig(skew=SkewModel(sigma=args.skew))
-    )
+    result = _simulate(workflow, cluster, args.skew)
     report = attribute_bottlenecks(workflow, cluster, result)
     payload = to_chrome_trace(
         result,
@@ -213,6 +212,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     for (job, fieldname), value in sorted(result.assignment.items()):
         print(f"  {job}: {fieldname} -> {value}")
     if args.verify:
+        from repro.simulator.engine import simulate
+
         before = simulate(workflow, cluster).makespan
         after = simulate(tuned, cluster).makespan
         print(f"verified on simulator: {before:.1f}s -> {after:.1f}s "
@@ -563,7 +564,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     from repro.cluster.node import PAPER_NODE
     from repro.ensemble import EnsembleConfig, EnsembleRunner, compare_paired
-    from repro.simulator import FailureModel
+    from repro.simulator import FailureModel, SimulationConfig
 
     workflow = _resolve(args.workload, args.scale)
     config = SimulationConfig(

@@ -14,12 +14,18 @@ ResourceManager:
   memory (spreads load, approximating locality-aware balancing).
 
 Alternative policies ("fifo", "fair") are provided for ablations.
+
+The per-node state is two float64 columns, free memory and free vcores,
+indexed by node.  Every step that looks at the whole cluster (the pick, the
+top-tier scan of a bulk grant, a bulk commit, a batched release) is a handful
+of array operations over them, so a 3,000-node cluster costs little more per
+step than a 10-node one.  Each node's value still changes by the same float
+additions and subtractions, in the same order, as a per-container walk would
+make, so placements are bit-identical to the scalar scan of `_pick_node`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,10 +41,6 @@ _EPS = 1e-9
 #: container to be comfortably larger than it.
 _TIE_WINDOW = 1e-6
 
-#: Ring steps `_pick_node_fast` walks from a job's cursor before it looks the
-#: tie window's nodes up in the free-memory heap instead.
-_WALK_LIMIT = 64
-
 POLICIES = ("drf", "fifo", "fair")
 
 
@@ -53,15 +55,17 @@ def _clamp_zero(value: float) -> float:
     return 0.0 if -1e-6 < value < 0.0 else value
 
 
-@dataclass
-class _NodeState:
-    index: int
-    free_vcores: float
-    free_memory: float
-
-
 class YarnPlacer:
-    """Stateful container placement over the nodes of one cluster."""
+    """Stateful container placement over the nodes of one cluster.
+
+    Node ``i``'s free memory and free vcores are ``_free_m[i]`` and
+    ``_free_v[i]``.  With ``fast=True`` (the default) a grant is picked by
+    the vectorised `_pick_node_fast`, and uniform waves under memory-only
+    admission are granted a whole layer at a time by
+    `_bulk_uniform_grants`; ``fast=False`` (the simulator's reference
+    engine) picks every grant with the plain scan `_pick_node`, the oracle
+    both fast paths are tested against.
+    """
 
     def __init__(
         self,
@@ -75,16 +79,13 @@ class YarnPlacer:
         self._cluster = cluster
         self._policy = policy
         self._enforce_vcores = enforce_vcores
-        # The heap shortcut below is exact only for memory-only admission
-        # (fits is monotone in free memory); strict-vcores mode keeps the
-        # plain scan, as does ``fast=False`` (the simulator's reference
-        # engine, which must exercise the historical code path).
-        self._fast = fast and not enforce_vcores
+        self._fast = fast
+        # The bulk path's tier proofs assume admission is monotone in free
+        # memory alone, which strict-vcores mode breaks.
+        self._bulk = fast and not enforce_vcores
         node = cluster.node
-        self._nodes = [
-            _NodeState(i, float(node.cores), node.memory_mb)
-            for i in range(cluster.workers)
-        ]
+        self._free_m = np.full(cluster.workers, node.memory_mb, dtype=np.float64)
+        self._free_v = np.full(cluster.workers, float(node.cores), dtype=np.float64)
         self._capacity = cluster.capacity
         # Per-job usage, tracked as bare float components rather than
         # ResourceVector instances: the DRF priority reads usage on every
@@ -97,21 +98,6 @@ class YarnPlacer:
         self._arrival_counter = 0
         self._next_node: Dict[str, int] = {}
         self._weights: Dict[str, float] = {}
-        # Lazy max-heap over (-free_memory, index).  Every free-memory
-        # change pushes a fresh entry; stale entries (value no longer equal
-        # to the node's current free memory) are discarded when they reach
-        # the top.  The top therefore always names a node with the maximum
-        # free memory — the O(nodes) "fitting" rescan in `_pick_node`
-        # collapses to an O(log nodes) peek.
-        self._free_heap: List[Tuple[float, int]] = [
-            (-n.free_memory, n.index) for n in self._nodes
-        ]
-        heapq.heapify(self._free_heap)
-        # Batch paths (bulk grants, large releases) change many nodes at
-        # once; instead of eagerly rebuilding the heap they raise this flag
-        # and the next scalar pick rebuilds lazily — consecutive batch
-        # operations then pay for at most one rebuild between them.
-        self._heap_dirty = False
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -122,7 +108,7 @@ class YarnPlacer:
             self._arrival_counter += 1
             self._usage_v.setdefault(name, 0.0)
             self._usage_m.setdefault(name, 0.0)
-            self._next_node.setdefault(name, self._arrival[name] % len(self._nodes))
+            self._next_node.setdefault(name, self._arrival[name] % self._free_m.size)
         self._weights[name] = weight
 
     def usage_of(self, name: str) -> ResourceVector:
@@ -132,55 +118,60 @@ class YarnPlacer:
 
     def release(self, name: str, node_index: int, container: ResourceVector) -> None:
         """Return a finished task's container to its node."""
-        node = self._nodes[node_index]
-        node.free_vcores += container.vcores
-        node.free_memory += container.memory_mb
-        if node.free_memory > self._cluster.node.memory_mb + _EPS:
+        free_m = self._free_m
+        free_v = self._free_v
+        fm = free_m.item(node_index) + container.memory_mb
+        free_m[node_index] = fm
+        free_v[node_index] = free_v.item(node_index) + container.vcores
+        if fm > self._cluster.node.memory_mb + _EPS:
             raise SchedulingError(
                 f"released more memory than node {node_index} owns "
-                f"({node.free_memory} > {self._cluster.node.memory_mb})"
+                f"({fm} > {self._cluster.node.memory_mb})"
             )
-        self._touch(node)
         self._usage_v[name] = _clamp_zero(self._usage_v[name] - container.vcores)
         self._usage_m[name] = _clamp_zero(self._usage_m[name] - container.memory_mb)
 
-    def release_batch(self, name, node_counts, container: ResourceVector) -> None:
+    def release_batch(
+        self,
+        name: str,
+        node_idx: np.ndarray,
+        counts: np.ndarray,
+        container: ResourceVector,
+    ) -> None:
         """Return many identical containers of one job at once.
 
         Float-exact versus the equivalent sequence of :meth:`release` calls:
-        containers are added back one at a time (a single ``k * memory``
-        multiply would reassociate the float sums and drift the admission
-        threshold), and the usage vector shrinks by the same one-at-a-time
-        subtractions.  Only the heap `_touch` is coalesced to one push per
-        node — the lazy heap reads current values, so intermediate pushes
-        carry no information.
+        step ``k`` adds one container back to every node whose count
+        exceeds ``k``, so each node sees the same left-to-right chain of
+        additions (a single ``count * memory`` multiply would reassociate
+        the float sums and drift the admission threshold), and the usage
+        vector shrinks by the same one-at-a-time subtractions.  Nodes are
+        checked for over-release before any state changes.
 
         Args:
             name: the owning job.
-            node_counts: iterable of (node index, container count) pairs.
+            node_idx: distinct node indices (as ``np.unique`` returns them).
+            counts: containers released on each of those nodes, each >= 1.
             container: the (identical) container size being released.
         """
         cv = container.vcores
         cm = container.memory_mb
-        limit = self._cluster.node.memory_mb + _EPS
-        nodes = self._nodes
-        pairs = list(node_counts)
-        total = 0
-        for node_index, count in pairs:
-            node = nodes[node_index]
-            fv = node.free_vcores
-            fm = node.free_memory
-            for _ in range(count):
-                fv += cv
-                fm += cm
-            node.free_vcores = fv
-            node.free_memory = fm
-            if fm > limit:
-                raise SchedulingError(
-                    f"released more memory than node {node_index} owns "
-                    f"({fm} > {self._cluster.node.memory_mb})"
-                )
-            total += count
+        fm = self._free_m[node_idx]
+        fv = self._free_v[node_idx]
+        for k in range(int(counts.max(initial=0))):
+            live = counts > k
+            fm[live] += cm
+            fv[live] += cv
+        over = np.flatnonzero(fm > self._cluster.node.memory_mb + _EPS)
+        if over.size:
+            first = over.item(0)
+            raise SchedulingError(
+                f"released more memory than node {node_idx.item(first)} owns "
+                f"({fm.item(first)} > {self._cluster.node.memory_mb})"
+            )
+        self._free_m[node_idx] = fm
+        self._free_v[node_idx] = fv
+        total = int(counts.sum())
         # Usage: the scalar fold subtracts one container at a time with the
         # drift clamp.  The clamp can only engage on a partial value in
         # (-1e-6, 0), and the partials only ever decrease — so when the
@@ -206,34 +197,10 @@ class YarnPlacer:
                     um = _clamp_zero(um - cm)
                 self._usage_v[name] = uv
                 self._usage_m[name] = um
-        # Heap upkeep: a fresh entry per touched node, or — when the batch
-        # touched a sizeable slice of the cluster — a deferred wholesale
-        # rebuild (the legal compaction of the lazy heap, and cheaper than
-        # the equivalent pile of pushes).
-        if 8 * len(pairs) >= len(nodes):
-            self._heap_dirty = True
-        else:
-            for node_index, _count in pairs:
-                self._touch(nodes[node_index])
-
-    def _touch(self, node: _NodeState) -> None:
-        """Record a free-memory change in the lazy max-heap."""
-        heapq.heappush(self._free_heap, (-node.free_memory, node.index))
-        if len(self._free_heap) > max(64, 8 * len(self._nodes)):
-            # Compact: one fresh entry per node replaces the stale pile.
-            self._free_heap = [(-n.free_memory, n.index) for n in self._nodes]
-            heapq.heapify(self._free_heap)
 
     # -- placement -------------------------------------------------------------
 
-    def _node_fits(self, node: _NodeState, container: ResourceVector) -> bool:
-        if container.memory_mb > node.free_memory + _EPS:
-            return False
-        if self._enforce_vcores and container.vcores > node.free_vcores + _EPS:
-            return False
-        return True
-
-    def _pick_node(self, container: ResourceVector, job: str) -> Optional[_NodeState]:
+    def _pick_node(self, container: ResourceVector, job: str) -> Optional[int]:
         """Least-loaded (most free memory) node that fits the container.
 
         Ties are broken by a per-job round-robin cursor rather than by node
@@ -242,105 +209,63 @@ class YarnPlacer:
         tie-break instead *segregates* jobs onto disjoint node subsets (job A
         always wins the even heartbeat, job B the odd one), silently removing
         the cross-job resource contention this whole library studies.
-        """
-        fitting = [n for n in self._nodes if self._node_fits(n, container)]
-        if not fitting:
-            return None
-        best_memory = max(n.free_memory for n in fitting)
-        start = self._next_node.get(job, 0)
-        n_nodes = len(self._nodes)
-        for offset in range(n_nodes):
-            node = self._nodes[(start + offset) % n_nodes]
-            if node in fitting and node.free_memory >= best_memory - 1e-6:
-                self._next_node[job] = (node.index + 1) % n_nodes
-                return node
-        return None  # pragma: no cover - fitting is non-empty
 
-    def _pick_node_fast(
-        self, container: ResourceVector, job: str
-    ) -> Optional[_NodeState]:
-        """Heap-backed `_pick_node`, exact for memory-only admission.
-
-        Admission is monotone in free memory, so either the globally
-        least-loaded node fits (and the scan's ``best_memory`` *is* the
-        global maximum) or nothing does.  The round-robin walk then only
-        pays `_node_fits` for nodes inside the 1e-6 tie window.  When the
-        walk meets no such node within `_WALK_LIMIT` steps (a sparse top
-        tier, e.g. the ragged remainder of a layer on a large cluster), the
-        window's nodes are looked up in the heap instead, and the one
-        nearest the cursor in ring order — the node the walk would reach —
-        is picked.
+        This is the plain scan, one node at a time: the reference engine
+        runs it, and the tests hold `_pick_node_fast` to it.
         """
-        nodes = self._nodes
-        if self._heap_dirty:
-            self._free_heap = [(-n.free_memory, n.index) for n in nodes]
-            heapq.heapify(self._free_heap)
-            self._heap_dirty = False
-        heap = self._free_heap
-        while heap and -heap[0][0] != nodes[heap[0][1]].free_memory:
-            heapq.heappop(heap)  # stale: superseded by a later push
-        if not heap:  # pragma: no cover - every change pushes an entry
-            return None
-        best = nodes[heap[0][1]]
-        # `_node_fits`, inlined: this runs once per grant and the method-call
-        # plus attribute traffic shows up at 10^5-task scale.
+        free_m = self._free_m.tolist()
+        free_v = self._free_v.tolist()
         mem = container.memory_mb
         vc = container.vcores
-        enforce = self._enforce_vcores
-        if mem > best.free_memory + _EPS:
+        fitting = [
+            mem <= m + _EPS and (not self._enforce_vcores or vc <= v + _EPS)
+            for m, v in zip(free_m, free_v)
+        ]
+        if not any(fitting):
             return None
-        if enforce and vc > best.free_vcores + _EPS:
+        best_memory = max(m for m, fits in zip(free_m, fitting) if fits)
+        start = self._next_node.get(job, 0)
+        n_nodes = len(free_m)
+        for offset in range(n_nodes):
+            index = (start + offset) % n_nodes
+            if fitting[index] and free_m[index] >= best_memory - 1e-6:
+                self._next_node[job] = (index + 1) % n_nodes
+                return index
+        return None  # pragma: no cover - fitting is non-empty
+
+    def _pick_node_fast(self, container: ResourceVector, job: str) -> Optional[int]:
+        """`_pick_node` as a few array operations over the node columns.
+
+        The candidates are the fitting nodes' free memory (``-inf`` for a
+        node that does not fit).  Under memory-only admission no mask is
+        needed: admission is monotone in free memory, so either the global
+        maximum fits or nothing does.  The window is every candidate within
+        1e-6 of the best one; a window node can still fail the admission
+        test when the threshold itself does not fit, and is then dropped.
+        The pick is the window node nearest the job's cursor in ring order,
+        the node the scan's walk would stop at.
+        """
+        free_m = self._free_m
+        mem = container.memory_mb
+        if self._enforce_vcores:
+            fits = (mem <= free_m + _EPS) & (container.vcores <= self._free_v + _EPS)
+            candidates = np.where(fits, free_m, -np.inf)
+        else:
+            candidates = free_m
+        best = candidates.item(candidates.argmax())
+        if not mem <= best + _EPS:
             return None
-        threshold = best.free_memory - 1e-6
-        n_nodes = len(nodes)
+        threshold = best - 1e-6
+        window = candidates >= threshold
+        if not mem <= threshold + _EPS:
+            window &= mem <= free_m + _EPS
+        # The first window node at or after the cursor, else the first one.
         cursor = self._next_node.get(job, 0)
-        idx = cursor
-        for _ in range(min(n_nodes, _WALK_LIMIT)):
-            node = nodes[idx]
-            idx += 1
-            if idx == n_nodes:
-                idx = 0
-            free = node.free_memory
-            if (
-                free >= threshold
-                and mem <= free + _EPS
-                and (not enforce or vc <= node.free_vcores + _EPS)
-            ):
-                self._next_node[job] = idx  # == (node.index + 1) % n_nodes
-                return node
-        if n_nodes <= _WALK_LIMIT:  # pragma: no cover - `best` is reachable
-            return None
-        # A sparse window: every node the walk could stop at has a heap
-        # entry inside the window (each free-memory change pushes one), so
-        # a subtree prune of the heap finds them all at a cost that follows
-        # the window's size; the walk would stop at the nearest one.
-        key = -threshold
-        size = len(heap)
-        stack = [0]
-        offset = n_nodes
-        while stack:
-            i = stack.pop()
-            neg, index = heap[i]
-            if neg > key:
-                continue  # this entry, and its whole subtree, is outside
-            node = nodes[index]
-            free = node.free_memory
-            if (
-                free >= threshold
-                and mem <= free + _EPS
-                and (not enforce or vc <= node.free_vcores + _EPS)
-            ):
-                off = (index - cursor) % n_nodes
-                if off < offset:
-                    offset = off
-            child = 2 * i + 1
-            if child < size:
-                stack.append(child)
-                if child + 1 < size:
-                    stack.append(child + 1)
-        index = (cursor + offset) % n_nodes
-        self._next_node[job] = (index + 1) % n_nodes
-        return nodes[index]
+        index = cursor + int(window[cursor:].argmax())
+        if not window.item(index):
+            index = int(window.argmax())
+        self._next_node[job] = (index + 1) % free_m.size
+        return index
 
     def _priority(self, name: str) -> Tuple:
         """Sort key: lower = served first."""
@@ -420,8 +345,8 @@ class YarnPlacer:
         # This loop runs once per launched task, so it is the scheduler's
         # only hot path.  Two things keep it lean: (a) a job's priority only
         # moves when *it* receives a grant, so the sort keys are cached and
-        # just the winner's entry is refreshed; (b) `_touch` and `_priority`
-        # are inlined (same arithmetic, no per-grant method dispatch).
+        # just the winner's entry is refreshed; (b) `_priority` is inlined
+        # (same arithmetic, no per-grant method dispatch).
         prio = {name: self._priority(name) for name in remaining}
         pick = self._pick_node_fast if self._fast else self._pick_node
         policy = self._policy
@@ -431,7 +356,8 @@ class YarnPlacer:
         weights = self._weights
         cap_v = self._capacity.vcores
         cap_m = self._capacity.memory_mb
-        heap_limit = max(64, 8 * len(self._nodes))
+        free_m = self._free_m
+        free_v = self._free_v
         # Bulk is attempted on entry and after each successful bulk span
         # (whose end may just mean a queue emptied).  A failed attempt
         # usually means a transient irregularity: a layer over a cluster
@@ -441,7 +367,7 @@ class YarnPlacer:
         # ``len(remaining)`` scalar grants, and two consecutive failures end
         # the attempts for this call — keeping the precondition scans at
         # O(nodes) per bulk span rather than per grant.
-        try_bulk = self._fast
+        try_bulk = self._bulk
         bulk_wait = 0  # scalar grants left before the next bulk attempt
         bulk_failures = 0  # consecutive failed attempts
         while remaining:
@@ -471,15 +397,8 @@ class YarnPlacer:
                 node = pick(container, name)
                 if node is None:
                     continue
-                node.free_vcores -= container.vcores
-                node.free_memory -= container.memory_mb
-                # `_touch`, inlined.
-                heapq.heappush(self._free_heap, (-node.free_memory, node.index))
-                if len(self._free_heap) > heap_limit:
-                    self._free_heap = [
-                        (-n.free_memory, n.index) for n in self._nodes
-                    ]
-                    heapq.heapify(self._free_heap)
+                free_v[node] = free_v.item(node) - container.vcores
+                free_m[node] = free_m.item(node) - container.memory_mb
                 v = usage_v[name] = usage_v[name] + container.vcores
                 m = usage_m[name] = usage_m[name] + container.memory_mb
                 # `_priority`, inlined (fifo keys never change).
@@ -498,7 +417,7 @@ class YarnPlacer:
                     code = code_of[name] = len(names)
                     names.append(name)
                 codes.append(code)
-                nodes_out.append(node.index)
+                nodes_out.append(node)
                 qidx_out.append(idx)
                 if count == 1:
                     remaining[name].pop(0)
@@ -574,14 +493,13 @@ class YarnPlacer:
         State updates perform the scalar loop's float operations in the
         same order: one memory and one vcores subtraction per granted node,
         usage grown through a cumsum (strictly left-to-right additions),
-        cursors one past each job's last granted node, and a heap rebuild
-        (a legal compaction of the lazy heap).  Placements and post-call
-        state are therefore bit-identical whichever path served a grant.
+        and cursors one past each job's last granted node.  Placements and
+        post-call state are therefore bit-identical whichever path served a
+        grant.
         Returns the (codes, nodes, queue idx) chunk, or ``None`` when no
         span of at least two grants is provable.
         """
-        nodes = self._nodes
-        n_nodes = len(nodes)
+        n_nodes = self._free_m.size
         if n_nodes < 8:
             return None
         jobs = sorted(remaining, key=prio.__getitem__)
@@ -589,14 +507,15 @@ class YarnPlacer:
         _idx, container, count = remaining[winner][0]
         cm = container.memory_mb
         cv = container.vcores
-        if cm <= 2.0 * _TIE_WINDOW:
+        # Either regime grants the winner's head queue at least twice.
+        if count < 2 or cm <= 2.0 * _TIE_WINDOW:
             return None
         top = self._top_tier(cm)
         if top is None:
             return None
         free_hi, tier = top
         start = self._next_node.get(winner, 0)
-        rel = (np.asarray(tier, dtype=np.int64) - start) % n_nodes
+        rel = (tier - start) % n_nodes
         rel.sort()
         # The winner's usage before each grant of the longest possible span
         # (one extra level: the usage after it).  These are the exact floats
@@ -609,8 +528,8 @@ class YarnPlacer:
         lm[0] = self._usage_m[winner]
         lv[1:] = cv
         lm[1:] = cm
-        np.cumsum(lv, out=lv)
-        np.cumsum(lm, out=lm)
+        lv.cumsum(out=lv)
+        lm.cumsum(out=lm)
         if self._policy == "fair":
             shares = lm / self._capacity.memory_mb
         else:  # drf (fifo reads no shares)
@@ -642,11 +561,10 @@ class YarnPlacer:
         n_jobs = len(group)
         total = cycles * n_jobs
         grant_nodes = (start + rel[:total]) % n_nodes
-        free_m1 = free_hi - cm
-        for index in grant_nodes.tolist():
-            node = nodes[index]
-            node.free_memory = free_m1
-            node.free_vcores -= cv
+        # Tier nodes are distinct and all at ``free_hi``: one subtraction
+        # per granted node, as the scalar loop makes.
+        self._free_m[grant_nodes] = free_hi - cm
+        self._free_v[grant_nodes] -= cv
         end_v = float(lv[cycles])
         end_m = float(lm[cycles])
         last = grant_nodes[total - n_jobs :].tolist()
@@ -670,9 +588,6 @@ class YarnPlacer:
                     del remaining[name]
             else:
                 queue[2] -= cycles
-        # Flag a lazy heap rebuild, deferred to the next scalar pick so
-        # chained spans pay for at most one.
-        self._heap_dirty = True
         return code_arr, grant_nodes, qidx
 
     def _round_robin_cycles(
@@ -704,7 +619,7 @@ class YarnPlacer:
         cycles = min(min_count, len(rel) // len(jobs))
         if cycles < 2:
             return 0
-        n_nodes = len(self._nodes)
+        n_nodes = self._free_m.size
         for k, name in enumerate(jobs[1:], start=1):
             offset = (self._next_node.get(name, 0) - start) % n_nodes
             if rel[k] < offset <= rel[-1]:
@@ -713,7 +628,7 @@ class YarnPlacer:
             return 0
         return cycles
 
-    def _top_tier(self, cm: float) -> Optional[Tuple[float, List[int]]]:
+    def _top_tier(self, cm: float) -> Optional[Tuple[float, np.ndarray]]:
         """The top tier a bulk span may walk: ``(free_hi, node indices)``.
 
         The tier is the set of nodes bit-tied at the maximum free memory
@@ -724,32 +639,23 @@ class YarnPlacer:
         sits inside the window (near-ties keep the scalar loop's exact
         semantics).
         """
-        # One pass: the maximum, its tier, and the largest value below it.
-        free_hi = below = float("-inf")
-        tier: List[int] = []
-        for node in self._nodes:
-            free = node.free_memory
-            if free == free_hi:
-                tier.append(node.index)
-            elif free > free_hi:
-                below = free_hi
-                free_hi = free
-                tier = [node.index]
-            elif free > below:
-                below = free
-        if not _tier_admits(free_hi, cm) or below >= free_hi - _TIE_WINDOW:
+        free = self._free_m
+        free_hi = free.item(free.argmax())
+        if not _tier_admits(free_hi, cm):
             return None
+        tier = (free >= free_hi - _TIE_WINDOW).nonzero()[0]
+        window = free[tier]
+        if window.item(window.argmin()) != free_hi:
+            return None  # a near-tie below the maximum sits in the window
         return free_hi, tier
 
     # -- introspection ----------------------------------------------------------
 
     def free_capacity(self) -> ResourceVector:
-        return ResourceVector(
-            sum(n.free_vcores for n in self._nodes),
-            sum(n.free_memory for n in self._nodes),
-        )
+        # Python's left-to-right sum: ndarray.sum() adds pairwise, which
+        # rounds differently.
+        return ResourceVector(sum(self._free_v.tolist()), sum(self._free_m.tolist()))
 
     def tasks_on_node(self, node_index: int) -> float:
         """Committed vcores on a node (proxy for its running-task count)."""
-        node = self._nodes[node_index]
-        return float(self._cluster.node.cores) - node.free_vcores
+        return float(self._cluster.node.cores) - self._free_v.item(node_index)

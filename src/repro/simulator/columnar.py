@@ -947,9 +947,7 @@ class ColumnarSimulator(Simulator):
                 nodes[order[s:e]], return_counts=True
             )
             self._placer.release_batch(
-                js.job.name,
-                zip(group_nodes.tolist(), group_counts.tolist()),
-                container_for(js.job, kind),
+                js.job.name, group_nodes, group_counts, container_for(js.job, kind)
             )
             js.running[kind] -= count
             js.completed[kind] += count

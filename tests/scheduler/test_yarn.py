@@ -2,6 +2,7 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, NodeSpec, paper_cluster
@@ -159,7 +160,7 @@ class TestBulkUniformGrants:
     @staticmethod
     def _state(placer):
         return (
-            [(n.free_vcores, n.free_memory) for n in placer._nodes],
+            list(zip(placer._free_v.tolist(), placer._free_m.tolist())),
             dict(placer._usage_v),
             dict(placer._usage_m),
             dict(placer._next_node),
@@ -280,10 +281,9 @@ class TestBulkUniformGrants:
         ref = YarnPlacer(cluster, policy=policy)
         ref._bulk_uniform_grants = lambda *a, **k: None
         for placer in (fast, ref):
-            for node, free in zip(placer._nodes, free_memory):
+            for index, free in enumerate(free_memory):
                 if free is not None:
-                    node.free_memory = free
-            placer._heap_dirty = True
+                    placer._free_m[index] = free
         return fast, ref
 
     @staticmethod
@@ -384,8 +384,180 @@ class TestBulkUniformGrants:
         got = fast.assign_queues(wave)
         want = ref.assign_queues(wave)
         assert got == want
-        assert [
-            (n.free_vcores, n.free_memory) for n in fast._nodes
-        ] == [(n.free_vcores, n.free_memory) for n in ref._nodes]
+        assert self._state(fast)[0] == self._state(ref)[0]
         assert all(jobs == 1 for _, jobs in fired)
         assert sum(n for n, _ in fired) >= 20  # both tiers served in bulk
+
+
+class TestFastPick:
+    """`_pick_node_fast` must pick exactly the node the `_pick_node` scan
+    picks, and leave the job's cursor where the scan leaves it."""
+
+    @staticmethod
+    def _compare_picks(placer, container, job="a"):
+        """Both picks from every cursor on the ring; return how many found
+        a node."""
+        found = 0
+        for cursor in range(placer._free_m.size):
+            placer._next_node[job] = cursor
+            want = placer._pick_node(container, job)
+            want_cursor = placer._next_node[job]
+            placer._next_node[job] = cursor
+            got = placer._pick_node_fast(container, job)
+            assert got == want, (cursor, container)
+            assert placer._next_node[job] == want_cursor
+            found += want is not None
+        return found
+
+    @pytest.mark.parametrize("enforce_vcores", [False, True], ids=["memory", "strict"])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_scan_on_near_ties(self, seed, enforce_vcores):
+        import random
+
+        rng = random.Random(seed)
+        workers = rng.choice([1, 2, 7, 10, 33, 64])
+        placer = YarnPlacer(paper_cluster(workers), enforce_vcores=enforce_vcores)
+        placer.register_job("a")
+        # A few levels, each node bit-tied to one or nudged within (or
+        # just beyond) the 1e-6 tie window below or above it.
+        levels = [rng.uniform(0.0, 32_000.0) for _ in range(rng.randint(1, 3))]
+        for index in range(workers):
+            free = rng.choice(levels)
+            if rng.random() < 0.5:
+                free += rng.choice([-1.5e-6, -9e-7, -5e-7, -1e-9, 4e-7])
+            placer._free_m[index] = free
+            placer._free_v[index] = rng.choice([0.0, 0.5, 1.0 - 5e-10, 1.0, 6.0])
+        top = max(placer._free_m.tolist())
+        sizes = [
+            1.0,
+            rng.uniform(0.0, top),
+            top - 5e-7,  # fits the top and some near-ties, not others
+            top,  # the admission edge: only nodes at the exact maximum fit
+            top + 5e-10,  # fits the maximum through _EPS alone
+            top + 1e-8,  # fits nothing
+        ]
+        found = 0
+        for memory in sizes:
+            for vcores in (0.0, 1.0):
+                found += self._compare_picks(placer, ResourceVector(vcores, memory))
+        assert found  # not vacuous: some picks return a node
+
+    def test_admission_edge_skips_window_node_that_does_not_fit(self):
+        # Node 1 sits 5e-7 MB below node 3, inside the tie window, but a
+        # container of node 3's exact size does not fit it: from cursor 0
+        # the scan walks past node 1 to node 3.
+        placer = YarnPlacer(paper_cluster(4))
+        placer.register_job("a")
+        placer._free_m[:] = [100.0, 4000.0 - 5e-7, 100.0, 4000.0]
+        placer._next_node["a"] = 0
+        assert placer._pick_node_fast(ResourceVector(1.0, 4000.0), "a") == 3
+        self._compare_picks(placer, ResourceVector(1.0, 4000.0))
+
+    def test_strict_vcores_placement_matches_reference(self):
+        # Strict-vcores admission on a large cluster, mixed container
+        # sizes so a vcore-full node often has the most free memory: the
+        # production placer (vectorised pick, no bulk spans) must place
+        # exactly as the reference engine's scan.
+        import random
+
+        cluster = paper_cluster(240)
+        fast = YarnPlacer(cluster, enforce_vcores=True)
+        ref = YarnPlacer(cluster, enforce_vcores=True, fast=False)
+        fired = TestBulkUniformGrants._spy_bulk(fast)
+        rng = random.Random(7)
+        small = ResourceVector(1.0, 1000.0)
+        large = ResourceVector(1.0, 4000.0)
+        placed = []
+        for _ in range(4):
+            wave = {
+                "a": [(small, rng.randint(200, 900))],
+                "b": [(large, rng.randint(200, 900)), (small, rng.randint(0, 300))],
+                "c": [(large, rng.randint(0, 400))],
+            }
+            got = fast.assign_queues(wave)
+            assert got == ref.assign_queues(wave)
+            assert TestBulkUniformGrants._state(fast) == TestBulkUniformGrants._state(ref)
+            placed += [(name, node, wave[name][q][0]) for name, node, q in got]
+            rng.shuffle(placed)
+            keep = rng.randint(0, len(placed))
+            for name, node, container in placed[keep:]:
+                fast.release(name, node, container)
+                ref.release(name, node, container)
+            del placed[keep:]
+        assert not fired  # the bulk path stays memory-only
+
+
+class TestReleaseBatch:
+    """`release_batch` must leave the placer bit-identical to the same
+    sequence of `release` calls."""
+
+    # Awkward sizes, so a re-associated per-node sum would show.
+    CONTAINER = ResourceVector(0.3, 1536.3)
+
+    def _granted(self, workers, grants):
+        """Two placers that granted the same ``grants``-container wave of
+        job "a", and that wave's node indices."""
+        cluster = paper_cluster(workers)
+        pair = (YarnPlacer(cluster), YarnPlacer(cluster))
+        for placer in pair:
+            _names, _codes, nodes, _qidx = placer.assign_queues_arrays(
+                {"a": [(self.CONTAINER, grants)]}
+            )
+        return pair, nodes
+
+    @staticmethod
+    def _release_calls(placer, node_idx, counts, container):
+        for node, count in zip(node_idx.tolist(), counts.tolist()):
+            for _ in range(count):
+                placer.release("a", node, container)
+
+    @pytest.mark.parametrize("workers", [1, 10, 33])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_release_calls(self, seed, workers):
+        rng = np.random.default_rng(seed)
+        (batch, calls), held = self._granted(workers, 12 * workers)
+        while held.size:
+            held = rng.permutation(held)
+            cut = int(rng.integers(1, held.size + 1))
+            node_idx, counts = np.unique(held[:cut], return_counts=True)
+            held = held[cut:]
+            batch.release_batch("a", node_idx, counts, self.CONTAINER)
+            self._release_calls(calls, node_idx, counts, self.CONTAINER)
+            assert batch._free_m.tolist() == calls._free_m.tolist()
+            assert batch._free_v.tolist() == calls._free_v.tolist()
+            assert batch.usage_of("a") == calls.usage_of("a")
+            assert batch.free_capacity() == calls.free_capacity()
+        assert batch.free_capacity() == paper_cluster(workers).capacity
+
+    def test_counts_above_one_chain_per_node(self):
+        (batch, calls), held = self._granted(10, 120)
+        node_idx, counts = np.unique(held, return_counts=True)
+        assert counts.min() > 1
+        batch.release_batch("a", node_idx, counts, self.CONTAINER)
+        self._release_calls(calls, node_idx, counts, self.CONTAINER)
+        assert batch._free_m.tolist() == calls._free_m.tolist()
+        assert batch._free_v.tolist() == calls._free_v.tolist()
+
+    def test_over_release_rejected(self):
+        (batch, calls), held = self._granted(10, 20)
+        node_idx, counts = np.unique(held, return_counts=True)
+        counts[3] += 1  # one container more than node 3 holds
+        with pytest.raises(SchedulingError, match="node 3"):
+            batch.release_batch("a", node_idx, counts, self.CONTAINER)
+        with pytest.raises(SchedulingError, match="node 3"):
+            self._release_calls(calls, node_idx, counts, self.CONTAINER)
+
+    def test_free_capacity_sums_left_to_right(self):
+        # ndarray.sum() adds pairwise and rounds differently: the capacity
+        # must be the fold over the nodes in index order.
+        import random
+
+        placer = YarnPlacer(paper_cluster(100))
+        rng = random.Random(3)
+        free = [rng.uniform(0.0, 32_000.0) for _ in range(100)]
+        placer._free_m[:] = free
+        fold = 0.0
+        for value in free:
+            fold += value
+        assert float(np.sum(free)) != fold  # the two orders do differ here
+        assert placer.free_capacity().memory_mb == fold

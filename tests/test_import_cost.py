@@ -3,8 +3,10 @@
 ``scipy`` is most of a cold start's import time (about 1.6 s of a 2 s
 ``repro-dag estimate``), yet only two call sites need it: Blom's quantile in
 ``TaskTimeDistribution.expected_wave_max`` and ``ErnestModel.fit``.  Both
-import it on first use.  ``asyncio`` is only needed by the HTTP service.
-This check keeps both off ``import repro`` and ``import repro.cli``, with
+import it on first use.  ``asyncio`` is only needed by the HTTP service,
+and the simulator only by the commands that simulate, which import it
+themselves.  This check keeps all three off ``import repro`` and
+``import repro.cli``, with
 observability off and armed, so a new eager import fails here instead of
 silently costing a second on every command.  ``import repro`` itself loads
 no subpackage: each public name imports its own on first access.
@@ -13,7 +15,7 @@ no subpackage: each public name imports its own on first access.
 import pytest
 
 #: Modules a fresh ``import repro`` / ``import repro.cli`` must not load.
-HEAVY = ("scipy", "asyncio")
+HEAVY = ("scipy", "asyncio", "repro.simulator")
 ARMED = {"REPRO_TRACE": "1", "REPRO_METRICS": "1"}
 
 
