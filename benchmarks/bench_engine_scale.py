@@ -28,6 +28,7 @@ from _bench_utils import emit, emit_json, peak_rss_mb
 from repro.analysis import render_table
 from repro.cluster import Cluster
 from repro.cluster.node import PAPER_NODE
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.simulator import SimulationConfig, simulate
 from repro.units import gb
 from repro.workloads import hybrid, micro_workflow
@@ -148,11 +149,42 @@ def _render(rows) -> str:
     )
 
 
+#: Hot-loop phases the columnar engine times into ``engine.phase_time``.
+COLUMNAR_PHASES = ("pop", "solve", "launch", "bookkeep")
+
+
+def _columnar_phase_seconds(workers: int) -> dict:
+    """Per-phase wall seconds of one extra columnar run with metrics armed.
+
+    The run is untimed: the phase timers read the clock inside the loop,
+    so the timed run above stays uninstrumented.
+    """
+    registry = MetricsRegistry(enabled=True)
+    previous = set_metrics(registry)
+    try:
+        simulate(
+            _workload(workers),
+            Cluster(node=PAPER_NODE, workers=workers),
+            SimulationConfig(engine="columnar"),
+        )
+    finally:
+        set_metrics(previous)
+    snap = registry.snapshot()
+    return {
+        f"phase_{phase}_s": round(
+            snap[f"engine.phase_time{{phase={phase}}}"]["sum"], 4
+        )
+        for phase in COLUMNAR_PHASES
+    }
+
+
 def _run_columnar_size(workers: int, with_fast: bool = True) -> dict:
     """One columnar scaling point; optionally timed against the fast engine.
 
     Trace-level parity is pinned by ``tests/simulator/test_columnar_parity.py``;
     here only the makespan is cross-checked so the 100k point stays cheap.
+    The row also carries the per-phase split of one instrumented run, so a
+    CI log shows where the columnar time goes.
     """
     cluster = Cluster(node=PAPER_NODE, workers=workers)
     t0 = time.perf_counter()
@@ -170,6 +202,7 @@ def _run_columnar_size(workers: int, with_fast: bool = True) -> dict:
         "column_mb": round(col.column_bytes / (1024.0 * 1024.0), 2),
         "peak_rss_mb": peak_rss_mb(),
     }
+    row.update(_columnar_phase_seconds(workers))
     if with_fast:
         t0 = time.perf_counter()
         fast = simulate(

@@ -652,9 +652,12 @@ class YarnPlacer:
     # -- introspection ----------------------------------------------------------
 
     def free_capacity(self) -> ResourceVector:
+        # Memory-only admission may commit more vcores than a node has; an
+        # oversubscribed node has no free vcores, not a negative count.
         # Python's left-to-right sum: ndarray.sum() adds pairwise, which
         # rounds differently.
-        return ResourceVector(sum(self._free_v.tolist()), sum(self._free_m.tolist()))
+        free_v = np.maximum(self._free_v, 0.0)
+        return ResourceVector(sum(free_v.tolist()), sum(self._free_m.tolist()))
 
     def tasks_on_node(self, node_index: int) -> float:
         """Committed vcores on a node (proxy for its running-task count)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,9 +138,10 @@ class ColumnarResult(SimulationResult):
 
     A million-task run produces a million :class:`TaskTrace` objects nobody
     may ever look at; building them eagerly would cost more than the whole
-    columnar simulation.  The trace columns stay as arrays until ``tasks``
-    is first read; aggregate queries (:attr:`task_count`,
-    :meth:`durations_array`) answer straight from the columns.
+    columnar simulation.  Neither the canonical task order nor the trace
+    columns exist until first read: :attr:`task_count` answers from a
+    counter, :meth:`durations_array` builds the columns on its first call
+    and ``tasks`` materialises the objects on its first read.
     """
 
     def __init__(
@@ -150,9 +151,9 @@ class ColumnarResult(SimulationResult):
         stages,
         states,
         failed_attempts,
-        task_builder,
+        task_builder: Callable[[], List[TaskTrace]],
+        columns_builder: Callable[[], Dict[str, np.ndarray]],
         task_count: int,
-        columns: Dict[str, np.ndarray],
         job_names: List[str],
         column_bytes: int = 0,
     ):
@@ -165,8 +166,9 @@ class ColumnarResult(SimulationResult):
         self.failed_attempts = failed_attempts
         self._task_builder = task_builder
         self._tasks_cache: Optional[List[TaskTrace]] = None
+        self._columns_builder = columns_builder
+        self._columns: Optional[Dict[str, np.ndarray]] = None
         self._task_count = task_count
-        self._columns = columns
         self._job_index = {name: i for i, name in enumerate(job_names)}
         #: Peak bytes held by the simulator's slot/task columns — the
         #: never-reused-slot design trades memory for speed, and the scale
@@ -179,15 +181,22 @@ class ColumnarResult(SimulationResult):
             self._tasks_cache = self._task_builder()
         return self._tasks_cache
 
+    def _trace_columns(self) -> Dict[str, np.ndarray]:
+        if self._columns is None:
+            self._columns = self._columns_builder()
+        return self._columns
+
     def __getstate__(self) -> Dict:
-        # The lazy task builder is a closure over simulator internals and
-        # cannot cross a process boundary.  A trace that is pickled at all
-        # was explicitly kept (e.g. an ensemble exemplar shipping home from
-        # a pool worker), so materialise the tasks once and drop the
-        # builder — the unpickled copy serves them from the cache.
+        # The lazy builders are bound to simulator internals and cannot
+        # cross a process boundary.  A trace that is pickled at all was
+        # explicitly kept (e.g. an ensemble exemplar shipping home from a
+        # pool worker), so materialise the tasks and columns once and drop
+        # the builders — the unpickled copy serves both from its caches.
         _ = self.tasks
+        self._trace_columns()
         state = self.__dict__.copy()
         state["_task_builder"] = None
+        state["_columns_builder"] = None
         return state
 
     def __setstate__(self, state: Dict) -> None:
@@ -212,7 +221,7 @@ class ColumnarResult(SimulationResult):
         jid = self._job_index.get(job)
         if jid is None:
             return np.empty(0)
-        cols = self._columns
+        cols = self._trace_columns()
         sel = cols["job"] == jid
         if kind is not None:
             sel &= cols["kind"] == (0 if kind is StageKind.MAP else 1)
@@ -310,17 +319,24 @@ class ColumnarSimulator(Simulator):
         for name, dtype in self._TASK_FIELDS:
             setattr(self, name, np.zeros(self._task_cap, dtype=dtype))
 
-        # Cohort deadline heap.  There is no per-node slot registry: a
-        # node's live slots are recovered from the columns themselves
-        # (``_s_active`` + ``_s_node``), and because slot ids are allocated
-        # monotonically and never reused, ascending slot order *is* the
-        # object engines' within-node insertion (tie-break) order.
+        # Dirty nodes as one bool per node (every node starts dirty, like
+        # the object loops' set), and the live-slot window: every slot
+        # below ``_low`` is dead, so a dirty node's live slots lie in
+        # ``[_low, _n_slots)``.  Slot ids are allocated monotonically and
+        # never reused, so a launch only ever extends the window at the
+        # top, and ascending slot order *is* the object engines'
+        # within-node insertion (tie-break) order.
+        self._dirty = np.ones(self._n_nodes, dtype=np.bool_)
+        self._low = 0
+
+        # Cohort deadline heap.
         self._dl = CohortDeadlineHeap()
         self._epoch = 0
         self._live = 0
         self._done_slots: List[np.ndarray] = []
         self._done_count = 0
         self._failed_raw: List[Tuple[int, int, float]] = []
+        self._canonical: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         # Phase attribution (satellite of the cohort-batching work): wall
         # time per hot-loop phase and fired-cohort sizes, riding the same
@@ -501,10 +517,7 @@ class ColumnarSimulator(Simulator):
             if js.maps_completed >= threshold:
                 self._open_stage(js, StageKind.REDUCE)
         if js.reduces_opened and js.map_stage_open:
-            jid = self._jid_of[js.job.name]
-            self._dirty_nodes.update(
-                np.flatnonzero(self._reduce_counts[jid] > 0).tolist()
-            )
+            self._dirty |= self._reduce_counts[self._jid_of[js.job.name]] > 0
 
     # -- scheduling --------------------------------------------------------------
 
@@ -571,7 +584,7 @@ class ColumnarSimulator(Simulator):
             if queue_idx == 1:
                 np.add.at(self._reduce_counts[jid_of[name]], nodes[idx], 1)
             overhead_groups.append((js.job.config.task_overhead_s, slots[idx]))
-        self._dirty_nodes.update(np.unique(nodes).tolist())
+        self._dirty[nodes] = True
         self._s_uid[slots] = uids
         self._s_node[slots] = nodes
         pid = self._t_pid[uids]
@@ -684,6 +697,29 @@ class ColumnarSimulator(Simulator):
             self._rate_cache[comp_key] = dense
         return dense
 
+    def _dirty_slots(self, dirty: np.ndarray) -> np.ndarray:
+        """Active slots on the ``dirty`` nodes, node- then slot-ascending.
+
+        First moves the window's floor past the slots that died at its
+        bottom, then scans the window alone: waves retire roughly in
+        launch order, so it stays near the live-slot count instead of
+        growing with every slot the run has allocated.  The stable argsort
+        by node of the ascending candidates is the oracle's
+        ``sorted(dirty)`` + per-node insertion order, which is what keeps
+        the lexsort cohort tie-breaks in :meth:`_solve_dirty` bit-stable.
+        """
+        n = self._n_slots
+        low = self._low
+        if low < n and self._s_dead[low]:
+            # The first not-dead slot from the floor up; argmin is 0 only
+            # when every one of them is dead.
+            step = int(self._s_dead[low:n].argmin())
+            low = low + step if step else n
+            self._low = low
+        nodes = self._s_node[low:n]
+        pick = (self._s_active[low:n] & dirty[nodes]).nonzero()[0]
+        return low + pick[np.argsort(nodes[pick], kind="stable")]
+
     def _solve_dirty(self) -> None:
         """Re-share every dirty node in one batched pass.
 
@@ -692,25 +728,13 @@ class ColumnarSimulator(Simulator):
         rates depend only on its own composition, and the solver is a pure
         function of the canonically-ordered class sequence.
         """
-        dirty = sorted(self._dirty_nodes)
-        self._dirty_nodes.clear()
+        dirty = self._dirty
+        self._dirty = np.zeros(self._n_nodes, dtype=np.bool_)
         if self._ctr_solves is not None:
-            self._ctr_solves.inc(len(dirty))
-        if not dirty:
+            self._ctr_solves.inc(int(np.count_nonzero(dirty)))
+        act = self._dirty_slots(dirty)
+        if act.size == 0:
             return
-        # Gather the dirty nodes' live slots straight from the columns.
-        # Slot ids are monotone and never reused, so the stable argsort by
-        # node yields node-ascending, slot-ascending order — identical to
-        # the oracle's sorted(dirty) + per-node insertion order, which is
-        # what keeps the lexsort cohort tie-breaks below bit-stable.
-        n = self._n_slots
-        node_col = self._s_node[:n]
-        dirty_mask = np.zeros(self._n_nodes, dtype=np.bool_)
-        dirty_mask[dirty] = True
-        cand = np.flatnonzero(self._s_active[:n] & dirty_mask[node_col])
-        if cand.size == 0:
-            return
-        act = cand[np.argsort(node_col[cand], kind="stable")]
         now = self._now
 
         # Materialise lazily-advanced progress, exactly as _solve_node does:
@@ -732,12 +756,12 @@ class ColumnarSimulator(Simulator):
             g = act[gated]
             self._s_rate[g] = 0.0
             self._s_epoch[g] = -1
-            live = ~gated
-            included = act[live]
+            keep = ~gated
+            included = act[keep]
             if included.size == 0:
                 return
-            tgt_inc = targets[live]
-            prog_inc = prog[live]
+            tgt_inc = targets[keep]
+            prog_inc = prog[keep]
         else:
             included = act
             tgt_inc = targets
@@ -746,17 +770,20 @@ class ColumnarSimulator(Simulator):
         scid_inc = self._s_scid[included].astype(np.int64)
 
         # Per-node compositions, deduplicated: nodes sharing a composition
-        # share one solve (and usually a cached one).  Symmetric waves
-        # collapse to a handful of distinct rows, so probe the all-equal
-        # case first — it skips the (hash-based) row dedup entirely.
+        # share one solve (and usually a cached one).  ``node_inc`` is
+        # node-sorted, so each node is one run and its row is the count of
+        # run heads so far.  Symmetric waves collapse to a handful of
+        # distinct rows, so probe the all-equal case first — it skips the
+        # row dedup entirely.
         nc = len(self._class_weights)
-        seg_nodes = np.unique(node_inc)
-        node_row = np.zeros(self._n_nodes, dtype=np.int64)
-        node_row[seg_nodes] = np.arange(seg_nodes.size)
-        rows = node_row[node_inc]
+        head = np.empty(node_inc.size, dtype=np.bool_)
+        head[0] = True
+        np.not_equal(node_inc[1:], node_inc[:-1], out=head[1:])
+        rows = np.cumsum(head) - 1
+        n_rows = int(rows[-1]) + 1
         comp = np.bincount(
-            rows * nc + scid_inc, minlength=seg_nodes.size * nc
-        ).reshape(seg_nodes.size, nc)
+            rows * nc + scid_inc, minlength=n_rows * nc
+        ).reshape(n_rows, nc)
         if (comp == comp[0]).all():
             uniq = comp[:1]
             inverse = np.zeros(comp.shape[0], dtype=np.int64)
@@ -854,11 +881,9 @@ class ColumnarSimulator(Simulator):
         if gated.any():
             g = slots[gated]
             self._s_rate[g] = 0.0
-            self._dirty_nodes.update(np.unique(self._s_node[g]).tolist())
+            self._dirty[self._s_node[g]] = True
         if moved.any():
-            self._dirty_nodes.update(
-                np.unique(self._s_node[slots[moved]]).tolist()
-            )
+            self._dirty[self._s_node[slots[moved]]] = True
 
     def _kill_slot(self, slot: int) -> None:
         uid = int(self._s_uid[slot])
@@ -877,7 +902,7 @@ class ColumnarSimulator(Simulator):
         self._s_dead[slot] = True
         self._s_active[slot] = False
         self._live -= 1
-        self._dirty_nodes.add(node)
+        self._dirty[node] = True
         self._placer.release(js.job.name, node, container_for(js.job, kind))
         js.running[kind] -= 1
         js.pending[kind].retries.append(uid)  # type: ignore[attr-defined]
@@ -895,7 +920,7 @@ class ColumnarSimulator(Simulator):
         pid = self._s_pid[slots]
         new_stage = stage + 1
         finishing = new_stage >= self._pipe_nsub[pid]
-        self._dirty_nodes.update(np.unique(self._s_node[slots]).tolist())
+        self._dirty[self._s_node[slots]] = True
         continuing = ~finishing
         if continuing.any():
             c = slots[continuing]
@@ -984,7 +1009,7 @@ class ColumnarSimulator(Simulator):
                     f"simulation of {self._workflow.name!r} exceeded "
                     f"{self._config.max_iterations} iterations"
                 )
-            if self._dirty_nodes:
+            if self._dirty.any():
                 if phases is not None:
                     mark = perf_counter()
                 self._solve_dirty()
@@ -1033,9 +1058,7 @@ class ColumnarSimulator(Simulator):
                 self._s_active[slots] = True
                 self._s_twork[slots] = t_next
                 self._s_tbase[slots] = t_next
-                self._dirty_nodes.update(
-                    np.unique(self._s_node[slots]).tolist()
-                )
+                self._dirty[self._s_node[slots]] = True
             if phases is not None:
                 time_book += perf_counter() - mark
                 mark = perf_counter()
@@ -1100,30 +1123,6 @@ class ColumnarSimulator(Simulator):
 
     def _build_result(self) -> ColumnarResult:
         self._close_state()
-        if self._done_count:
-            slots = np.concatenate(self._done_slots)
-            uids = self._s_uid[slots]
-            # Canonical fast-engine task order: (t_start, job name, index).
-            order = np.lexsort(
-                (
-                    self._t_index[uids],
-                    self._job_rank[self._t_job[uids]],
-                    self._s_tlaunch[slots],
-                )
-            )
-            slots = slots[order]
-            uids = uids[order]
-        else:
-            slots = np.empty(0, dtype=np.int64)
-            uids = np.empty(0, dtype=np.int64)
-        nsub = self._pipe_nsub[self._s_pid[slots]]
-        columns = {
-            "job": self._t_job[uids],
-            "kind": self._t_kind[uids],
-            "t_start": self._s_tlaunch[slots],
-            "t_end": self._sub_t1[slots, nsub - 1] if slots.size else np.empty(0),
-            "work_t0": self._sub_t0[slots, 0] if slots.size else np.empty(0),
-        }
         failed = [
             (self._task_id_str(uid), attempt, when)
             for uid, attempt, when in self._failed_raw
@@ -1142,12 +1141,45 @@ class ColumnarSimulator(Simulator):
             stages=sorted(self._stage_traces, key=lambda s: (s.t_start, s.job)),
             states=self._states,
             failed_attempts=failed,
-            task_builder=lambda: self._materialise_tasks(slots, uids),
+            task_builder=self._materialise_tasks,
+            columns_builder=self._build_columns,
             task_count=self._done_count,
-            columns=columns,
             job_names=self._job_names,
             column_bytes=self.column_bytes(),
         )
+
+    def _canonical_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Finished slots and their uids in the canonical fast-engine task
+        order (t_start, job name, index), sorted once on first read."""
+        if self._canonical is None:
+            slots = (
+                np.concatenate(self._done_slots)
+                if self._done_slots
+                else np.empty(0, dtype=np.int64)
+            )
+            uids = self._s_uid[slots]
+            order = np.lexsort(
+                (
+                    self._t_index[uids],
+                    self._job_rank[self._t_job[uids]],
+                    self._s_tlaunch[slots],
+                )
+            )
+            self._canonical = (slots[order], uids[order])
+        return self._canonical
+
+    def _build_columns(self) -> Dict[str, np.ndarray]:
+        """Per-task trace columns in canonical order, for
+        :meth:`ColumnarResult.durations_array`."""
+        slots, uids = self._canonical_order()
+        nsub = self._pipe_nsub[self._s_pid[slots]]
+        return {
+            "job": self._t_job[uids],
+            "kind": self._t_kind[uids],
+            "t_start": self._s_tlaunch[slots],
+            "t_end": self._sub_t1[slots, nsub - 1] if slots.size else np.empty(0),
+            "work_t0": self._sub_t0[slots, 0] if slots.size else np.empty(0),
+        }
 
     def column_bytes(self) -> int:
         """Current bytes held by the slot/task/sub-stage columns."""
@@ -1159,9 +1191,8 @@ class ColumnarSimulator(Simulator):
             total += getattr(self, name).nbytes
         return total
 
-    def _materialise_tasks(
-        self, slots: np.ndarray, uids: np.ndarray
-    ) -> List[TaskTrace]:
+    def _materialise_tasks(self) -> List[TaskTrace]:
+        slots, uids = self._canonical_order()
         names = self._job_names
         sub_t0 = self._sub_t0
         sub_t1 = self._sub_t1

@@ -277,7 +277,6 @@ class Simulator:
             enforce_vcores=config.enforce_vcores,
             fast=config.engine != "reference",
         )
-        self._dirty_nodes = set(range(cluster.workers))
         self._jobs: Dict[str, _JobState] = {
             j.name: _JobState(j) for j in workflow.jobs
         }
@@ -319,6 +318,7 @@ class Simulator:
         """State of the object event loops (``fast`` and ``reference``)."""
         node = self._cluster.node
         workers = self._cluster.workers
+        self._dirty_nodes = set(range(workers))
         # Per-node pool maps: flows only ever touch their own node's pools,
         # so the sharing problem decomposes by node and only nodes whose
         # flow set changed need re-solving (a large speed-up).

@@ -77,6 +77,23 @@ class TestPlacement:
         placer.release(job, node, CONTAINER)
         assert placer.free_capacity().memory_mb == pytest.approx(32_000.0)
 
+    def test_free_capacity_when_cpu_oversubscribed(self):
+        # Memory-only admission commits more vcores than the nodes have:
+        # the oversubscribed nodes report zero free vcores, not negative.
+        placer = YarnPlacer(paper_cluster())
+        container = ResourceVector(0.7, 100.0)
+        granted = _pairs(placer.assign_queues({"a": [(container, 120)]}))
+        assert len(granted) == 120
+        per_node = collections.Counter(node for _, node in granted)
+        cores = paper_cluster().node.cores
+        assert any(0.7 * count > cores for count in per_node.values())
+        free = placer.free_capacity()
+        expected_v = 0.0
+        for value in placer._free_v.tolist():
+            expected_v += max(0.0, value)
+        assert free.vcores == expected_v
+        assert free.memory_mb == paper_cluster().capacity.memory_mb - 120 * 100.0
+
     def test_over_release_rejected(self):
         placer = YarnPlacer(paper_cluster())
         placer.register_job("a")

@@ -306,3 +306,175 @@ class TestColumnarResult:
         assert col._tasks_cache is None
         assert n == len(col.tasks)
         assert col._tasks_cache is not None
+
+
+class _FullScanOracle(ColumnarSimulator):
+    """Checks the live-slot window against a scan of every allocated slot.
+
+    Production gathers a dirty node's slots from the window
+    ``[_low, _n_slots)`` only; this subclass recomputes, at every
+    re-share, the full-column scan the window replaced and asserts both
+    agree.  It also pins the window itself: every slot below its floor is
+    dead and the floor sits on a live slot (or at the top) — so a floor
+    that never moves past dead slots fails here even where the candidate
+    set happens to survive it.
+    """
+
+    def _dirty_slots(self, dirty):
+        got = super()._dirty_slots(dirty)
+        n = self._n_slots
+        nodes = self._s_node[:n]
+        full = np.flatnonzero(self._s_active[:n] & dirty[nodes])
+        want = full[np.argsort(nodes[full], kind="stable")]
+        np.testing.assert_array_equal(got, want)
+        low = self._low
+        assert self._s_dead[:low].all()
+        assert low == n or not self._s_dead[low]
+        self.checks += 1
+        self.floor_moves += low > 0
+        return got
+
+
+class TestLiveSlotWindow:
+    """The live-slot window gathers exactly what a full scan would."""
+
+    @staticmethod
+    def _run(workflow_factory, cluster, **config_kwargs):
+        config = SimulationConfig(engine="columnar", **config_kwargs)
+        sim = _FullScanOracle(cluster, workflow_factory(), config)
+        sim.checks = sim.floor_moves = 0
+        checked = sim.run()
+        assert sim.checks > 0
+        assert sim.floor_moves > 0  # the window did shrink below the top
+        plain = simulate(workflow_factory(), cluster, config)
+        assert checked.makespan == plain.makespan
+        assert checked.tasks == plain.tasks
+        return checked
+
+    @staticmethod
+    def _uniform(workers):
+        size = gb(1.875 * workers)
+        return hybrid(
+            "WC+TS", micro_workflow("wc", size), micro_workflow("ts", size)
+        )
+
+    @pytest.mark.parametrize("workers", [64, 65])
+    def test_uniform_even_and_odd(self, workers):
+        cluster = Cluster(node=PAPER_NODE, workers=workers)
+        result = self._run(lambda: self._uniform(workers), cluster)
+        assert result.task_count > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_skewed_with_failures(self, seed):
+        from repro.workloads.weblog import weblog_dag
+
+        result = self._run(
+            lambda: weblog_dag(gb(20)),
+            Cluster(node=PAPER_NODE, workers=17),
+            skew=SkewModel(sigma=0.5, seed=seed),
+            failures=FailureModel(probability=0.05, seed=seed),
+        )
+        # Kills left dead slots mid-run and their retries took fresh ones.
+        assert result.failed_attempts
+        assert result.task_count == sum(
+            s.num_tasks for s in result.stages
+        )
+
+    def test_slowstart_gated_shuffles(self, ten_nodes):
+        from dataclasses import replace
+
+        from repro.dag.workflow import single_job_workflow
+        from repro.mapreduce.stage import StageKind
+        from repro.workloads.terasort import terasort
+
+        def gated():
+            job = terasort(input_mb=gb(5))
+            job = replace(job, config=replace(job.config, slowstart=0.2))
+            return single_job_workflow(job)
+
+        result = self._run(gated, ten_nodes, skew=SkewModel(sigma=0.3, seed=7))
+        bounds = {s.kind: s for s in result.stages}
+        # Reduces opened while maps still ran: their shuffles were gated.
+        assert bounds[StageKind.REDUCE].t_start < bounds[StageKind.MAP].t_end
+
+
+class TestDeferredTaskOrder:
+    """The canonical task order and trace columns are built on first read."""
+
+    @staticmethod
+    def _fresh():
+        from repro.workloads.weblog import weblog_dag
+
+        return simulate(
+            weblog_dag(gb(20)),
+            Cluster(node=PAPER_NODE, workers=17),
+            SimulationConfig(
+                engine="columnar",
+                skew=SkewModel(sigma=0.5, seed=3),
+                failures=FailureModel(probability=0.05, seed=3),
+            ),
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        result = self._fresh()
+        return result.tasks, sorted({t.job for t in result.tasks})
+
+    @staticmethod
+    def _durations(result, jobs):
+        from repro.mapreduce.stage import StageKind
+
+        return {
+            (job, kind, overhead): result.durations_array(job, kind, overhead)
+            for job in jobs
+            for kind in (None, StageKind.MAP, StageKind.REDUCE)
+            for overhead in (False, True)
+        }
+
+    @staticmethod
+    def _expected(tasks, jobs):
+        from repro.mapreduce.stage import StageKind
+
+        out = {}
+        for job in jobs:
+            for kind in (None, StageKind.MAP, StageKind.REDUCE):
+                picked = [
+                    t for t in tasks if t.job == job and kind in (None, t.kind)
+                ]
+                out[(job, kind, False)] = np.array(
+                    [t.work_duration for t in picked]
+                )
+                out[(job, kind, True)] = np.array([t.duration for t in picked])
+        return out
+
+    def _assert_durations(self, got, tasks, jobs):
+        want = self._expected(tasks, jobs)
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=str(key))
+
+    def test_durations_before_tasks(self, reference):
+        tasks, jobs = reference
+        col = self._fresh()
+        assert col._columns is None and col._tasks_cache is None
+        self._assert_durations(self._durations(col, jobs), tasks, jobs)
+        assert col._tasks_cache is None  # durations never build the objects
+        assert col.tasks == tasks
+
+    def test_tasks_unchanged(self, reference):
+        tasks, jobs = reference
+        col = self._fresh()
+        assert col._columns is None
+        assert col.tasks == tasks
+        self._assert_durations(self._durations(col, jobs), tasks, jobs)
+
+    def test_pickle_before_any_read(self, reference):
+        import pickle
+
+        tasks, jobs = reference
+        col = self._fresh()
+        assert col._columns is None and col._tasks_cache is None
+        back = pickle.loads(pickle.dumps(col))
+        assert back._task_builder is None and back._columns_builder is None
+        assert back.tasks == tasks
+        self._assert_durations(self._durations(back, jobs), tasks, jobs)
