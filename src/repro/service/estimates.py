@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.distributions import Variant
 from repro.dag.workflow import Workflow
-from repro.errors import ServiceError
+from repro.errors import JobTimeoutError, ServiceError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
@@ -120,7 +120,8 @@ class EstimateService:
         estimate values themselves are bit-identical across all three
         paths — and to a direct :func:`repro.core.estimator.estimate_workflow`
         call — because every path runs (or replays) the same memoised
-        estimator.
+        estimator.  A result not ready within ``timeout`` seconds raises
+        :class:`~repro.errors.JobTimeoutError` (HTTP 504).
         """
         registry = get_metrics()
         if registry.enabled:
@@ -162,7 +163,12 @@ class EstimateService:
             if registry.enabled:
                 registry.labeled_counter("service.estimates", served=served).inc()
             span.set(served=served)
-            return dict(future.result(timeout), served=served)
+            try:
+                return dict(future.result(timeout), served=served)
+            except FutureTimeout:
+                raise JobTimeoutError(
+                    f"estimate not ready within timeout_s={timeout}"
+                ) from None
 
     # -- the estimator thread ----------------------------------------------------
 

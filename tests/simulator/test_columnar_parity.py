@@ -19,6 +19,9 @@ elementwise float kernels across platforms/SIMD widths (e.g. a different
 counts, sub-stage names, kill sets — must match exactly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,24 @@ class TestEngineSelection:
 
 class TestColumnarResult:
     """Lazy materialisation and the columnar fast-path queries."""
+
+    def test_kept_result_does_not_pin_its_simulator(self, ten_nodes):
+        """A result outlives its simulator: the lazy builders hold only the
+        arrays they read, and still build the same tasks and columns."""
+        workflow = entry("WC+TS").factory(0.25)
+        config = SimulationConfig(engine="columnar", skew=SkewModel(sigma=0.3))
+        sim = ColumnarSimulator(ten_nodes, workflow, config)
+        result = sim.run()
+        gone = weakref.ref(sim)
+        del sim
+        gc.collect()
+        assert gone() is None
+        fresh = ColumnarSimulator(ten_nodes, workflow, config).run()
+        assert result.tasks == fresh.tasks
+        for job in ("wc", "ts"):
+            np.testing.assert_array_equal(
+                result.durations_array(job), fresh.durations_array(job)
+            )
 
     def test_durations_array_matches_tasks(self, ten_nodes):
         col = simulate(

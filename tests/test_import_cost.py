@@ -10,22 +10,30 @@ themselves.  This check keeps all three off ``import repro`` and
 observability off and armed, so a new eager import fails here instead of
 silently costing a second on every command.  ``import repro`` itself loads
 no subpackage: each public name imports its own on first access.
+
+The service and the operation layer under it import the simulator, the
+ensemble engine and the sweep runner only when a request runs, so
+starting a service (which every ledger workload's setup does) stays
+cheap too.
 """
 
 import pytest
 
 #: Modules a fresh ``import repro`` / ``import repro.cli`` must not load.
 HEAVY = ("scipy", "asyncio", "repro.simulator")
+#: Modules ``import repro.operations`` / ``import repro.service.server``
+#: must not load (the server needs asyncio itself).
+RUNNERS = ("scipy", "repro.simulator", "repro.ensemble", "repro.sweep")
 ARMED = {"REPRO_TRACE": "1", "REPRO_METRICS": "1"}
 
 
-def _loaded_heavy(fresh_python, statement: str, **switches: str) -> list:
-    """The HEAVY modules in ``sys.modules`` after ``statement`` runs in a
-    fresh interpreter."""
+def _loaded_heavy(fresh_python, statement: str, heavy=HEAVY, **switches: str) -> list:
+    """The ``heavy`` modules in ``sys.modules`` after ``statement`` runs in
+    a fresh interpreter."""
     probe = (
         f"{statement}\n"
         "import sys\n"
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
     )
     return fresh_python(probe, **switches).split()
 
@@ -35,6 +43,13 @@ def _loaded_heavy(fresh_python, statement: str, **switches: str) -> list:
 def test_import_loads_no_heavy_module(fresh_python, module, armed):
     switches = ARMED if armed else {}
     assert _loaded_heavy(fresh_python, f"import {module}", **switches) == []
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["obs-off", "obs-armed"])
+@pytest.mark.parametrize("module", ["repro.operations", "repro.service.server"])
+def test_operation_layer_loads_no_runner(fresh_python, module, armed):
+    switches = ARMED if armed else {}
+    assert _loaded_heavy(fresh_python, f"import {module}", RUNNERS, **switches) == []
 
 
 def test_probe_sees_a_heavy_import(fresh_python):
