@@ -75,8 +75,9 @@ _EXPORTS = {
         "compare_paired", "run_ensemble",
     ),
     "repro.errors": (
-        "EstimationError", "ProfileError", "ReproError", "SchedulingError",
-        "SimulationError", "SpecificationError", "TraceWindowError", "WorkflowError",
+        "EstimationError", "JobAbortedError", "ProfileError", "ReproError",
+        "SchedulingError", "SimulationError", "SpecificationError",
+        "TraceWindowError", "WorkflowError",
     ),
     "repro.mapreduce": (
         "CompressionSpec", "JobConfig", "MapReduceJob", "SkewModel", "StageKind",

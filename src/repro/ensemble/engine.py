@@ -38,13 +38,14 @@ sweep layer's parity contract) and pinned to the bit by
 from __future__ import annotations
 
 import logging
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.dag.workflow import Workflow
-from repro.errors import SpecificationError
+from repro.errors import JobAbortedError, SpecificationError
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.service.pool import CancelCheck, ResilientPool
@@ -165,13 +166,18 @@ class ReplicationRecord:
     states: int
     failed_attempts: int
     state_durations: Tuple[float, ...]
+    #: Why the run aborted (a task failed every allowed attempt), or
+    #: ``None``; an aborted run has no makespan to aggregate.
+    aborted: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Distributional outcome of one ensemble.
 
-    All fields except the wall/CPU telemetry are covered by the
+    ``replications`` counts every run, ``aborted`` those whose job
+    aborted; the makespan statistics, quantiles and ``samples`` cover the
+    rest.  All fields except the wall/CPU telemetry are covered by the
     determinism contract: identical for a given ``(config, workflow)``
     across process counts and chunk orders.
     """
@@ -189,6 +195,7 @@ class EnsembleResult:
     state_durations: Tuple[Dict[str, float], ...]
     samples: Tuple[float, ...]
     exemplars: Tuple[SimulationResult, ...] = ()
+    aborted: int = 0
     wall_time_s: float = 0.0
     cpu_time_s: float = 0.0
     processes: int = 1
@@ -221,6 +228,7 @@ class EnsembleResult:
             f"p99 {self.quantiles[0.99]:.1f}s, "
             f"P{self.target_quantile * 100:g} CI "
             f"[{self.ci[0]:.1f}, {self.ci[1]:.1f}]s"
+            + (f", {self.aborted} aborted" if self.aborted else "")
         )
 
 
@@ -242,7 +250,14 @@ def run_replication(
     this is the streaming-aggregation boundary.
     """
     config = replication_config(variant.config, base_seed, index)
-    result = simulate(variant.workflow, variant.cluster, config)
+    try:
+        result = simulate(variant.workflow, variant.cluster, config)
+    except JobAbortedError as exc:
+        aborted = ReplicationRecord(
+            index, config.skew.seed, config.failures.seed, math.nan, 0, 0, 0, (),
+            aborted=str(exc),
+        )
+        return aborted, None
     record = ReplicationRecord(
         index=index,
         skew_seed=config.skew.seed,
@@ -271,6 +286,7 @@ class _Accumulator:
         self.failed = RunningStat()
         self.states: List[RunningStat] = []
         self.samples: List[float] = []
+        self.aborted: List[str] = []  # abort messages, in replication order
         self.exemplars: Dict[int, SimulationResult] = {}
         self._pending: Dict[
             int, Tuple[ReplicationRecord, Optional[SimulationResult]]
@@ -294,6 +310,11 @@ class _Accumulator:
     ) -> None:
         assert record.index == self._next
         self._next += 1
+        if self._counter is not None:
+            self._counter.inc()
+        if record.aborted is not None:
+            self.aborted.append(record.aborted)
+            return
         self.samples.append(record.makespan)
         self.makespan.push(record.makespan)
         self.failed.push(float(record.failed_attempts))
@@ -305,8 +326,6 @@ class _Accumulator:
             self.states[i].push(duration)
         if trace is not None:
             self.exemplars[record.index] = trace
-        if self._counter is not None:
-            self._counter.inc()
 
     def settled(self) -> bool:
         """True when no out-of-order record is still buffered."""
@@ -336,6 +355,7 @@ class _Accumulator:
             state_durations=tuple(s.snapshot() for s in self.states),
             samples=tuple(self.samples),
             exemplars=tuple(self.exemplars[i] for i in sorted(self.exemplars)),
+            aborted=len(self.aborted),
             wall_time_s=run.wall_s,
             cpu_time_s=run.cpu_s,
             processes=run.processes,
@@ -405,6 +425,11 @@ def _replicate(
     :meth:`EnsembleConfig.round_targets`, and the run ends after the
     first round whose accumulators satisfy ``stop``; without it the whole
     budget is one batch.  ``cancel`` is polled between chunks.
+
+    A replication whose job aborts is counted, not fatal.  Its index is
+    one common-random-number draw, so it counts as aborted under every
+    variant and paired sample vectors stay aligned; only when every
+    replication aborts does the run raise :class:`JobAbortedError`.
     """
     t0 = time.perf_counter()
     registry = get_metrics()
@@ -424,9 +449,15 @@ def _replicate(
             )
             cpu_s += mapped.cpu_s
             pooled = pooled or mapped.pooled
-            for outputs in mapped.outputs:
-                for variant_idx, record, trace in outputs:
-                    accumulators[variant_idx].add(record, trace)
+            outputs = [output for chunk in mapped.outputs for output in chunk]
+            aborted = {
+                r.index: r.aborted for _, r, _ in outputs if r.aborted is not None
+            }
+            for variant_idx, record, trace in outputs:
+                if record.index in aborted:
+                    record = replace(record, aborted=aborted[record.index])
+                    trace = None
+                accumulators[variant_idx].add(record, trace)
             assert all(acc.settled() for acc in accumulators)
             done = target
             if stop is not None and done < ens.replications and stop(accumulators):
@@ -438,6 +469,11 @@ def _replicate(
         pool.release(setup)
         if owned:
             pool.close()
+    if any(not acc.samples for acc in accumulators):
+        raise JobAbortedError(
+            f"all {done} replications aborted; the first: "
+            f"{accumulators[0].aborted[0]}"
+        )
     return _Replicated(
         accumulators,
         time.perf_counter() - t0,
@@ -500,6 +536,8 @@ class EnsembleRunner:
 
         def converged(accumulators: List[_Accumulator]) -> bool:
             (acc,) = accumulators
+            if not acc.samples:
+                return False
             lo, hi = acc.target_ci(ens.target_quantile, ens.ci_z)
             estimate = sample_quantile(sorted(acc.samples), ens.target_quantile)
             return estimate > 0 and (hi - lo) / 2.0 <= ens.ci_tol * estimate

@@ -51,6 +51,16 @@ class TraceWindowError(SimulationError):
     """
 
 
+class JobAbortedError(SimulationError):
+    """A task failed every attempt the failure model allows, so the
+    simulated job aborted.
+
+    Not an engine bug: with failure injection on, some seeds abort by
+    design.  The replication ensemble counts such a run as aborted
+    instead of failing the whole ensemble.
+    """
+
+
 class EstimationError(ReproError):
     """A cost model cannot produce an estimate from the inputs it was given.
 

@@ -57,7 +57,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource, ResourceVector
 from repro.dag.workflow import Workflow
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import JobAbortedError, SchedulingError, SimulationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.phases import SubStageSpec, build_task_substages
 from repro.mapreduce.stage import StageKind
@@ -772,7 +772,7 @@ class Simulator:
         spec = run.spec
         model = self._config.failures
         if run.attempt >= model.max_attempts:
-            raise SimulationError(
+            raise JobAbortedError(
                 f"task {spec.task_id} failed {run.attempt} attempts "
                 f"(limit {model.max_attempts}); job aborted"
             )

@@ -870,6 +870,7 @@ class SweepRunner:
             ens_b.workflow,
             ens_b.samples,
             base_seed=ens_a.base_seed,
+            aborted=ens_a.aborted,
             wall_time_s=ens_a.wall_time_s,
             cpu_time_s=ens_a.cpu_time_s,
             processes=self._processes,

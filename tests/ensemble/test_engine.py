@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from repro.cluster import paper_cluster
 from repro.dag import single_job_workflow
 from repro.ensemble import (
     EnsembleConfig,
@@ -12,8 +13,9 @@ from repro.ensemble import (
     run_ensemble,
     run_replication,
 )
+from repro.ensemble.compare import compare_paired
 from repro.ensemble.engine import _Accumulator
-from repro.errors import SpecificationError
+from repro.errors import JobAbortedError, SpecificationError
 from repro.obs.metrics import get_metrics
 from repro.simulator import (
     FailureModel,
@@ -167,6 +169,67 @@ class TestReplications:
             == traces["columnar"].makespan
             == traces["reference"].makespan
         )
+
+
+class TestAbortedReplications:
+    """A replication whose job aborts is counted, not fatal: it used to
+    end the whole ensemble."""
+
+    @pytest.fixture
+    def fragile(self):
+        """One attempt per task, so any injected failure aborts the job:
+        two of the first eight replications abort, replication 0 among
+        them."""
+        return SimulationConfig(
+            skew=SkewModel(sigma=0.3),
+            failures=FailureModel(probability=0.01, max_attempts=1),
+        )
+
+    def test_counted_and_left_out_of_the_aggregates(self, cluster, workflow, fragile):
+        variant = VariantSpec(workflow, cluster, fragile)
+        records = [run_replication(variant, 42, i, False)[0] for i in range(8)]
+        result = run_ensemble(
+            workflow, cluster, fragile,
+            EnsembleConfig(replications=8, min_replications=8),
+        )
+        assert (result.replications, result.aborted) == (8, 2)
+        assert records[0].aborted is not None
+        assert result.exemplars == ()
+        assert result.samples == tuple(
+            r.makespan for r in records if r.aborted is None
+        )
+        assert "2 aborted" in result.describe()
+
+    def test_pooled_matches_serial(self, cluster, workflow, fragile):
+        results = [
+            run_ensemble(
+                workflow, cluster, fragile,
+                EnsembleConfig(replications=8, min_replications=8, processes=n),
+            )
+            for n in (1, 2)
+        ]
+        assert _aggregates(results[0]) == _aggregates(results[1])
+        assert results[0].aborted == results[1].aborted == 2
+
+    def test_paired_drops_the_whole_pair(self, cluster, workflow, fragile):
+        comparison = compare_paired(
+            workflow, workflow, cluster, cluster_b=paper_cluster(12),
+            config=fragile,
+            ensemble=EnsembleConfig(replications=8, min_replications=8),
+        )
+        assert comparison.aborted >= 2
+        assert len(comparison.samples_a) == len(comparison.samples_b)
+        assert comparison.replications == 8 - comparison.aborted
+
+    def test_every_replication_aborted_raises(self, cluster, workflow):
+        doomed = SimulationConfig(
+            failures=FailureModel(probability=0.5, max_attempts=1)
+        )
+        with pytest.raises(JobAbortedError, match="all 3 replications aborted"):
+            run_ensemble(
+                workflow, cluster, doomed,
+                EnsembleConfig(replications=3, min_replications=3),
+            )
 
 
 class TestDeterminismContract:
