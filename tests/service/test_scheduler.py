@@ -214,6 +214,24 @@ class TestRetries:
         assert _counter(armed_metrics, "jobs.retries") == 2
         assert _counter(armed_metrics, "jobs.succeeded") == 1
 
+    def test_failing_retry_path_settles_the_job_and_keeps_the_worker(self):
+        """A JobSpec built in Python skips the service's parse-time check,
+        so ``time.sleep`` meets the negative backoff on the retry path; the
+        job fails and the one worker thread goes on to the next job."""
+
+        def broken(cancel):
+            raise RuntimeError("down")
+
+        with JobScheduler(workers=1) as sched:
+            doomed = sched.submit(
+                JobSpec(kind="sweep", run=broken, retries=1, backoff_s=-1.0)
+            )
+            with pytest.raises(ServiceError, match="sleep length"):
+                doomed.outcome(timeout=5.0)
+            after = sched.submit(JobSpec(kind="sweep", run=lambda cancel: "ok"))
+            assert after.outcome(timeout=5.0) == "ok"
+        assert doomed.status == "failed"
+
     def test_retry_exhaustion_fails_with_last_error(self, armed_metrics):
         def broken(cancel):
             raise RuntimeError("always down")
