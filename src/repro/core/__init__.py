@@ -28,16 +28,6 @@ from repro.core.fingerprint import (
     job_fingerprint,
     value_fingerprint,
 )
-from repro.core.incremental import (
-    Checkpoint,
-    PrefixMatch,
-    ReuseStats,
-    Trajectory,
-    TrajectoryCache,
-    changed_jobs,
-    parent_map,
-    reusable_prefix,
-)
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState
 
@@ -45,14 +35,11 @@ __all__ = [
     "BOEModel",
     "BOESource",
     "CacheStats",
-    "Checkpoint",
     "DagEstimate",
     "DagEstimator",
     "EstimatedState",
     "LRUCache",
     "OpEstimate",
-    "PrefixMatch",
-    "ReuseStats",
     "RunningStage",
     "ScaledSource",
     "StageLoad",
@@ -60,19 +47,14 @@ __all__ = [
     "TaskEstimate",
     "TaskTimeDistribution",
     "TaskTimeSource",
-    "Trajectory",
-    "TrajectoryCache",
     "Variant",
     "align_substage",
-    "changed_jobs",
     "completion_rate",
     "estimate_parallelism",
     "estimate_workflow",
     "job_fingerprint",
-    "parent_map",
     "per_task_throughput",
     "resource_users",
-    "reusable_prefix",
     "share_fraction",
     "stage_time",
     "value_fingerprint",

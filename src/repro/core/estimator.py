@@ -1,21 +1,25 @@
 """Algorithm 1 — state-based cost estimation for a DAG workflow (§IV).
 
-The estimator walks the workflow through its states.  Per iteration it
+The estimator walks the workflow through its states.  Each iteration runs
+the paper's five steps, one :class:`DagEstimator` method each:
 
-1. estimates the degree of parallelism ``Delta_i`` of every running job
-   (scheduler equilibrium, :mod:`repro.core.parallelism`);
-2. obtains each running stage's per-task time distribution from a pluggable
-   :class:`TaskTimeSource` — the BOE model for end-to-end prediction, or
-   measured profiles for the Table III setting ("to eliminate the error of
-   task-level models, we use task execution time profiles");
-3. computes each stage's remaining duration via wave arithmetic
-   (:func:`repro.core.distributions.stage_time`) under the chosen variant
-   (Alg1-Mean / Alg1-Mid / Alg2-Normal);
-4. advances time to the earliest stage completion, updates everyone else's
-   progress, and transitions the workflow (map -> reduce, job completion,
-   DAG children arriving).
+1. ``_parallelism`` — the degree of parallelism ``Delta_i`` of every
+   running job (scheduler equilibrium, :mod:`repro.core.parallelism`);
+2. ``_task_times`` — each running stage's per-task time distribution from
+   a pluggable :class:`TaskTimeSource`: the BOE model for end-to-end
+   prediction, or measured profiles for the Table III setting ("to
+   eliminate the error of task-level models, we use task execution time
+   profiles");
+3. ``_first_stage_end`` — each stage's remaining duration via wave
+   arithmetic (:func:`repro.core.distributions.stage_time`) under the
+   chosen variant (Alg1-Mean / Alg1-Mid / Alg2-Normal), and the earliest
+   stage completion, which ends the state;
+4. ``_advance`` — everyone else's progress over the state;
+5. ``_transition`` — map -> reduce, job completion, DAG children arriving.
 
 ``t_dag = sum_s t_stage(s)`` falls out as the sum of state durations.
+``tests/core/test_algorithm1_oracle.py`` checks the whole loop, to the bit,
+against a step-by-step transcription of the pseudocode.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -35,12 +39,6 @@ from repro.core.distributions import (
     wave_sizes,
 )
 from repro.core.fingerprint import CacheStats
-from repro.core.incremental import (
-    Checkpoint,
-    SpanEntry,
-    Trajectory,
-    TrajectoryCache,
-)
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState, WorkflowProgress
 from repro.dag.workflow import Workflow
@@ -63,6 +61,11 @@ Point = Tuple[
     float,
     Sequence[Tuple[MapReduceJob, StageKind, float]],
 ]
+
+
+#: Per running stage: its task-time distribution and, for a ragged final
+#: wave, the distribution at that wave's own parallelism.
+_StageDists = Dict[str, Tuple[TaskTimeDistribution, Optional[TaskTimeDistribution]]]
 
 
 class TaskTimeSource(Protocol):
@@ -217,17 +220,53 @@ class _StageProgress:
     prev_delta: float = 0.0  # parallelism granted in the previous state
 
 
+@dataclass
+class _Walk:
+    """Algorithm 1's loop state over one workflow: the running stages in
+    start order, the completed jobs, the arrival order the FIFO/fair
+    policies serve by, the clock, and the plan recorded so far."""
+
+    workflow: Workflow
+    now: float = 0.0
+    running: Dict[str, _StageProgress] = field(default_factory=dict)
+    done: Set[str] = field(default_factory=set)
+    arrival: Dict[str, int] = field(default_factory=dict)
+    states: List[EstimatedState] = field(default_factory=list)
+    spans: Dict[Tuple[str, StageKind], Tuple[float, float]] = field(
+        default_factory=dict
+    )
+
+    def start(
+        self, name: str, kind: StageKind, remaining: Optional[float] = None
+    ) -> None:
+        job = self.workflow.job(name)
+        # FIFO/fair policies serve jobs by arrival; a job keeps its slot in
+        # that order across its own map -> reduce transition.
+        self.arrival.setdefault(name, len(self.arrival))
+        tasks = float(job.num_tasks(kind))
+        resumed_mid_flight = remaining is not None and remaining < tasks
+        self.running[name] = _StageProgress(
+            job=job,
+            kind=kind,
+            remaining=tasks if remaining is None else min(remaining, tasks),
+            total=tasks,
+            t_start=self.now,
+            # A stage resumed mid-flight may have up to a full slot grant of
+            # tasks already running; seed the demand cap accordingly (the
+            # scheduler clamps it to the actual slots).
+            prev_delta=tasks if resumed_mid_flight else 0.0,
+        )
+
+
 class DagEstimator:
     """State-based DAG workflow cost estimator (Algorithm 1).
 
-    With a :class:`~repro.core.incremental.TrajectoryCache` attached the
-    estimator records per-state checkpoints after every full run and, on
-    the next candidate, resumes Algorithm 1 from the longest provably
-    unaffected state prefix instead of ``t = 0`` — see
-    :mod:`repro.core.incremental` for the reuse invariant.  With ``batch``
-    (the default) and a source exposing ``distribution_batch``, each
-    state's task-time queries are evaluated in one vectorised call.  Both
-    paths are bit-identical to the cold serial estimator.
+    :meth:`estimate` iterates the workflow's states; each iteration runs the
+    paper's steps as one method each — :meth:`_parallelism` (Delta_i),
+    :meth:`_task_times`, :meth:`_first_stage_end`, :meth:`_advance` and
+    :meth:`_transition`.  With ``batch`` (the default) and a source
+    exposing ``distribution_batch``, each state's task-time queries are
+    evaluated in one vectorised call, bit-identical to the per-point path.
     """
 
     def __init__(
@@ -237,7 +276,6 @@ class DagEstimator:
         variant: Variant = Variant.MEAN,
         policy: str = "drf",
         enforce_vcores: bool = False,
-        trajectory_cache: Optional[TrajectoryCache] = None,
         batch: bool = True,
     ):
         self._cluster = cluster
@@ -245,7 +283,6 @@ class DagEstimator:
         self._variant = variant
         self._policy = policy
         self._enforce_vcores = enforce_vcores
-        self._trajectories = trajectory_cache
         self._batched = bool(batch) and callable(
             getattr(source, "distribution_batch", None)
         )
@@ -256,54 +293,6 @@ class DagEstimator:
         self._otr = tracer if tracer.enabled else None
         self._ctr_iterations = (
             metrics.counter("est.iterations") if metrics.enabled else None
-        )
-        self._ctr_prefix = (
-            metrics.counter("estimator.prefix_states_reused")
-            if metrics.enabled
-            else None
-        )
-
-    @property
-    def trajectory_cache(self) -> Optional[TrajectoryCache]:
-        return self._trajectories
-
-    @staticmethod
-    def _ragged_tail(progress: _StageProgress, delta: float) -> Optional[float]:
-        """Size of a ragged final wave, or ``None`` when the stage is even.
-
-        A stage whose task count is not a multiple of its parallelism runs a
-        ragged final wave at *lower* parallelism — and for contention-driven
-        task times (the BOE source) those final tasks are genuinely faster.
-        """
-        waves = wave_sizes(progress.total, delta)
-        per_wave = max(1, int(delta + 1e-9))
-        if len(waves) < 2 or waves[-1] >= per_wave:
-            return None
-        return float(waves[-1])
-
-    def _whole_stage_time(
-        self,
-        progress: _StageProgress,
-        delta: float,
-        dist: TaskTimeDistribution,
-        tail_dist: Optional[TaskTimeDistribution],
-    ) -> float:
-        """Whole-stage duration with a wave-aware final correction.
-
-        ``tail_dist`` is the re-priced distribution of the ragged final
-        wave (pre-fetched by the caller so the lookup can ride the batched
-        kernel), or ``None`` when :meth:`_ragged_tail` found none; sources
-        that ignore ``delta`` (measured profiles) are unaffected.
-        """
-        if tail_dist is None:
-            return stage_time(progress.total, delta, dist, self._variant)
-        waves = wave_sizes(progress.total, delta)
-        per_wave = max(1, int(delta + 1e-9))
-        if self._variant is Variant.NORMAL:
-            body = (progress.total - waves[-1]) / per_wave * dist.mean
-            return body + tail_dist.expected_wave_max(waves[-1])
-        return (len(waves) - 1) * dist.statistic(self._variant) + tail_dist.statistic(
-            self._variant
         )
 
     def estimate(
@@ -318,338 +307,269 @@ class DagEstimator:
         estimation application (see :mod:`repro.progress`).
         """
         t_wall = time.perf_counter()
-        # Trajectory reuse only applies to full runs: a mid-execution
-        # snapshot (`initial`) starts from measured progress, not from
-        # state 0, so its states are not comparable across candidates.
-        cache = self._trajectories if initial is None else None
-        match = (
-            cache.match(
-                workflow,
-                self._cluster,
-                self._variant,
-                self._policy,
-                self._enforce_vcores,
-                self._source,
-            )
-            if cache is not None
-            else None
-        )
         run_span = (
             self._otr.begin(
                 "est.run",
                 workflow=workflow.name,
                 variant=self._variant.value,
                 resumed=initial is not None,
-                prefix=match.prefix if match is not None else 0,
             )
             if self._otr is not None
             else None
         )
-        running: Dict[str, _StageProgress] = {}
-        done: Set[str] = set()
-        arrival: Dict[str, int] = {}
-        now = 0.0
-        states: List[EstimatedState] = []
-        spans: Dict[Tuple[str, StageKind], Tuple[float, float]] = {}
-        span_log: List[SpanEntry] = []
-        checkpoints: List[Checkpoint] = []
-
-        def start_stage(
-            name: str, kind: StageKind, remaining: Optional[float] = None
-        ) -> None:
-            job = workflow.job(name)
-            # FIFO/fair policies serve jobs by arrival; a job keeps its slot
-            # in that order across its own map -> reduce transition.
-            arrival.setdefault(name, len(arrival))
-            tasks = float(job.num_tasks(kind))
-            resumed_mid_flight = remaining is not None and remaining < tasks
-            running[name] = _StageProgress(
-                job=job,
-                kind=kind,
-                remaining=tasks if remaining is None else min(remaining, tasks),
-                total=tasks,
-                t_start=now,
-                # A stage resumed mid-flight may have up to a full slot grant
-                # of tasks already running; seed the demand cap accordingly
-                # (the scheduler clamps it to the actual slots).
-                prev_delta=tasks if resumed_mid_flight else 0.0,
-            )
-
-        if match is not None:
-            # Resume Algorithm 1 from the longest reusable checkpoint (an
-            # identical candidate resumes from the final one, with nothing
-            # left to iterate).  The running entries are restored in the
-            # cached dict order — the order fixes every stage's
-            # concurrent-load signature, so it is part of the bit-identical
-            # guarantee.
-            trajectory = match.trajectory
-            prefix = match.prefix
-            checkpoint = trajectory.checkpoints[prefix - 1]
-            now = checkpoint.now
-            done = set(checkpoint.done)
-            arrival = {name: i for i, name in enumerate(checkpoint.arrival)}
-            for name, kind, remaining, total, t_start, prev_delta in checkpoint.running:
-                running[name] = _StageProgress(
-                    job=workflow.job(name),
-                    kind=kind,
-                    remaining=remaining,
-                    total=total,
-                    t_start=t_start,
-                    prev_delta=prev_delta,
-                )
-            states = list(trajectory.states[:prefix])
-            span_log = [entry for entry in trajectory.span_log if entry[0] <= prefix]
-            spans = {key: span for _, key, span in span_log}
-            checkpoints = list(trajectory.checkpoints[:prefix])
-            cache.stats.states_reused += prefix
-            if self._ctr_prefix is not None:
-                self._ctr_prefix.inc(prefix)
-        elif initial is None:
-            for name in workflow.roots():
-                start_stage(name, StageKind.MAP)
-        else:
-            done = set(initial.completed_jobs)
-            for name, (kind, remaining) in initial.running.items():
-                start_stage(name, kind, remaining=remaining)
-            # Jobs whose parents all finished before the snapshot but which
-            # the snapshot does not list are about to launch their maps.
-            for job_spec in workflow.jobs:
-                name = job_spec.name
-                if name in done or name in running:
-                    continue
-                parents = workflow.parents(name)
-                if parents and all(p in done for p in parents):
-                    start_stage(name, StageKind.MAP)
-                elif not parents:
-                    start_stage(name, StageKind.MAP)
-
-        iterations = 0
-        while running:
-            iterations += 1
-            if iterations > _MAX_ITERATIONS:
-                summary = ", ".join(
-                    f"{p.job.name}/{p.kind.value}"
-                    f" {p.remaining:.3f}/{p.total:.0f} tasks left"
-                    f" (Delta={p.prev_delta:.2f})"
-                    for p in running.values()
-                )
-                raise EstimationError(
-                    f"estimator did not converge on {workflow.name!r}: "
-                    f"{_MAX_ITERATIONS} states reached at t={now:.3f}s with "
-                    f"{len(running)} stage(s) still running: [{summary}]"
-                )
+        walk = self._first_state(workflow, initial)
+        while walk.running:
+            if len(walk.states) >= _MAX_ITERATIONS:
+                raise self._exhausted(walk)
             iter_span = (
                 self._otr.begin(
-                    "est.state", index=iterations, sim_t_start=now
+                    "est.state", index=len(walk.states) + 1, sim_t_start=walk.now
                 )
                 if self._otr is not None
                 else None
             )
-
-            # The scheduler demand cap is the number of *not yet completed*
-            # tasks.  Fluid work accounting cannot distinguish "W task
-            # equivalents pending" from "W spread as partial progress over a
-            # full wave in flight", so we bound it from above: the tasks in
-            # flight (at most the previous state's parallelism) plus the
-            # pending work.  Under-capping here would starve a single-wave
-            # stage whose tasks all stay in flight to the very end.
-            stage_list = [
-                RunningStage(
-                    p.job,
-                    p.kind,
-                    min(p.total, math.ceil(p.remaining + p.prev_delta)),
-                )
-                for _, p in sorted(
-                    running.items(), key=lambda item: arrival[item[0]]
-                )
-            ]
-            deltas = estimate_parallelism(
-                stage_list,
-                self._cluster,
-                policy=self._policy,
-                enforce_vcores=self._enforce_vcores,
-            )
-
-            # Assemble the state's task-time queries: one main point per
-            # running stage plus a re-priced point for each ragged final
-            # wave.  With a batching source both vectors go through
-            # ``distribution_batch`` (the batched BOE kernel shares one
-            # substage decomposition per stage across the whole state);
-            # otherwise the identical points are evaluated one by one.
-            entries: List[
-                Tuple[
-                    str,
-                    _StageProgress,
-                    float,
-                    List[Tuple[MapReduceJob, StageKind, float]],
-                ]
-            ] = []
-            for name, progress in running.items():
-                delta = max(deltas.get(name, 0.0), _EPS)
-                concurrent = [
-                    (other.job, other.kind, max(deltas.get(other_name, 0.0), _EPS))
-                    for other_name, other in running.items()
-                    if other_name != name
-                ]
-                entries.append((name, progress, delta, concurrent))
-
-            main_points: List[Point] = [
-                (progress.job, progress.kind, delta, concurrent)
-                for _, progress, delta, concurrent in entries
-            ]
-            tails = [
-                self._ragged_tail(progress, delta)
-                for _, progress, delta, _ in entries
-            ]
-            tail_points: List[Point] = [
-                (entries[i][1].job, entries[i][1].kind, tail, entries[i][3])
-                for i, tail in enumerate(tails)
-                if tail is not None
-            ]
-            if self._batched:
-                main_dists = self._source.distribution_batch(main_points)
-                tail_queue = (
-                    self._source.distribution_batch(tail_points)
-                    if tail_points
-                    else []
-                )
-            else:
-                main_dists = [
-                    self._source.distribution(*point) for point in main_points
-                ]
-                tail_queue = [
-                    self._source.distribution(*point) for point in tail_points
-                ]
-            tail_dists: List[Optional[TaskTimeDistribution]] = []
-            queued = iter(tail_queue)
-            for tail in tails:
-                tail_dists.append(None if tail is None else next(queued))
-
-            dists: Dict[str, TaskTimeDistribution] = {}
-            rests: Dict[str, float] = {}
-            for (name, progress, delta, concurrent), dist, tail_dist in zip(
-                entries, main_dists, tail_dists
-            ):
-                dists[name] = dist
-                progress.prev_delta = delta
-                # Wave-quantized duration of the whole stage at the current
-                # parallelism, scaled by the fraction of work left.  The
-                # scaling (rather than re-quantizing the remaining task
-                # count into waves) keeps in-flight partial progress: a wave
-                # two-thirds done has one third of a wave left, not a whole
-                # fresh wave.
-                whole = self._whole_stage_time(progress, delta, dist, tail_dist)
-                rests[name] = whole * (progress.remaining / progress.total)
-
-            dt = min(rests.values())
-            finishing = {name for name, rest in rests.items() if rest <= dt + _EPS}
-
-            states.append(
-                EstimatedState(
-                    index=len(states) + 1,
-                    t_start=now,
-                    t_end=now + dt,
-                    running=frozenset(
-                        (p.job.name, p.kind) for p in running.values()
-                    ),
-                    deltas={n: deltas.get(n, 0.0) for n in running},
-                    task_times={
-                        (p.job.name, p.kind): dists[n].statistic(self._variant)
-                        for n, p in running.items()
-                    },
-                )
-            )
-            now += dt
-
-            # Progress everyone; transition the finishers.
-            for name in list(running):
-                progress = running[name]
-                if name in finishing:
-                    spans[(name, progress.kind)] = (progress.t_start, now)
-                    span_log.append(
-                        (len(states), (name, progress.kind), (progress.t_start, now))
-                    )
-                    del running[name]
-                    if progress.kind is StageKind.MAP and not progress.job.is_map_only:
-                        start_stage(name, StageKind.REDUCE)
-                    else:
-                        done.add(name)
-                        for child in sorted(workflow.children(name)):
-                            if child in done or child in running:
-                                continue
-                            parents = workflow.parents(child)
-                            if all(p in done for p in parents):
-                                start_stage(child, StageKind.MAP)
-                    continue
-                # Work accrued during dt at this stage's current rate
-                # (task-equivalents per second = total / whole-stage time).
-                if rests[name] > _EPS:
-                    rate = progress.remaining / rests[name]
-                    progress.remaining = max(0.0, progress.remaining - dt * rate)
-
-            if cache is not None:
-                checkpoints.append(
-                    Checkpoint(
-                        index=len(states),
-                        now=now,
-                        running=tuple(
-                            (p.job.name, p.kind, p.remaining, p.total, p.t_start, p.prev_delta)
-                            for p in running.values()
-                        ),
-                        done=frozenset(done),
-                        arrival=tuple(arrival),
-                        arrived=frozenset(arrival),
-                    )
-                )
-
+            granted = self._parallelism(walk)
+            deltas = {n: max(granted.get(n, 0.0), _EPS) for n in walk.running}
+            dists = self._task_times(walk, deltas)
+            dt, rests, finishing = self._first_stage_end(walk, deltas, dists)
+            self._record_state(walk, granted, dists, dt)
+            walk.now += dt
+            self._advance(walk, deltas, rests, dt, finishing)
+            self._transition(walk, finishing)
             if iter_span is not None:
                 self._otr.finish(
                     iter_span,
                     dt=dt,
                     finishing=",".join(sorted(finishing)),
-                    still_running=len(running),
+                    still_running=len(walk.running),
                 )
 
-        total = now
-        if cache is not None:
-            cache.stats.states_computed += iterations
-            cache.record(
-                Trajectory(
-                    workflow=workflow,
-                    cluster=self._cluster,
-                    variant=self._variant,
-                    policy=self._policy,
-                    enforce_vcores=self._enforce_vcores,
-                    source=self._source,
-                    total_time=total,
-                    states=tuple(states),
-                    span_log=tuple(span_log),
-                    checkpoints=tuple(checkpoints),
-                    parents=cache.parents_of(workflow),
-                )
-            )
+        total = walk.now
         overhead = time.perf_counter() - t_wall
         if self._ctr_iterations is not None:
-            self._ctr_iterations.inc(iterations)
+            self._ctr_iterations.inc(len(walk.states))
         if run_span is not None:
-            self._otr.finish(
-                run_span, total_time_s=total, states=len(states)
-            )
+            self._otr.finish(run_span, total_time_s=total, states=len(walk.states))
         logger.debug(
             "estimated %s (%s): t_dag=%.3fs states=%d overhead=%.1fms",
             workflow.name,
             self._variant.value,
             total,
-            len(states),
+            len(walk.states),
             overhead * 1e3,
         )
         return DagEstimate(
             workflow_name=workflow.name,
             total_time=total,
-            states=states,
-            stage_spans=spans,
+            states=walk.states,
+            stage_spans=walk.spans,
             variant=self._variant.value,
             model_overhead_s=overhead,
+        )
+
+    # -- Algorithm 1, one method per step ----------------------------------------
+
+    @staticmethod
+    def _first_state(
+        workflow: Workflow, initial: Optional[WorkflowProgress]
+    ) -> _Walk:
+        """The running set at ``t = 0``: every root job's map stage, or the
+        stages of a mid-execution snapshot."""
+        walk = _Walk(workflow)
+        if initial is None:
+            for name in workflow.roots():
+                walk.start(name, StageKind.MAP)
+            return walk
+        walk.done = set(initial.completed_jobs)
+        for name, (kind, remaining) in initial.running.items():
+            walk.start(name, kind, remaining=remaining)
+        # Jobs whose parents all finished before the snapshot but which the
+        # snapshot does not list are about to launch their maps.
+        for job_spec in workflow.jobs:
+            name = job_spec.name
+            if name in walk.done or name in walk.running:
+                continue
+            if all(p in walk.done for p in workflow.parents(name)):
+                walk.start(name, StageKind.MAP)
+        return walk
+
+    def _parallelism(self, walk: _Walk) -> Dict[str, float]:
+        """Step 1: Delta_i per running job from the scheduler equilibrium.
+
+        The scheduler demand cap is the number of *not yet completed*
+        tasks.  Fluid work accounting cannot distinguish "W task
+        equivalents pending" from "W spread as partial progress over a full
+        wave in flight", so it is bounded from above: the tasks in flight
+        (at most the previous state's parallelism) plus the pending work.
+        Under-capping here would starve a single-wave stage whose tasks all
+        stay in flight to the very end.
+        """
+        stages = [
+            RunningStage(
+                p.job, p.kind, min(p.total, math.ceil(p.remaining + p.prev_delta))
+            )
+            for _, p in sorted(
+                walk.running.items(), key=lambda item: walk.arrival[item[0]]
+            )
+        ]
+        return estimate_parallelism(
+            stages,
+            self._cluster,
+            policy=self._policy,
+            enforce_vcores=self._enforce_vcores,
+        )
+
+    def _task_times(
+        self, walk: _Walk, deltas: Dict[str, float]
+    ) -> _StageDists:
+        """Step 2: each running stage's task-time distribution at its
+        Delta_i under the others' load, plus — for a ragged final wave —
+        the distribution at that wave's own, lower parallelism (for
+        contention-driven task times those final tasks are genuinely
+        faster).  All of a state's queries go to the source in one call.
+        """
+        main: List[Point] = []
+        tails: List[Point] = []
+        ragged: List[bool] = []
+        for name, progress in walk.running.items():
+            delta = deltas[name]
+            concurrent = [
+                (other.job, other.kind, deltas[other_name])
+                for other_name, other in walk.running.items()
+                if other_name != name
+            ]
+            main.append((progress.job, progress.kind, delta, concurrent))
+            waves = wave_sizes(progress.total, delta)
+            last = waves[-1]
+            is_ragged = len(waves) >= 2 and last < max(1, int(delta + 1e-9))
+            if is_ragged:
+                tails.append((progress.job, progress.kind, float(last), concurrent))
+            ragged.append(is_ragged)
+        if self._batched:
+            answers = self._source.distribution_batch(main + tails)
+        else:
+            answers = [self._source.distribution(*point) for point in main + tails]
+        tail_answers = iter(answers[len(main):])
+        return {
+            name: (dist, next(tail_answers) if is_ragged else None)
+            for name, dist, is_ragged in zip(walk.running, answers, ragged)
+        }
+
+    def _first_stage_end(
+        self,
+        walk: _Walk,
+        deltas: Dict[str, float],
+        dists: _StageDists,
+    ) -> Tuple[float, Dict[str, float], Set[str]]:
+        """Step 3: every stage's rest time, and the state's length — the
+        first stage end — with the stages that finish at it.
+
+        A stage's rest is its wave-quantized whole-stage duration at the
+        current parallelism, scaled by the fraction of work left.  The
+        scaling (rather than re-quantizing the remaining task count into
+        waves) keeps in-flight partial progress: a wave two-thirds done
+        has one third of a wave left, not a whole fresh wave.
+        """
+        rests: Dict[str, float] = {}
+        for name, progress in walk.running.items():
+            dist, tail = dists[name]
+            whole = self._whole_stage_time(progress.total, deltas[name], dist, tail)
+            rests[name] = whole * (progress.remaining / progress.total)
+        dt = min(rests.values())
+        return dt, rests, {name for name, rest in rests.items() if rest <= dt + _EPS}
+
+    def _whole_stage_time(
+        self,
+        total: float,
+        delta: float,
+        dist: TaskTimeDistribution,
+        tail: Optional[TaskTimeDistribution],
+    ) -> float:
+        """Wave-quantized stage duration; ``tail`` re-prices a ragged final
+        wave (sources that ignore ``delta``, such as measured profiles,
+        give it the same distribution)."""
+        if tail is None:
+            return stage_time(total, delta, dist, self._variant)
+        waves = wave_sizes(total, delta)
+        if self._variant is Variant.NORMAL:
+            body = (total - waves[-1]) / max(1, int(delta + 1e-9)) * dist.mean
+            return body + tail.expected_wave_max(waves[-1])
+        return (len(waves) - 1) * dist.statistic(self._variant) + tail.statistic(
+            self._variant
+        )
+
+    def _record_state(
+        self,
+        walk: _Walk,
+        granted: Dict[str, float],
+        dists: _StageDists,
+        dt: float,
+    ) -> None:
+        """Append the state ``[now, now + dt)`` to the estimated plan."""
+        walk.states.append(
+            EstimatedState(
+                index=len(walk.states) + 1,
+                t_start=walk.now,
+                t_end=walk.now + dt,
+                running=frozenset((p.job.name, p.kind) for p in walk.running.values()),
+                deltas={n: granted.get(n, 0.0) for n in walk.running},
+                task_times={
+                    (p.job.name, p.kind): dists[n][0].statistic(self._variant)
+                    for n, p in walk.running.items()
+                },
+            )
+        )
+
+    @staticmethod
+    def _advance(
+        walk: _Walk,
+        deltas: Dict[str, float],
+        rests: Dict[str, float],
+        dt: float,
+        finishing: Set[str],
+    ) -> None:
+        """Step 4: every stage that does not finish accrues ``dt`` of work
+        at its current rate (task-equivalents per second) and keeps its
+        Delta_i for the next state's demand cap."""
+        for name, progress in walk.running.items():
+            if name in finishing:
+                continue
+            progress.prev_delta = deltas[name]
+            if rests[name] > _EPS:
+                rate = progress.remaining / rests[name]
+                progress.remaining = max(0.0, progress.remaining - dt * rate)
+
+    @staticmethod
+    def _transition(walk: _Walk, finishing: Set[str]) -> None:
+        """Step 5: a finished map stage hands over to its job's reduce
+        stage; a finished job releases every child whose parents have all
+        completed."""
+        workflow = walk.workflow
+        for name in [n for n in walk.running if n in finishing]:
+            progress = walk.running.pop(name)
+            walk.spans[(name, progress.kind)] = (progress.t_start, walk.now)
+            if progress.kind is StageKind.MAP and not progress.job.is_map_only:
+                walk.start(name, StageKind.REDUCE)
+                continue
+            walk.done.add(name)
+            for child in sorted(workflow.children(name)):
+                if child in walk.done or child in walk.running:
+                    continue
+                if all(p in walk.done for p in workflow.parents(child)):
+                    walk.start(child, StageKind.MAP)
+
+    @staticmethod
+    def _exhausted(walk: _Walk) -> EstimationError:
+        summary = ", ".join(
+            f"{p.job.name}/{p.kind.value}"
+            f" {p.remaining:.3f}/{p.total:.0f} tasks left"
+            f" (Delta={p.prev_delta:.2f})"
+            for p in walk.running.values()
+        )
+        return EstimationError(
+            f"estimator did not converge on {walk.workflow.name!r}: "
+            f"{_MAX_ITERATIONS} states reached at t={walk.now:.3f}s with "
+            f"{len(walk.running)} stage(s) still running: [{summary}]"
         )
 
 

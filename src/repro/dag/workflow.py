@@ -55,11 +55,11 @@ class Workflow:
         """Build-once storage for derived structure (adjacency, job map).
 
         The workflow is frozen, so every derived view is immutable too;
-        hot paths (the estimator's transition loop, trajectory diffing)
-        query them per state and must not rebuild per call.  The memo
-        lives outside the dataclass fields — ``__eq__``/``__hash__``
-        ignore it, and :meth:`__getstate__` strips it, so pickles stay
-        lean and equality is untouched.
+        hot paths (the estimator's transition loop) query them per state
+        and must not rebuild per call.  The memo lives outside the
+        dataclass fields — ``__eq__``/``__hash__`` ignore it, and
+        :meth:`__getstate__` strips it, so pickles stay lean and equality
+        is untouched.
         """
         memo = self.__dict__.get("_memo")
         if memo is None:
@@ -178,7 +178,7 @@ class Workflow:
 
 
 # Workflows are hashed constantly on the sweep hot path (candidate memo
-# keys, trajectory-cache keys), and the generated dataclass hash walks every
+# keys), and the generated dataclass hash walks every
 # job recursively each time.  The instance is frozen, so the value can be
 # computed once and pinned.  Installed after class creation because
 # ``@dataclass(frozen=True)`` overwrites a ``__hash__`` defined in the class

@@ -178,7 +178,7 @@ class EstimateService:
             from repro.sweep.runner import SweepRunner
 
             # Serial runner: an estimate is milliseconds, so the win is the
-            # shared memo/trajectory caches, not a process pool.
+            # shared candidate memo and BOE caches, not a process pool.
             runner = SweepRunner(
                 self._cluster, variant=variant, policy=self._policy
             )

@@ -43,7 +43,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
 from repro.core.boe import BOEModel
@@ -51,7 +51,6 @@ from repro.core.bounds import BoundsModel
 from repro.core.distributions import Variant
 from repro.core.estimator import BOESource, DagEstimator, TaskTimeSource
 from repro.core.fingerprint import CacheStats
-from repro.core.incremental import ReuseStats, TrajectoryCache
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
 from repro.obs.metrics import get_metrics
@@ -118,6 +117,18 @@ class CandidateResult:
         return self.error is None and not self.pruned
 
 
+@dataclass(frozen=True)
+class _ZeroReuse:
+    """What :attr:`SweepReport.reuse` reads: every Algorithm 1 run starts
+    from state 0, so nothing is reused.  ``benchmarks/ledger/trace.py``
+    still reads these four counters."""
+
+    hits: int = 0
+    lookups: int = 0
+    states_reused: int = 0
+    states_computed: int = 0
+
+
 @dataclass
 class SweepReport:
     """Cumulative observability of a runner's evaluations.
@@ -138,8 +149,6 @@ class SweepReport:
         processes: configured worker processes (1 = serial).
         pool_used: whether any batch actually ran on the process pool.
         cache: aggregated task-time cache ledger across all processes.
-        reuse: aggregated trajectory-reuse ledger (incremental Algorithm 1)
-            across all processes; all zeros when reuse is disabled.
         phase_s: wall-clock per phase ("build" candidate normalisation,
             "estimate" the evaluations themselves, "collect" result
             assembly and stats merging).
@@ -156,8 +165,8 @@ class SweepReport:
     processes: int = 1
     pool_used: bool = False
     cache: CacheStats = field(default_factory=CacheStats)
-    reuse: ReuseStats = field(default_factory=ReuseStats)
     phase_s: Dict[str, float] = field(default_factory=dict)
+    reuse: ClassVar[_ZeroReuse] = _ZeroReuse()
 
     @property
     def evaluations_per_s(self) -> float:
@@ -168,9 +177,6 @@ class SweepReport:
 
     def describe(self) -> str:
         """One-line summary for CLI / benchmark output."""
-        reuse = (
-            f", trajectories {self.reuse.describe()}" if self.reuse.lookups else ""
-        )
         pruned = f", {self.pruned} pruned" if self.pruned else ""
         return (
             f"{self.candidates} evaluations ({self.infeasible} infeasible"
@@ -178,7 +184,7 @@ class SweepReport:
             f"{self.wall_time_s * 1000:.0f} ms "
             f"({self.evaluations_per_s:.0f}/s, cpu {self.cpu_time_s * 1000:.0f} ms, "
             f"{self.processes} proc{'s' if self.processes != 1 else ''}, "
-            f"cache {self.cache.describe()}{reuse})"
+            f"cache {self.cache.describe()})"
         )
 
 
@@ -211,7 +217,6 @@ class _EvalContext:
         refine: bool,
         memo: bool = True,
         max_memo_entries: int = 65_536,
-        reuse: bool = True,
         batch: bool = True,
     ):
         self._cluster = cluster
@@ -227,52 +232,6 @@ class _EvalContext:
         self._memo: Optional[Dict[object, CandidateResult]] = {} if memo else None
         self._max_memo_entries = max_memo_entries
         self._memo_stats = CacheStats()
-        # One trajectory cache per context: lookups filter on cluster and
-        # source identity internally, so candidates with cluster overrides
-        # coexist safely in the same store.
-        self._trajectories: Optional[TrajectoryCache] = (
-            TrajectoryCache() if reuse else None
-        )
-
-    @property
-    def reuse_enabled(self) -> bool:
-        return self._trajectories is not None
-
-    def reuse_stats(self) -> ReuseStats:
-        """The trajectory-reuse ledger (all zeros when reuse is disabled)."""
-        if self._trajectories is None:
-            return ReuseStats()
-        return self._trajectories.stats
-
-    def _estimator(self, cluster: Cluster) -> DagEstimator:
-        return DagEstimator(
-            cluster,
-            self.source_for(cluster),
-            variant=self._variant,
-            policy=self._policy,
-            enforce_vcores=self._enforce_vcores,
-            trajectory_cache=self._trajectories,
-            batch=self._batch,
-        )
-
-    def seed(self, workflow: Workflow, cluster: Optional[Cluster] = None) -> None:
-        """Warm-start the trajectory cache with ``workflow``'s full run.
-
-        Bypasses the candidate memo — a memo hit would skip the estimator
-        and record nothing — so the trajectory is guaranteed resident
-        afterwards (an already-cached trajectory is merely pinned as most
-        recently used).  No-op when reuse is disabled; infeasible seeds are
-        ignored (the candidates will report the error themselves).
-        """
-        if self._trajectories is None:
-            return
-        target = cluster if cluster is not None else self._cluster
-        if self._trajectories.contains(workflow, target):
-            return
-        try:
-            self._estimator(target).estimate(workflow)
-        except (EstimationError, SchedulingError):
-            pass
 
     def source_for(self, cluster: Cluster) -> TaskTimeSource:
         source = self._sources.get(cluster)
@@ -315,7 +274,14 @@ class _EvalContext:
                 self._memo_stats.hits += 1
                 return replace(hit, index=index, label=label)
             self._memo_stats.misses += 1
-        estimator = self._estimator(target)
+        estimator = DagEstimator(
+            target,
+            self.source_for(target),
+            variant=self._variant,
+            policy=self._policy,
+            enforce_vcores=self._enforce_vcores,
+            batch=self._batch,
+        )
         try:
             estimate = estimator.estimate(workflow)
         except (EstimationError, SchedulingError) as exc:
@@ -342,24 +308,19 @@ class _EvalContext:
 
 _Item = Tuple[int, str, Workflow, Optional[Cluster]]
 
-_ChunkOutcome = Tuple[List[CandidateResult], CacheStats, ReuseStats]
+_ChunkOutcome = Tuple[List[CandidateResult], CacheStats]
 
 
 def _evaluate_chunk(context: _EvalContext, items: Sequence[_Item]) -> _ChunkOutcome:
     """Evaluate one chunk against ``context``: the sweep's pure work
     function for :meth:`~repro.service.pool.ResilientPool.map_with_context`.
 
-    Returns the results with the chunk's cache and reuse deltas, which the
-    parent folds into its report.
+    Returns the results with the chunk's cache delta, which the parent
+    folds into its report.
     """
     before = context.cache_stats().snapshot()
-    reuse_before = context.reuse_stats().snapshot()
     results = [context.evaluate(*item) for item in items]
-    return (
-        results,
-        context.cache_stats().delta(before),
-        context.reuse_stats().delta(reuse_before),
-    )
+    return results, context.cache_stats().delta(before)
 
 
 class SweepRunner:
@@ -380,12 +341,6 @@ class SweepRunner:
         refine: build refined BOE models (only with ``source=None``).
         memo: memoise whole candidate outcomes by (workflow, cluster);
             disable to reproduce the uncached serial reference path.
-        reuse: memoise estimator *trajectories* and resume Algorithm 1
-            from the longest reusable state prefix
-            (:mod:`repro.core.incremental`); also orders each batch by
-            knob-diff locality so neighbouring candidates share prefixes.
-            ``None`` (default) follows ``memo``, so the uncached reference
-            path stays fully cold.
         batch: evaluate each state's task-time queries through the batched
             BOE kernel (``distribution_batch``) when the source supports
             it.  ``None`` (default) follows ``memo``.
@@ -414,7 +369,6 @@ class SweepRunner:
         enforce_vcores: bool = False,
         refine: bool = False,
         memo: bool = True,
-        reuse: Optional[bool] = None,
         batch: Optional[bool] = None,
         prune: bool = False,
         processes: int = 1,
@@ -433,7 +387,6 @@ class SweepRunner:
             enforce_vcores,
             refine,
             memo=memo,
-            reuse=memo if reuse is None else reuse,
             batch=memo if batch is None else batch,
         )
         self._own_pool = pool is None
@@ -469,33 +422,7 @@ class SweepRunner:
     def reset_report(self) -> None:
         self._report = SweepReport(processes=self._processes)
 
-    def seed(self, workflow: Workflow, cluster: Optional[Cluster] = None) -> None:
-        """Warm-start the trajectory cache with ``workflow`` (see
-        :meth:`_EvalContext.seed`).  The seed lands in the in-process
-        context; pool workers warm their own caches from the candidates
-        they evaluate."""
-        self._context.seed(workflow, cluster)
-
     # -- evaluation --------------------------------------------------------------
-
-    @staticmethod
-    def _locality_key(item: _Item) -> Tuple[int, ...]:
-        """Sort key grouping candidates by shared leading job specs.
-
-        Workflows list jobs in definition order (roots first), so a
-        lexicographic sort on the per-job value hashes places candidates
-        that differ only in a *late* job next to each other — exactly the
-        neighbourhoods whose trajectories share a long reusable prefix.
-        Jobs and clusters are frozen dataclasses hashing by value.  The
-        sort is stable, so ties keep submission order, and the ordering is
-        a pure performance heuristic — estimates are order-independent, so
-        results are unaffected either way.
-        """
-        _, _, workflow, cluster = item
-        return (
-            0 if cluster is None else hash(cluster),
-            *(hash(job) for job in workflow.jobs),
-        )
 
     def _bounds_for(self, cluster: Cluster) -> Optional[BoundsModel]:
         """The bounds model matching this cluster's task-time source.
@@ -661,11 +588,6 @@ class SweepRunner:
             items, pruned_results = self._prune_items(items, incumbent_time_s)
             prune_cpu = parent_cpu_clock() - cpu_b
             self._report._phase("bounds", time.perf_counter() - tb)
-        if self._context.reuse_enabled and len(items) > 1:
-            # Evaluate in locality order so neighbouring candidates hand
-            # each other long trajectory prefixes; results are re-sorted
-            # into submission order below, so callers never notice.
-            items.sort(key=self._locality_key)
         report = self._report
         bounds_wall = report.phase_s.get("bounds", 0.0) - bounds_before
         report._phase("build", time.perf_counter() - t0 - bounds_wall)
@@ -688,11 +610,9 @@ class SweepRunner:
             raise
         results: List[CandidateResult] = []
         cache_delta = CacheStats()
-        reuse_delta = ReuseStats()
-        for chunk_results, chunk_cache, chunk_reuse in mapped.outputs:
+        for chunk_results, chunk_cache in mapped.outputs:
             results.extend(chunk_results)
             cache_delta.add(chunk_cache)
-            reuse_delta.add(chunk_reuse)
         cpu_s, pooled = mapped.cpu_s, mapped.pooled
         report._phase("estimate", time.perf_counter() - t1)
 
@@ -713,7 +633,6 @@ class SweepRunner:
         report.cpu_time_s += cpu_s + prune_cpu
         report.pool_used = report.pool_used or pooled
         report.cache.add(cache_delta)
-        report.reuse.add(reuse_delta)
         report._phase("collect", time.perf_counter() - t2)
         report.wall_time_s += time.perf_counter() - t0
         if span is not None:

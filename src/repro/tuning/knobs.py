@@ -237,8 +237,8 @@ def apply_knob_value(
 
     Equivalent to :func:`apply_assignment` with a one-entry assignment, but
     every job other than the knob's keeps its *object* identity, so
-    downstream value diffs (candidate memoisation, trajectory prefix
-    matching) short-circuit on ``is`` instead of comparing whole profiles.
+    downstream value comparisons (candidate memoisation, BOE cache keys)
+    short-circuit on ``is`` instead of comparing whole profiles.
     A key naming a job absent from the workflow is inert, matching
     :func:`apply_assignment`.
     """

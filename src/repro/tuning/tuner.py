@@ -180,8 +180,8 @@ class GreedyTuner:
         # The incumbent workflow (current assignment applied), maintained
         # incrementally: each improvement adopts the winning candidate's
         # *object*, so candidates — one-knob diffs built from it — share
-        # every untouched job by identity with the incumbent's cached
-        # estimate trajectory.
+        # every untouched job by identity, and with it each job's pinned
+        # value hash.
         incumbent = workflow
 
         for pass_idx in range(self._max_passes):
@@ -210,11 +210,6 @@ class GreedyTuner:
                     )
                     for candidate in candidates
                 ]
-                # Warm-start: pin the incumbent's trajectory so every
-                # candidate of this knob — a one-job diff from it — can
-                # resume Algorithm 1 from a shared state prefix (no-op on
-                # runners without trajectory reuse).
-                self._runner.seed(incumbent)
                 # A candidate only wins if it estimates below
                 # ``best * (1 - 1e-6)`` (the improvement test below), so a
                 # lower bound above that threshold proves it cannot win —

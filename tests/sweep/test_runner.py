@@ -250,86 +250,6 @@ class TestParallelRunner:
         assert [r.ok for r in results] == [True, False, True, False]
 
 
-def _late_knob_batch(workflow, reducers=(8, 12, 16, 24)):
-    """One-knob neighbours of the workflow, varying the last job."""
-    last = workflow.jobs[-1]
-    batch = []
-    for r in reducers:
-        jobs = tuple(
-            replace(j, num_reducers=r) if j.name == last.name else j
-            for j in workflow.jobs
-        )
-        batch.append(
-            Candidate(
-                type(workflow)(
-                    name=workflow.name, jobs=jobs, edges=workflow.edges
-                ),
-                label=f"r={r}",
-            )
-        )
-    return batch
-
-
-class TestTrajectoryReuse:
-    def test_seeded_batch_warm_starts(self, cluster):
-        workflow = tpch_query(9)
-        batch = _late_knob_batch(workflow)
-        runner = SweepRunner(cluster)
-        runner.seed(workflow)
-        results = runner.evaluate(batch)
-        report = runner.report
-        assert report.reuse.lookups == len(batch)
-        assert report.reuse.hits == len(batch)
-        assert report.reuse.states_reused > 0
-        assert "warm starts" in report.describe()
-        # Warm starts change scheduling, never arithmetic.
-        for candidate, result in zip(batch, results):
-            direct = estimate_workflow(candidate.workflow, cluster)
-            assert result.total_time_s == direct.total_time
-
-    def test_results_stay_in_submission_order_despite_locality_sort(
-        self, cluster
-    ):
-        workflow = tpch_query(9)
-        batch = _late_knob_batch(workflow, reducers=(24, 8, 16, 12))
-        results = SweepRunner(cluster).evaluate(batch)
-        assert [r.index for r in results] == list(range(len(batch)))
-        assert [r.label for r in results] == [c.label for c in batch]
-
-    def test_reuse_follows_memo_unless_overridden(self, cluster):
-        workflow = tpch_query(9)
-        batch = _late_knob_batch(workflow)
-
-        plain = SweepRunner(cluster, memo=False)
-        plain.evaluate(batch)
-        assert plain.report.reuse.lookups == 0
-
-        forced = SweepRunner(cluster, memo=False, reuse=True)
-        forced.evaluate(batch)
-        assert forced.report.reuse.lookups == len(batch)
-
-        disabled = SweepRunner(cluster, reuse=False)
-        disabled.evaluate(batch)
-        assert disabled.report.reuse.lookups == 0
-        assert disabled.report.reuse.describe() == "unused"
-
-    def test_seed_is_inert_without_reuse(self, cluster):
-        runner = SweepRunner(cluster, reuse=False)
-        runner.seed(tpch_query(9))  # must not raise or estimate anything
-        assert runner.report.candidates == 0
-
-    def test_pool_merges_reuse_stats(self, cluster):
-        workflow = tpch_query(9)
-        batch = _late_knob_batch(workflow) * 2
-        with SweepRunner(cluster, processes=2, chunksize=2) as runner:
-            pooled = runner.evaluate(batch)
-            assert runner.report.reuse.lookups > 0
-        serial = SweepRunner(cluster).evaluate(batch)
-        assert [(r.index, r.total_time_s) for r in pooled] == [
-            (r.index, r.total_time_s) for r in serial
-        ]
-
-
 class TestDefaultProcesses:
     def test_bounds(self):
         assert 1 <= default_processes() <= 8
