@@ -8,32 +8,22 @@ Reproduces the two panels exactly: 200 s CPU-bound at parallelism 1
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import render_table
 from repro.core import BOEModel, StageLoad
-from repro.experiments.fig4 import EXPECTED, fig4_cluster, fig4_substage, run_fig4
+from repro.experiments.fig4 import (
+    EXPECTED,
+    fig4_cluster,
+    fig4_substage,
+    render,
+    run_fig4,
+)
 
 
 @pytest.fixture(scope="module")
 def fig4_rows():
     rows = run_fig4()
-    emit(
-        render_table(
-            ["delta", "t (s)", "bottleneck", "p_disk", "p_net", "p_cpu"],
-            [
-                [
-                    r.delta,
-                    f"{r.duration_s:.0f}",
-                    r.bottleneck.value,
-                    f"{r.utilisation['disk']:.2f}",
-                    f"{r.utilisation['network']:.2f}",
-                    f"{r.utilisation['cpu']:.2f}",
-                ]
-                for r in rows
-            ],
-            title="Fig. 4 — BOE worked example (paper: 200s cpu / 500s network)",
-        )
-    )
+    emit(render(rows))
     return rows
+
 
 
 def test_bench_fig4(benchmark, fig4_rows):

@@ -9,10 +9,9 @@ at parallelism 12); the reduce crosses over from CPU-bound to disk-bound.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import percentage, render_series
 from repro.cluster import Resource, paper_cluster
 from repro.core import BOEModel
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.fig6 import render, run_fig6
 from repro.mapreduce import StageKind
 from repro.workloads import terasort
 
@@ -20,24 +19,9 @@ from repro.workloads import terasort
 @pytest.fixture(scope="module")
 def panels():
     result = run_fig6("ts")
-    for label, panel in result.items():
-        emit(
-            render_series(
-                "delta/node",
-                [p.delta_per_node for p in panel.points],
-                {
-                    "measured (s)": [f"{p.measured_s:.2f}" for p in panel.points],
-                    "BOE (s)": [f"{p.boe_s:.2f}" for p in panel.points],
-                    "baseline (s)": [f"{p.baseline_s:.2f}" for p in panel.points],
-                },
-                title=(
-                    f"Fig. 6 TS {label}: BOE acc {percentage(panel.boe_mean_accuracy)}"
-                    f" vs baseline {percentage(panel.baseline_mean_accuracy)}, "
-                    f"factor@12 = {panel.point_at(12).factor:.1f}x"
-                ),
-            )
-        )
+    emit(render(result))
     return result
+
 
 
 def test_bench_fig6_ts(benchmark, panels):

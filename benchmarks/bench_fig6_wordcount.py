@@ -10,10 +10,9 @@ map panel).  The benchmark times one full BOE task evaluation.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import percentage, render_series
 from repro.core import BOEModel
 from repro.cluster import paper_cluster
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.fig6 import render, run_fig6
 from repro.mapreduce import StageKind
 from repro.workloads import wordcount
 
@@ -21,24 +20,9 @@ from repro.workloads import wordcount
 @pytest.fixture(scope="module")
 def panels():
     result = run_fig6("wc")
-    for label, panel in result.items():
-        emit(
-            render_series(
-                "delta/node",
-                [p.delta_per_node for p in panel.points],
-                {
-                    "measured (s)": [f"{p.measured_s:.2f}" for p in panel.points],
-                    "BOE (s)": [f"{p.boe_s:.2f}" for p in panel.points],
-                    "baseline (s)": [f"{p.baseline_s:.2f}" for p in panel.points],
-                },
-                title=(
-                    f"Fig. 6 WC {label}: BOE acc {percentage(panel.boe_mean_accuracy)}"
-                    f" vs baseline {percentage(panel.baseline_mean_accuracy)}, "
-                    f"factor@12 = {panel.point_at(12).factor:.1f}x"
-                ),
-            )
-        )
+    emit(render(result))
     return result
+
 
 
 def test_bench_fig6_wc(benchmark, panels):

@@ -9,29 +9,20 @@ directly.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import render_table
 from repro.cluster import paper_cluster
 from repro.core import BOEModel, BOESource, DagEstimator
-from repro.experiments.overhead import run_overhead
+from repro.experiments.overhead import render, run_overhead
+from repro.sweep import SweepRunner
 from repro.workloads import table3_workflows
 
 
 @pytest.fixture(scope="module")
 def rows():
-    result = run_overhead()
-    top = sorted(result, key=lambda r: -r.overhead_s)[:10]
-    emit(
-        render_table(
-            ["workflow", "jobs", "states", "overhead (ms)"],
-            [
-                [r.workflow, r.jobs, r.states, f"{r.overhead_s * 1000:.2f}"]
-                for r in top
-            ],
-            title="Estimation overhead, 10 most expensive of the 51 workflows "
-            "(paper requires < 1 s each)",
-        )
-    )
+    with SweepRunner(paper_cluster()) as runner:
+        result = run_overhead(runner=runner)
+    emit(render(result, runner.report))
     return result
+
 
 
 def test_bench_overhead(benchmark, rows):

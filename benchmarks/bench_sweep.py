@@ -25,9 +25,10 @@ over the historical serial-and-cold path:
   magnitude-spanning choices on the dominant lineitem scan — is tuned
   twice, exhaustively and with the analytic bound screen
   (:mod:`repro.core.bounds`), asserting a bit-identical winner and tuned
-  value, a prune-rate floor and an end-to-end speedup floor.  This
-  scenario is CPU-count independent (both runs are serial), so the floor
-  holds on single-core CI boxes too.
+  value, a prune-rate floor and an end-to-end speedup floor on the median
+  of ``TUNE_PAIRS`` alternating exact/pruned pairs.  This scenario is
+  CPU-count independent (both runs are serial), so the floor holds on
+  single-core CI boxes too.
 
 Every scenario emits one ``BENCH`` JSON line so the performance trajectory
 is tracked from PR to PR.  Run the CI-sized subset with ``-k smoke``.
@@ -65,11 +66,10 @@ POOL_MIN_SPEEDUP = 1.2
 #: tuner speedup over the exhaustive sweep — with the winner bit-identical.
 PRUNE_MIN_RATE = 0.30
 PRUNE_MIN_SPEEDUP = 2.0
-#: Timing repetitions (best-of, to shed scheduler noise).
-REPS = 3
-#: Alternating cached/uncached tuning pairs.  The tuning floor reads the
-#: median per-pair speedup, so one slow run on a busy machine cannot move
-#: it either way.
+#: Alternating pairs of the tuning (cached/uncached) and pruning
+#: (exact/pruned) scenarios.  Both speedup floors read the median
+#: per-pair speedup, so one slow run on a busy machine cannot move them
+#: either way.
 TUNE_PAIRS = 5
 
 GRID_REDUCERS = range(2, 42, 2)
@@ -208,18 +208,17 @@ def _q21_knob_grid():
 def _run_prune_scenario() -> dict:
     cluster = paper_cluster()
     workflow, space = _q21_knob_grid()
-    best = {}
-    for prune in (False, True):
-        best_wall = float("inf")
-        for _ in range(REPS):
+    walls = {False: [], True: []}
+    results = {}
+    for _ in range(TUNE_PAIRS):
+        for prune in (False, True):
             clear_parallelism_memo()
             tuner = GreedyTuner(cluster, prune=prune)
             t0 = time.perf_counter()
-            result = tuner.tune(workflow, space)
-            best_wall = min(best_wall, time.perf_counter() - t0)
-        best[prune] = (result, best_wall)
-    exact, exact_s = best[False]
-    pruned, pruned_s = best[True]
+            results[prune] = tuner.tune(workflow, space)
+            walls[prune].append(time.perf_counter() - t0)
+    exact, pruned = results[False], results[True]
+    speedups = [e / p for e, p in zip(walls[False], walls[True])]
 
     # Conservativeness contract: the screened sweep picks the bit-identical
     # winner at the bit-identical tuned value.
@@ -233,9 +232,10 @@ def _run_prune_scenario() -> dict:
         "bench": "sweep_prune",
         "workflow": "TPC-H Q21",
         "candidates": candidates,
-        "exact_wall_s": round(exact_s, 4),
-        "pruned_wall_s": round(pruned_s, 4),
-        "speedup": round(exact_s / pruned_s, 2),
+        "exact_wall_s": round(statistics.median(walls[False]), 4),
+        "pruned_wall_s": round(statistics.median(walls[True]), 4),
+        "speedup": round(statistics.median(speedups), 2),
+        "speedup_range": [round(min(speedups), 2), round(max(speedups), 2)],
         "pruned": pruned.pruned,
         "prune_rate": round(pruned.pruned / candidates, 3),
         "tuned_estimate_s": round(pruned.tuned_estimate_s, 6),

@@ -8,31 +8,15 @@ multi-job rows likewise).  The benchmark times a full catalogue scan.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import render_table
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import render, run_table1
 
 
 @pytest.fixture(scope="module")
 def rows():
     result = run_table1(scale=0.1)
-    emit(
-        render_table(
-            ["workload", "C", "R", "expected", "identified", "match"],
-            [
-                [
-                    r.name,
-                    "Y" if r.compressed else "N",
-                    ",".join(str(x) for x in r.replicas),
-                    ",".join(x.value for x in r.expected) or "(hybrid)",
-                    ",".join(x.value for x in r.identified),
-                    "yes" if r.matches else "NO",
-                ]
-                for r in result
-            ],
-            title="Table I — workloads and BOE-identified bottlenecks",
-        )
-    )
+    emit(render(result))
     return result
+
 
 
 def test_bench_table1(benchmark, rows):

@@ -10,10 +10,9 @@ cells.  The benchmark times a contended task-time evaluation.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import percentage, render_table
 from repro.cluster import paper_cluster
 from repro.core import BOEModel
-from repro.experiments.table2 import average_accuracy, run_table2
+from repro.experiments.table2 import average_accuracy, render, run_table2
 from repro.mapreduce import StageKind
 from repro.workloads import terasort, wordcount
 
@@ -21,36 +20,9 @@ from repro.workloads import terasort, wordcount
 @pytest.fixture(scope="module")
 def cells():
     result = run_table2()
-    emit(
-        render_table(
-            ["DAG", "state", "job", "stage", "measured", "BOE", "acc",
-             "BOE-refined", "acc"],
-            [
-                [
-                    c.dag,
-                    f"s{c.state_index}",
-                    c.job,
-                    c.kind.value,
-                    f"{c.measured_s:.1f}",
-                    f"{c.plain_s:.1f}",
-                    percentage(c.plain_accuracy),
-                    f"{c.refined_s:.1f}",
-                    percentage(c.refined_accuracy),
-                ]
-                for c in result
-            ],
-            title="Table II — task-level accuracy for parallel jobs "
-            "(paper averages ~86-96%, worst cells ~70%)",
-        )
-    )
-    summary = [
-        [dag,
-         percentage(average_accuracy(result, dag, refined=False)),
-         percentage(average_accuracy(result, dag))]
-        for dag in ("WC+TS", "WC+TS3R")
-    ]
-    emit(render_table(["DAG", "avg plain", "avg refined"], summary))
+    emit(render(result))
     return result
+
 
 
 def test_bench_table2(benchmark, cells):

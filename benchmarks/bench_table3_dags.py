@@ -16,12 +16,12 @@ state-based estimate.
 import pytest
 
 from _bench_utils import emit
-from repro.analysis import percentage, render_table
 from repro.cluster import paper_cluster
 from repro.core import DagEstimator, Variant
 from repro.experiments.table3 import (
     VARIANTS,
     VARIANT_LABELS,
+    render,
     run_table3,
     summarise_variant,
 )
@@ -32,39 +32,9 @@ from repro.workloads import table3_workflows
 @pytest.fixture(scope="module")
 def rows():
     result = run_table3(scale=0.05)
-    emit(
-        render_table(
-            ["workflow", "simulated (s)", *(VARIANT_LABELS[v] for v in VARIANTS)],
-            [
-                [
-                    r.workflow,
-                    f"{r.simulated_s:.1f}",
-                    *(percentage(r.accuracy(v)) for v in VARIANTS),
-                ]
-                for r in result
-            ],
-            title="Table III — estimation accuracy for the 51 DAG workflows",
-        )
-    )
-    summary = []
-    for v in VARIANTS:
-        s = summarise_variant(result, v)
-        summary.append(
-            [
-                VARIANT_LABELS[v],
-                percentage(s["mean"]),
-                percentage(s["median"]),
-                percentage(s["min"]),
-            ]
-        )
-    emit(
-        render_table(
-            ["variant", "mean", "median", "min"],
-            summary,
-            title="Table III summary (paper: means 95.00/93.50/96.38%, min 81.13%)",
-        )
-    )
+    emit(render(result))
     return result
+
 
 
 def test_bench_table3(benchmark, rows):

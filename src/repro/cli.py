@@ -51,7 +51,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.analysis.accuracy import accuracy
-from repro.analysis.tables import percentage, render_series, render_table
+from repro.analysis.tables import percentage, render_table
 from repro.cluster.cluster import paper_cluster
 from repro.errors import ReproError
 from repro.operations import (
@@ -63,6 +63,7 @@ from repro.operations import (
     arg,
     at_least,
     boolean,
+    integer,
     number,
     parse,
     run,
@@ -80,6 +81,16 @@ class _Options:
         None, number,
         "cooperative deadline in seconds; exceeding it exits with code 2",
     )
+
+
+@dataclass(frozen=True)
+class _Serve:
+    """``repro-dag serve``'s fields: where to listen, how much to run."""
+
+    host: str = arg("127.0.0.1", str, "address to bind (default 127.0.0.1)")
+    port: int = arg(8349, integer, "port to bind (default 8349)")
+    processes: int = arg(2, at_least(1), "shared-pool worker processes (default 2)")
+    job_workers: int = arg(2, at_least(1), "concurrent sweep/ensemble jobs (default 2)")
 
 
 def _add_fields(parser: argparse.ArgumentParser, declared: type, *names: str) -> None:
@@ -255,16 +266,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve
 
     scale = args.options.scale
-    print(f"repro-dag service on http://{args.host}:{args.port} "
-          f"(scale {scale}, {args.pool_processes} pool processes, "
-          f"{args.job_workers} job workers) — Ctrl-C to stop")
-    serve(
-        host=args.host,
-        port=args.port,
-        scale=scale,
-        processes=args.pool_processes,
-        job_workers=args.job_workers,
-    )
+    served = parse(_Serve, vars(args))
+    print(f"repro-dag service on http://{served.host}:{served.port} "
+          f"(scale {scale}, {served.processes} pool processes, "
+          f"{served.job_workers} job workers) — Ctrl-C to stop")
+    serve(served.host, served.port, scale=scale, processes=served.processes,
+          job_workers=served.job_workers)
     return 0
 
 
@@ -376,166 +383,50 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.experiments.fig4 import run_fig4
+    from repro.experiments.fig4 import render, run_fig4
 
-    rows = run_fig4()
-    print(
-        render_table(
-            ["parallelism", "duration (s)", "bottleneck", "p_disk", "p_net", "p_cpu"],
-            [
-                [
-                    r.delta,
-                    f"{r.duration_s:.0f}",
-                    r.bottleneck.value,
-                    f"{r.utilisation.get('disk', 0):.2f}",
-                    f"{r.utilisation.get('network', 0):.2f}",
-                    f"{r.utilisation.get('cpu', 0):.2f}",
-                ]
-                for r in rows
-            ],
-            title="Fig. 4 — BOE worked example",
-        )
-    )
+    print(render(run_fig4()))
     return 0
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.experiments.fig6 import run_fig6
+    from repro.experiments.fig6 import render, run_fig6
 
-    panels = run_fig6(args.workload_micro)
-    for label, panel in panels.items():
-        series = {
-            "measured": [f"{p.measured_s:.1f}" for p in panel.points],
-            "BOE": [f"{p.boe_s:.1f}" for p in panel.points],
-            "baseline": [f"{p.baseline_s:.1f}" for p in panel.points],
-        }
-        print(
-            render_series(
-                "delta/node",
-                [p.delta_per_node for p in panel.points],
-                series,
-                title=(
-                    f"Fig. 6 {args.workload_micro.upper()} {label}: "
-                    f"BOE acc {percentage(panel.boe_mean_accuracy)}, "
-                    f"baseline {percentage(panel.baseline_mean_accuracy)}"
-                ),
-            )
-        )
-        print()
+    print(render(run_fig6(args.workload_micro)))
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments.table1 import run_table1
+    from repro.experiments.table1 import render, run_table1
 
-    rows = run_table1()
-    print(
-        render_table(
-            ["workload", "C", "R", "expected", "identified", "match"],
-            [
-                [
-                    r.name,
-                    "Y" if r.compressed else "N",
-                    ",".join(str(x) for x in r.replicas),
-                    ",".join(x.value for x in r.expected) or "-",
-                    ",".join(x.value for x in r.identified),
-                    "yes" if r.matches else "NO",
-                ]
-                for r in rows
-            ],
-            title="Table I — workloads and identified bottlenecks",
-        )
-    )
+    print(render(run_table1()))
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.experiments.table2 import average_accuracy, run_table2
+    from repro.experiments.table2 import render, run_table2
 
-    cells = run_table2()
-    print(
-        render_table(
-            ["DAG", "state", "job", "stage", "measured", "BOE", "acc", "BOE-refined", "acc"],
-            [
-                [
-                    c.dag,
-                    f"s{c.state_index}",
-                    c.job,
-                    c.kind.value,
-                    f"{c.measured_s:.1f}",
-                    f"{c.plain_s:.1f}",
-                    percentage(c.plain_accuracy),
-                    f"{c.refined_s:.1f}",
-                    percentage(c.refined_accuracy),
-                ]
-                for c in cells
-            ],
-            title="Table II — task-level accuracy for parallel jobs",
-        )
-    )
-    for dag in ("WC+TS", "WC+TS3R"):
-        print(
-            f"{dag}: avg plain {percentage(average_accuracy(cells, dag, refined=False))}, "
-            f"avg refined {percentage(average_accuracy(cells, dag))}"
-        )
+    print(render(run_table2()))
     return 0
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
-    from repro.experiments.table3 import (
-        VARIANTS,
-        VARIANT_LABELS,
-        run_table3,
-        summarise_variant,
-    )
+    from repro.experiments.table3 import render, run_table3
 
     names = args.names.split(",") if args.names else None
-    rows = run_table3(names=names, scale=args.options.scale)
-    print(
-        render_table(
-            ["workflow", "simulated", *(VARIANT_LABELS[v] for v in VARIANTS)],
-            [
-                [
-                    r.workflow,
-                    f"{r.simulated_s:.1f}",
-                    *(percentage(r.accuracy(v)) for v in VARIANTS),
-                ]
-                for r in rows
-            ],
-            title="Table III — DAG estimation accuracy",
-        )
-    )
-    for v in VARIANTS:
-        s = summarise_variant(rows, v)
-        print(
-            f"{VARIANT_LABELS[v]}: mean {percentage(s['mean'])}, "
-            f"median {percentage(s['median'])}, min {percentage(s['min'])}"
-        )
+    print(render(run_table3(names=names, scale=args.options.scale)))
     return 0
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    from repro.experiments.overhead import run_overhead
+    from repro.experiments.overhead import render, run_overhead
     from repro.sweep import SweepRunner
 
     names = [n for n in args.names.split(",") if n] or None
     options = args.options
-    runner = SweepRunner(paper_cluster(), processes=options.processes)
-    rows = run_overhead(scale=options.scale, names=names, runner=runner)
-    worst = max(rows, key=lambda r: r.overhead_s)
-    print(
-        render_table(
-            ["workflow", "jobs", "states", "overhead (ms)"],
-            [
-                [r.workflow, r.jobs, r.states, f"{r.overhead_s * 1000:.1f}"]
-                for r in sorted(rows, key=lambda r: -r.overhead_s)[:10]
-            ],
-            title="Estimation overhead (10 most expensive workflows)",
-        )
-    )
-    print(f"max overhead: {worst.overhead_s * 1000:.1f} ms ({worst.workflow}) — "
-          f"paper requires < 1 s")
-    print(f"sweep: {runner.report.describe()}")
+    with SweepRunner(paper_cluster(), processes=options.processes) as runner:
+        rows = run_overhead(scale=options.scale, names=names, runner=runner)
+    print(render(rows, runner.report))
     return 0
 
 
@@ -657,12 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the HTTP/JSON prediction service (docs/service.md)"
     )
     common(p)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8349)
-    p.add_argument("--processes", type=int, default=2, dest="pool_processes",
-                   help="shared-pool worker processes (default 2)")
-    p.add_argument("--job-workers", type=int, default=2,
-                   help="concurrent sweep/ensemble jobs (default 2)")
+    _add_fields(p, _Serve)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("call", help="one request against a running service")

@@ -10,9 +10,8 @@ and deterministically:
   :class:`~repro.simulator.engine.SimulationConfig` through
   :func:`~repro.simulator.seeding.replication_config`, a pure function of
   ``(base_seed, i)``, so any process may run any replication.
-* **One replication driver** — :class:`EnsembleRunner`,
-  :func:`repro.ensemble.compare.compare_paired` and
-  :meth:`repro.sweep.SweepRunner.simulate_candidates` all run through
+* **One replication driver** — :class:`EnsembleRunner` and
+  :func:`repro.ensemble.compare.compare_paired` both run through
   ``_replicate``: the variants are the pool context of
   :meth:`~repro.service.pool.ResilientPool.map_with_context`, pickled once
   per run, and work items are bare ``(variant, index)`` integer pairs.
@@ -420,8 +419,8 @@ def _replicate(
 
     The one replication driver: every variant's replication ``i`` runs
     under the seeds of ``(ens.base_seed, i)``.  ``pool`` is borrowed (the
-    sweep runner's, the service's); without one an ``ens.processes`` pool
-    is owned for the call.  With ``stop`` the budget runs in the rounds of
+    service's); without one an ``ens.processes`` pool is owned for the
+    call.  With ``stop`` the budget runs in the rounds of
     :meth:`EnsembleConfig.round_targets`, and the run ends after the
     first round whose accumulators satisfy ``stop``; without it the whole
     budget is one batch.  ``cancel`` is polled between chunks.

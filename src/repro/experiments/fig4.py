@@ -14,13 +14,14 @@ through one pipelined sub-stage of read + transfer + compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
+from repro.analysis.tables import render_table
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeSpec
 from repro.cluster.resources import Resource
 from repro.core.allocation import StageLoad
-from repro.core.boe import BOEModel, SubStageEstimate
+from repro.core.boe import BOEModel
 from repro.mapreduce.phases import (
     OP_COMPUTE,
     OP_READ,
@@ -90,6 +91,25 @@ def run_fig4() -> List[Fig4Row]:
             )
         )
     return rows
+
+
+def render(rows: Sequence[Fig4Row]) -> str:
+    """The Fig. 4 table ``repro-dag fig4`` prints."""
+    return render_table(
+        ["parallelism", "duration (s)", "bottleneck", "p_disk", "p_net", "p_cpu"],
+        [
+            [
+                r.delta,
+                f"{r.duration_s:.0f}",
+                r.bottleneck.value,
+                f"{r.utilisation.get('disk', 0):.2f}",
+                f"{r.utilisation.get('network', 0):.2f}",
+                f"{r.utilisation.get('cpu', 0):.2f}",
+            ]
+            for r in rows
+        ],
+        title="Fig. 4 — BOE worked example",
+    )
 
 
 #: The numbers printed in the paper, for assertion in tests and benches.

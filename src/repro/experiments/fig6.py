@@ -19,9 +19,10 @@ parallelism 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import accuracy, improvement_factor
+from repro.analysis.tables import percentage, render_series
 from repro.baselines.starfish import StarfishBestCase
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.boe import BOEModel
@@ -172,3 +173,25 @@ def run_fig6(
                 )
             )
     return panels
+
+
+def render(panels: Mapping[str, Fig6Panel]) -> str:
+    """The Fig. 6 series ``repro-dag fig6`` prints, a blank line after each."""
+    return "\n".join(
+        render_series(
+            "delta/node",
+            [p.delta_per_node for p in panel.points],
+            {
+                "measured": [f"{p.measured_s:.1f}" for p in panel.points],
+                "BOE": [f"{p.boe_s:.1f}" for p in panel.points],
+                "baseline": [f"{p.baseline_s:.1f}" for p in panel.points],
+            },
+            title=(
+                f"Fig. 6 {panel.workload.upper()} {label}: "
+                f"BOE acc {percentage(panel.boe_mean_accuracy)}, "
+                f"baseline {percentage(panel.baseline_mean_accuracy)}"
+            ),
+        )
+        + "\n"
+        for label, panel in panels.items()
+    )

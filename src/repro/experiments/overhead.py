@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.analysis.tables import render_table
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.errors import EstimationError
-from repro.sweep import Candidate, SweepRunner
+from repro.sweep import Candidate, SweepReport, SweepRunner
 from repro.workloads.hybrid import table3_workflows
 
 
@@ -40,7 +41,6 @@ def run_overhead(
     scale: float = 0.05,
     names: Optional[Sequence[str]] = None,
     runner: Optional[SweepRunner] = None,
-    processes: int = 1,
 ) -> List[OverheadRow]:
     """Measure pure estimation overhead (no simulation in the loop).
 
@@ -49,15 +49,14 @@ def run_overhead(
         scale: input-volume scale vs the paper.
         names: workflow subset; ``None`` runs the full Table III grid.
         runner: a pre-configured shared runner (its report accumulates);
-            overrides ``processes``.
-        processes: worker processes for a runner built here.
+            ``None`` builds a serial one.
     """
     cluster = cluster or paper_cluster()
     workflows = table3_workflows(scale=scale)
     if names is not None:
         workflows = {n: workflows[n] for n in names}
     if runner is None:
-        runner = SweepRunner(cluster, processes=processes)
+        runner = SweepRunner(cluster)
     batch = [
         Candidate(workflow, label=name) for name, workflow in workflows.items()
     ]
@@ -78,3 +77,23 @@ def run_overhead(
             )
         )
     return rows
+
+
+def render(rows: Sequence[OverheadRow], report: SweepReport) -> str:
+    """The overhead table, worst case and sweep report ``repro-dag
+    overhead`` prints; ``report`` is the runner's that measured ``rows``."""
+    worst = max(rows, key=lambda r: r.overhead_s)
+    table = render_table(
+        ["workflow", "jobs", "states", "overhead (ms)"],
+        [
+            [r.workflow, r.jobs, r.states, f"{r.overhead_s * 1000:.1f}"]
+            for r in sorted(rows, key=lambda r: -r.overhead_s)[:10]
+        ],
+        title="Estimation overhead (10 most expensive workflows)",
+    )
+    return "\n".join([
+        table,
+        f"max overhead: {worst.overhead_s * 1000:.1f} ms ({worst.workflow}) — "
+        "paper requires < 1 s",
+        f"sweep: {report.describe()}",
+    ])

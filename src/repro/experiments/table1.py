@@ -9,8 +9,9 @@ TS touches CPU and disk, TS3R's replicas push it to the network, and so on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.tables import render_table
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.cluster.resources import Resource
 from repro.core.boe import BOEModel
@@ -18,7 +19,7 @@ from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.dag.analysis import level_groups
 from repro.dag.workflow import Workflow
 from repro.mapreduce.stage import StageKind
-from repro.workloads.catalog import TABLE1, CatalogEntry
+from repro.workloads.catalog import TABLE1
 
 
 @dataclass(frozen=True)
@@ -102,3 +103,22 @@ def run_table1(cluster: Optional[Cluster] = None, scale: float = 0.2) -> List[Ta
             )
         )
     return rows
+
+
+def render(rows: Sequence[Table1Row]) -> str:
+    """The Table I table ``repro-dag table1`` prints."""
+    return render_table(
+        ["workload", "C", "R", "expected", "identified", "match"],
+        [
+            [
+                r.name,
+                "Y" if r.compressed else "N",
+                ",".join(str(x) for x in r.replicas),
+                ",".join(x.value for x in r.expected) or "-",
+                ",".join(x.value for x in r.identified),
+                "yes" if r.matches else "NO",
+            ]
+            for r in rows
+        ],
+        title="Table I — workloads and identified bottlenecks",
+    )

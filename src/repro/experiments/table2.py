@@ -26,9 +26,10 @@ Two model columns are reported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import accuracy
+from repro.analysis.tables import percentage, render_table
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.boe import BOEModel
 from repro.dag.workflow import Workflow
@@ -179,3 +180,31 @@ def average_accuracy(
     if not relevant:
         raise SpecificationError(f"no Table II cells for {dag!r}")
     return sum(relevant) / len(relevant)
+
+
+def render(cells: Sequence[Table2Cell]) -> str:
+    """The Table II table and per-DAG averages ``repro-dag table2`` prints."""
+    table = render_table(
+        ["DAG", "state", "job", "stage", "measured", "BOE", "acc", "BOE-refined", "acc"],
+        [
+            [
+                c.dag,
+                f"s{c.state_index}",
+                c.job,
+                c.kind.value,
+                f"{c.measured_s:.1f}",
+                f"{c.plain_s:.1f}",
+                percentage(c.plain_accuracy),
+                f"{c.refined_s:.1f}",
+                percentage(c.refined_accuracy),
+            ]
+            for c in cells
+        ],
+        title="Table II — task-level accuracy for parallel jobs",
+    )
+    averages = [
+        f"{dag}: avg plain {percentage(average_accuracy(cells, dag, refined=False))}, "
+        f"avg refined {percentage(average_accuracy(cells, dag))}"
+        for dag in dict.fromkeys(c.dag for c in cells)
+    ]
+    return "\n".join([table, *averages])

@@ -19,10 +19,11 @@ under skew, and no workflow collapsing below ~0.75.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import accuracy
+from repro.analysis.tables import percentage, render_table
 from repro.cluster.cluster import Cluster, paper_cluster
 from repro.core.distributions import Variant
 from repro.core.estimator import DagEstimator
@@ -122,3 +123,28 @@ def summarise_variant(rows: Sequence[Table3Row], variant: Variant) -> Dict[str, 
         "min": min(values),
         "max": max(values),
     }
+
+
+def render(rows: Sequence[Table3Row]) -> str:
+    """The Table III table and per-variant summaries ``repro-dag table3``
+    prints."""
+    table = render_table(
+        ["workflow", "simulated", *(VARIANT_LABELS[v] for v in VARIANTS)],
+        [
+            [
+                r.workflow,
+                f"{r.simulated_s:.1f}",
+                *(percentage(r.accuracy(v)) for v in VARIANTS),
+            ]
+            for r in rows
+        ],
+        title="Table III — DAG estimation accuracy",
+    )
+    summaries = []
+    for v in VARIANTS:
+        s = summarise_variant(rows, v)
+        summaries.append(
+            f"{VARIANT_LABELS[v]}: mean {percentage(s['mean'])}, "
+            f"median {percentage(s['median'])}, min {percentage(s['min'])}"
+        )
+    return "\n".join([table, *summaries])

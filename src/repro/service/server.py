@@ -56,6 +56,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import queue
 import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -268,10 +269,7 @@ class DagService:
             return 200, {
                 "ok": True,
                 "uptime_s": time.time() - self.started_at,
-                "pool": {
-                    "processes": self.pool.processes,
-                    "broken": self.pool.broken,
-                },
+                "pool": self._pool_state(),
                 "cache_entries": self.estimates.cache_size,
             }
         if path == "/workloads":
@@ -332,12 +330,12 @@ class DagService:
             return 200, {
                 "uptime_s": time.time() - self.started_at,
                 "slo": self.slo.snapshot(),
-                "pool": {
-                    "processes": self.pool.processes,
-                    "broken": self.pool.broken,
-                },
+                "pool": self._pool_state(),
             }
         return 404, {"error": f"no such endpoint: {method} {path}"}
+
+    def _pool_state(self) -> Dict[str, Any]:
+        return {"processes": self.pool.processes, "broken": self.pool.broken}
 
     def _submit(
         self, kind: str, request: Any, params: Dict[str, Any]
@@ -493,8 +491,8 @@ async def _serve_async(
     service: DagService,
     host: str,
     port: int,
-    ready: Optional[Callable[[str], None]] = None,
-    shutdown: Optional[threading.Event] = None,
+    ready: Callable[[str], None],
+    shutdown: threading.Event,
 ) -> None:
     server = await asyncio.start_server(
         lambda r, w: _handle_connection(service, r, w), host, port
@@ -502,39 +500,10 @@ async def _serve_async(
     bound = server.sockets[0].getsockname()
     url = f"http://{bound[0]}:{bound[1]}"
     logger.info("repro-dag service listening on %s", url)
-    if ready is not None:
-        ready(url)
+    ready(url)
     async with server:
-        if shutdown is None:
-            await server.serve_forever()
-        else:
-            while not shutdown.is_set():
-                await asyncio.sleep(0.05)
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8349,
-    service: Optional[DagService] = None,
-    **service_kwargs: Any,
-) -> None:
-    """Run the server until interrupted (the ``repro-dag serve`` command).
-
-    Arms tracing and metrics before building the service so request spans
-    and service counters are live from the first request.
-    """
-    get_tracer().enable()
-    get_metrics().enable()
-    own = service is None
-    if own:
-        service = DagService(**service_kwargs)
-    try:
-        asyncio.run(_serve_async(service, host, port))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        if own:
-            service.close()
+        while not shutdown.is_set():
+            await asyncio.sleep(0.05)
 
 
 class ServiceHandle:
@@ -564,33 +533,29 @@ def serve_in_thread(
     """Start the server on a daemon thread; returns once it accepts requests.
 
     ``port=0`` binds an ephemeral port; the handle's ``url`` reports it.
+    A failed bind raises here, and an owned service is closed.
 
     When the service is built here, tracing and metrics are armed first
-    (as in :func:`serve`) so spans/counters are live from the first
-    request; a caller-supplied ``service`` keeps whatever observability
-    state the caller configured.
+    so spans/counters are live from the first request; a caller-supplied
+    ``service`` keeps whatever observability state the caller configured.
     """
     own = service is None
     if own:
         get_tracer().enable()
         get_metrics().enable()
         service = DagService(**service_kwargs)
-    ready = threading.Event()
+    # The bound URL, or the error that stopped the server from binding.
+    started: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
     shutdown = threading.Event()
-    urls = []
-
-    def _ready(url: str) -> None:
-        urls.append(url)
-        ready.set()
 
     def _run() -> None:
-        asyncio.run(_serve_async(service, host, port, _ready, shutdown))
+        try:
+            asyncio.run(_serve_async(service, host, port, started.put, shutdown))
+        except OSError as exc:  # the bind failed: the caller raises it
+            started.put(exc)
 
     thread = threading.Thread(target=_run, name="repro-service", daemon=True)
     thread.start()
-    if not ready.wait(10.0):
-        shutdown.set()
-        raise ServiceError("service failed to start within 10s")
 
     def _stop() -> None:
         shutdown.set()
@@ -598,4 +563,26 @@ def serve_in_thread(
         if own:
             service.close()
 
-    return ServiceHandle(urls[0], service, _stop)
+    try:
+        url = started.get(timeout=10.0)
+    except queue.Empty:
+        url = ServiceError("service failed to start within 10s")
+    if isinstance(url, Exception):
+        _stop()
+        raise url
+    return ServiceHandle(url, service, _stop)
+
+
+def serve(
+    host: str = "127.0.0.1",
+    port: int = 8349,
+    service: Optional[DagService] = None,
+    **service_kwargs: Any,
+) -> None:
+    """Run the server until interrupted (the ``repro-dag serve`` command):
+    :func:`serve_in_thread`, then wait for Ctrl-C."""
+    with serve_in_thread(host, port, service, **service_kwargs):
+        try:
+            threading.Event().wait()
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            pass

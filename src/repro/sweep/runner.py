@@ -16,13 +16,10 @@ batched-cached-parallel:
   runs, so estimates are bit-identical either way);
 * every batch feeds a :class:`SweepReport` — evaluations/s, cache hit
   rate, wall vs CPU time, per-phase breakdown — surfaced by the CLI, the
-  examples and ``benchmarks/bench_sweep.py``;
-* candidates can also be evaluated *distributionally*
-  (:meth:`SweepRunner.simulate_candidates`): after the bound screen, the
-  surviving candidates run through the ensemble layer's one replication
-  driver on the same worker pool, with common random numbers across
-  candidates so two configurations rank by paired deltas
-  (:meth:`SweepRunner.compare_paired`) rather than two noisy points.
+  examples and ``benchmarks/bench_sweep.py``.
+
+Distributional what-ifs (replication ensembles, paired comparisons under
+common random numbers) live in :mod:`repro.ensemble`.
 
 Process-pool semantics: batches run through
 :meth:`~repro.service.pool.ResilientPool.map_with_context`.  The worker
@@ -217,7 +214,6 @@ class _EvalContext:
         refine: bool,
         memo: bool = True,
         max_memo_entries: int = 65_536,
-        batch: bool = True,
     ):
         self._cluster = cluster
         self._fixed_source = source
@@ -225,7 +221,6 @@ class _EvalContext:
         self._policy = policy
         self._enforce_vcores = enforce_vcores
         self._refine = refine
-        self._batch = batch
         self._sources: Dict[Cluster, TaskTimeSource] = {}
         if source is not None:
             self._sources[cluster] = source
@@ -280,7 +275,7 @@ class _EvalContext:
             variant=self._variant,
             policy=self._policy,
             enforce_vcores=self._enforce_vcores,
-            batch=self._batch,
+            batch=self._memo is not None,
         )
         try:
             estimate = estimator.estimate(workflow)
@@ -339,11 +334,10 @@ class SweepRunner:
         policy: scheduler policy for the parallelism equilibrium.
         enforce_vcores: forwarded to :class:`~repro.core.estimator.DagEstimator`.
         refine: build refined BOE models (only with ``source=None``).
-        memo: memoise whole candidate outcomes by (workflow, cluster);
-            disable to reproduce the uncached serial reference path.
-        batch: evaluate each state's task-time queries through the batched
+        memo: memoise whole candidate outcomes by (workflow, cluster) and
+            evaluate each state's task-time queries through the batched
             BOE kernel (``distribution_batch``) when the source supports
-            it.  ``None`` (default) follows ``memo``.
+            it; disable to reproduce the uncached serial reference path.
         prune: screen candidates with analytic makespan bounds
             (:mod:`repro.core.bounds`) before estimation: a candidate whose
             lower bound exceeds the incumbent's evaluated estimate (or,
@@ -369,7 +363,6 @@ class SweepRunner:
         enforce_vcores: bool = False,
         refine: bool = False,
         memo: bool = True,
-        batch: Optional[bool] = None,
         prune: bool = False,
         processes: int = 1,
         chunksize: Optional[int] = None,
@@ -387,7 +380,6 @@ class SweepRunner:
             enforce_vcores,
             refine,
             memo=memo,
-            batch=memo if batch is None else batch,
         )
         self._own_pool = pool is None
         self._pool = pool if pool is not None else ResilientPool(processes, label="sweep")
@@ -448,19 +440,17 @@ class SweepRunner:
         self._bounds_models[cluster] = model
         return model
 
-    def _lower_bounds(
-        self, pairs: Sequence[Tuple[Optional[Cluster], Workflow]]
-    ) -> List[Optional[float]]:
-        """Analytic makespan lower bound per ``(cluster, workflow)`` pair.
+    def _lower_bounds(self, items: Sequence[_Item]) -> List[Optional[float]]:
+        """Analytic makespan lower bound per item.
 
-        Pairs are batched through
+        Items are batched through
         :meth:`~repro.core.bounds.BoundsModel.bounds_batch` per cluster key
-        (``None`` is the runner's cluster); a pair whose cluster has no
+        (``None`` is the runner's cluster); an item whose cluster has no
         bounds model (see :meth:`_bounds_for`) gets ``None``.
         """
-        bounds: List[Optional[float]] = [None] * len(pairs)
+        bounds: List[Optional[float]] = [None] * len(items)
         by_cluster: Dict[Optional[Cluster], List[int]] = {}
-        for position, (cluster, _) in enumerate(pairs):
+        for position, (_, _, _, cluster) in enumerate(items):
             by_cluster.setdefault(cluster, []).append(position)
         for cluster, positions in by_cluster.items():
             model = self._bounds_for(
@@ -468,7 +458,7 @@ class SweepRunner:
             )
             if model is None:
                 continue
-            batch = model.bounds_batch([pairs[p][1] for p in positions])
+            batch = model.bounds_batch([items[p][2] for p in positions])
             for position, lower in zip(positions, batch):
                 bounds[position] = lower
         return bounds
@@ -490,7 +480,7 @@ class SweepRunner:
         the threshold also lower-bounds below it, so the batch winner can
         never be pruned.
         """
-        bounds = self._lower_bounds([(item[3], item[2]) for item in items])
+        bounds = self._lower_bounds(items)
         registry = get_metrics()
         threshold = incumbent_time_s
         reason = "incumbent"
@@ -644,157 +634,6 @@ class SweepRunner:
             )
         logger.debug("sweep batch: %s", report.describe())
         return results
-
-    # -- distributional evaluation ------------------------------------------------
-
-    def simulate_candidates(
-        self,
-        candidates: Sequence[Union[Candidate, Workflow]],
-        config=None,
-        ensemble=None,
-        cancel: Optional[CancelCheck] = None,
-        *,
-        prune: Optional[bool] = None,
-        incumbent_time_s: Optional[float] = None,
-    ) -> List[Optional["EnsembleResult"]]:
-        """Evaluate candidates *distributionally*: a replication ensemble
-        of the ground-truth simulator per candidate, instead of one BOE
-        point estimate.
-
-        Reuses the runner's worker pool (replication chunks ride the same
-        executor as estimator chunks) and the runner's report accounting.  Every candidate runs the full ``ensemble.replications``
-        budget under the same ``base_seed`` — common random numbers across
-        candidates, so the returned sample vectors are pairable
-        (:func:`repro.ensemble.compare.paired_from_samples`); per-candidate
-        early stopping would break that alignment and is left to
-        :class:`repro.ensemble.EnsembleRunner`.
-
-        Args:
-            candidates: what-if scenarios (cluster overrides respected).
-            config: base :class:`~repro.simulator.engine.SimulationConfig`
-                whose seeds are re-derived per replication.
-            ensemble: :class:`~repro.ensemble.EnsembleConfig`; its
-                ``processes`` field is ignored in favour of the runner's.
-            prune: screen candidates with analytic lower bounds before
-                spending any replication budget; ``None`` follows the
-                runner's ``prune`` setting.
-            incumbent_time_s: the evaluated incumbent makespan the bound
-                screen compares against; pruning a *distributional* batch
-                requires it (there is no cheap in-batch reference, so
-                without an incumbent nothing is pruned).  The analytic
-                bound holds for the deterministic estimator, which the
-                simulator validates in expectation — a pruned candidate is
-                one the model proves worse than the incumbent, spending
-                zero replications on it.
-
-        Returns:
-            One :class:`~repro.ensemble.EnsembleResult` per candidate, in
-            submission order; a pruned candidate's slot is ``None``.
-        """
-        from repro.ensemble.engine import EnsembleConfig, VariantSpec, _replicate
-        from repro.simulator.engine import SimulationConfig
-
-        ens = ensemble if ensemble is not None else EnsembleConfig()
-        config = config if config is not None else SimulationConfig()
-        t0 = time.perf_counter()
-        tracer = get_tracer()
-        span = tracer.begin(
-            "sweep.simulate_batch",
-            candidates=len(candidates),
-            replications=ens.replications,
-        )
-        variants: List[Tuple[str, VariantSpec]] = []
-        for entry in candidates:
-            if isinstance(entry, Workflow):
-                entry = Candidate(workflow=entry)
-            cluster = (
-                entry.cluster
-                if entry.cluster is not None
-                else self._context._cluster
-            )
-            variants.append(
-                (entry.name, VariantSpec(entry.workflow, cluster, config))
-            )
-        report = self._report
-        # Bound screen: an analytic lower bound above the incumbent's
-        # evaluated makespan skips the candidate's whole replication
-        # budget — the biggest single saving pruning can buy, since one
-        # ensemble costs ``replications`` full simulations.
-        pruned_out = [False] * len(variants)
-        should_prune = self._prune if prune is None else prune
-        if should_prune and incumbent_time_s is not None and variants:
-            bounds = self._lower_bounds(
-                [(variant.cluster, variant.workflow) for _, variant in variants]
-            )
-            pruned_out = [b is not None and b > incumbent_time_s for b in bounds]
-            skipped = sum(pruned_out)
-            registry = get_metrics()
-            if registry.enabled:
-                registry.labeled_counter("sweep.pruned", reason="incumbent").inc(
-                    skipped
-                )
-            if skipped:
-                report.pruned += skipped
-                report.pruned_reasons["incumbent"] = (
-                    report.pruned_reasons.get("incumbent", 0) + skipped
-                )
-        # The survivors replicate as one batch under common seeds: work
-        # items are (candidate, replication) pairs, so chunks may span
-        # candidates.
-        run = _replicate(
-            [variant for (_, variant), out in zip(variants, pruned_out) if not out],
-            ens,
-            pool=self._pool,
-            cancel=cancel,
-        )
-        survivors = iter(run.accumulators)
-        results = [
-            None if out else next(survivors).result(label, ens, run)
-            for (label, _), out in zip(variants, pruned_out)
-        ]
-        report.candidates += len(results)
-        report.succeeded += len(run.accumulators)
-        report.batches += 1
-        report.cpu_time_s += run.cpu_s
-        report.wall_time_s += time.perf_counter() - t0
-        report.pool_used = report.pool_used or run.pooled
-        tracer.finish(span, pooled=run.pooled)
-        logger.debug("distributional sweep batch: %s", report.describe())
-        return results
-
-    def compare_paired(
-        self,
-        baseline: Union[Candidate, Workflow],
-        candidate: Union[Candidate, Workflow],
-        config=None,
-        ensemble=None,
-    ) -> "PairedComparison":
-        """Rank two configurations by the distribution of paired deltas.
-
-        Both sides run under common random numbers through
-        :meth:`simulate_candidates` (same pool, same base seed), and the
-        aligned sample vectors become a
-        :class:`~repro.ensemble.PairedComparison` — a delta CI that is
-        tighter than comparing two independent point estimates ever could
-        be.
-        """
-        from repro.ensemble.compare import paired_from_samples
-
-        ens_a, ens_b = self.simulate_candidates(
-            [baseline, candidate], config=config, ensemble=ensemble
-        )
-        return paired_from_samples(
-            ens_a.workflow,
-            ens_a.samples,
-            ens_b.workflow,
-            ens_b.samples,
-            base_seed=ens_a.base_seed,
-            aborted=ens_a.aborted,
-            wall_time_s=ens_a.wall_time_s,
-            cpu_time_s=ens_a.cpu_time_s,
-            processes=self._processes,
-            pool_used=ens_a.pool_used,
-        )
 
 
 def default_processes(cap: int = 8) -> int:

@@ -10,10 +10,7 @@ pool, and both must reproduce the pin to the bit:
 * ``run_ensemble`` over the full budget, and with ``ci_tol`` and
   ``round_size`` set so that it stops early;
 * ``compare_paired`` over the full budget, and stopping early on the
-  paired delta;
-* ``SweepRunner.simulate_candidates`` with an incumbent whose bound
-  screen prunes one candidate;
-* ``SweepRunner.compare_paired``.
+  paired delta.
 
 Re-pin only after a deliberate change of results::
 
@@ -32,12 +29,10 @@ import pytest
 
 from repro.cluster import Cluster, paper_cluster
 from repro.cluster.node import PAPER_NODE
-from repro.core.estimator import estimate_workflow
 from repro.dag import single_job_workflow
 from repro.ensemble import EnsembleConfig, compare_paired, run_ensemble
 from repro.mapreduce import SkewModel
 from repro.simulator import FailureModel, SimulationConfig
-from repro.sweep import Candidate, SweepRunner
 from repro.units import gb
 from repro.workloads import terasort, weblog_dag
 
@@ -172,46 +167,6 @@ def compare_early_stop(processes: int) -> Dict[str, Any]:
     return _paired(comparison)
 
 
-def sweep_simulate_pruned(processes: int) -> Dict[str, Any]:
-    cluster = paper_cluster()
-    small = Cluster(node=PAPER_NODE, workers=2, name="2w")
-    incumbent = estimate_workflow(_ts(20), cluster).total_time * 1.5
-    with SweepRunner(cluster, processes=processes) as runner:
-        results = runner.simulate_candidates(
-            [
-                Candidate(_ts(20), label="r20"),
-                Candidate(_ts(20), cluster=small, label="r20@2w"),
-                Candidate(_ts(40), label="r40"),
-            ],
-            config=CONFIG,
-            ensemble=EnsembleConfig(
-                replications=5, min_replications=5, base_seed=9, exemplars=1
-            ),
-            prune=True,
-            incumbent_time_s=incumbent,
-        )
-        report = runner.report
-        accounting = [report.candidates, report.succeeded, report.pruned]
-    return {
-        "results": [None if r is None else _ensemble(r) for r in results],
-        "labels": [None if r is None else r.workflow for r in results],
-        "accounting": accounting,
-    }
-
-
-def sweep_compare_paired(processes: int) -> Dict[str, Any]:
-    with SweepRunner(paper_cluster(), processes=processes) as runner:
-        comparison = runner.compare_paired(
-            Candidate(_ts(20), label="r20"),
-            Candidate(_ts(40), label="r40"),
-            config=CONFIG,
-            ensemble=EnsembleConfig(
-                replications=6, min_replications=6, base_seed=4, exemplars=0
-            ),
-        )
-    return _paired(comparison)
-
-
 SCENARIOS: Dict[str, Callable[[int], Dict[str, Any]]] = {
     f.__name__: f
     for f in (
@@ -219,8 +174,6 @@ SCENARIOS: Dict[str, Callable[[int], Dict[str, Any]]] = {
         ensemble_early_stop,
         compare_full,
         compare_early_stop,
-        sweep_simulate_pruned,
-        sweep_compare_paired,
     )
 }
 
@@ -232,15 +185,14 @@ def golden() -> Dict[str, Any]:
 
 def test_covers_every_scenario(golden):
     assert set(golden) == set(SCENARIOS)
-    # The pin exercises what it claims: full budgets, early stops and a
-    # pruned candidate; the early stops come after the first round.
+    # The pin exercises what it claims: full budgets and early stops; the
+    # early stops come after the first round.
     assert golden["ensemble_early_stop"]["early_stopped"]
     assert golden["ensemble_early_stop"]["replications"] == 9
     assert not golden["ensemble_full"]["early_stopped"]
     assert golden["compare_early_stop"]["early_stopped"]
     assert golden["compare_early_stop"]["replications"] == 6
     assert not golden["compare_full"]["early_stopped"]
-    assert golden["sweep_simulate_pruned"]["labels"] == ["r20", None, "r40"]
 
 
 @pytest.mark.parametrize("processes", PROCESSES)

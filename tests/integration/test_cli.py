@@ -203,6 +203,31 @@ class TestServiceCli:
         ) == 0
         assert "What-if" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--processes", "--job-workers"])
+    def test_serve_rejects_a_zero_count_before_the_banner(
+        self, flag, capsys, monkeypatch
+    ):
+        started = []
+        monkeypatch.setattr(
+            "repro.service.server.serve", lambda *a, **kw: started.append(kw)
+        )
+        assert main(["serve", flag, "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be >= 1" in err
+        assert not started
+
+    def test_serve_starts_with_the_parsed_fields(self, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            "repro.service.server.serve",
+            lambda *a, **kw: started.append((a, kw)),
+        )
+        assert main(["serve", "--port", "0", "--job-workers", "3"]) == 0
+        assert "repro-dag service on http://127.0.0.1:0" in capsys.readouterr().out
+        assert started == [
+            (("127.0.0.1", 0), {"scale": 0.05, "processes": 2, "job_workers": 3})
+        ]
+
     def test_call_against_running_service(self, obs_sandbox, capsys):
         from repro.service import serve_in_thread
 

@@ -163,6 +163,18 @@ class TestHttpServer:
         with serve_in_thread(scale=SCALE, processes=2, job_workers=2) as handle:
             yield handle
 
+    def test_failed_bind_raises_at_once(self, server):
+        """A taken port is the caller's OSError, not a 10 s start timeout."""
+        port = int(server.url.rsplit(":", 1)[1])
+        service = DagService(scale=SCALE, processes=1, job_workers=1)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(OSError):
+                serve_in_thread(port=port, service=service)
+            assert time.perf_counter() - t0 < 5.0
+        finally:
+            service.close()
+
     def test_health_workloads_and_estimate_parity(self, server, wc_workflow):
         client = ServiceClient(server.url)
         assert client.healthz()["ok"]

@@ -12,7 +12,6 @@ from repro.core.boe import BOEModel
 from repro.core.distributions import TaskTimeDistribution
 from repro.core.estimator import BOESource, estimate_workflow
 from repro.dag import single_job_workflow
-from repro.ensemble.engine import _evaluate_items as _real_evaluate_items
 from repro.errors import (
     EstimationError,
     JobCancelledError,
@@ -42,13 +41,6 @@ def _crashing_evaluate_chunk(context, payload):
     if os.getpid() != _PARENT_PID:
         os._exit(3)
     return _real_evaluate_chunk(context, payload)
-
-
-def _crashing_evaluate_items(setup, items):
-    """Replication chunk rig for ``simulate_candidates`` (same shape)."""
-    if os.getpid() != _PARENT_PID:
-        os._exit(3)
-    return _real_evaluate_items(setup, items)
 
 
 def _counter_value(registry, name):
@@ -256,114 +248,6 @@ class TestDefaultProcesses:
         assert default_processes(cap=2) <= 2
 
 
-class TestDistributionalSweep:
-    """`simulate_candidates` — replication ensembles through the sweep pool."""
-
-    def _config(self):
-        from repro.simulator import FailureModel, SimulationConfig
-        from repro.mapreduce import SkewModel
-
-        return SimulationConfig(
-            skew=SkewModel(sigma=0.3),
-            failures=FailureModel(probability=0.05),
-        )
-
-    def _ensemble(self, **overrides):
-        from repro.ensemble import EnsembleConfig
-
-        base = dict(replications=4, min_replications=4, exemplars=0)
-        base.update(overrides)
-        return EnsembleConfig(**base)
-
-    def test_results_in_submission_order(self, cluster, small_ts):
-        workflows = [
-            single_job_workflow(replace(small_ts, num_reducers=r))
-            for r in (10, 40)
-        ]
-        results = SweepRunner(cluster).simulate_candidates(
-            workflows, config=self._config(), ensemble=self._ensemble()
-        )
-        assert [r.workflow for r in results] == [w.name for w in workflows]
-        for r in results:
-            assert r.replications == 4
-            assert len(r.samples) == 4
-
-    def test_matches_standalone_ensemble(self, cluster, small_ts):
-        """The sweep path and the dedicated EnsembleRunner are the same
-        distribution machine: bit-identical aggregates."""
-        from repro.ensemble import run_ensemble
-
-        workflow = single_job_workflow(small_ts)
-        (swept,) = SweepRunner(cluster).simulate_candidates(
-            [workflow], config=self._config(), ensemble=self._ensemble()
-        )
-        direct = run_ensemble(
-            workflow, cluster, self._config(), self._ensemble()
-        )
-        assert swept.samples == direct.samples
-        assert swept.quantiles == direct.quantiles
-        assert swept.ci == direct.ci
-        assert swept.makespan == direct.makespan
-
-    def test_pool_matches_serial_bit_identical(self, cluster, small_ts):
-        workflows = [
-            single_job_workflow(replace(small_ts, num_reducers=r))
-            for r in (10, 40)
-        ]
-        with SweepRunner(cluster) as serial_runner:
-            serial = serial_runner.simulate_candidates(
-                workflows, config=self._config(), ensemble=self._ensemble()
-            )
-        with SweepRunner(cluster, processes=2) as pooled_runner:
-            pooled = pooled_runner.simulate_candidates(
-                workflows, config=self._config(), ensemble=self._ensemble()
-            )
-            assert pooled_runner.report.pool_used
-        for a, b in zip(serial, pooled):
-            assert a.samples == b.samples
-            assert a.quantiles == b.quantiles
-            assert a.ci == b.ci
-
-    def test_cluster_overrides_respected(self, cluster, small_ts):
-        workflow = single_job_workflow(small_ts)
-        big = Cluster(node=PAPER_NODE, workers=20, name="20w")
-        small, large = SweepRunner(cluster).simulate_candidates(
-            [Candidate(workflow), Candidate(workflow, cluster=big)],
-            config=self._config(),
-            ensemble=self._ensemble(),
-        )
-        assert large.makespan["mean"] < small.makespan["mean"]
-
-    def test_report_accounts_replications(self, cluster, small_ts):
-        runner = SweepRunner(cluster)
-        runner.simulate_candidates(
-            [single_job_workflow(small_ts)],
-            config=self._config(),
-            ensemble=self._ensemble(),
-        )
-        assert runner.report.candidates == 1
-        assert runner.report.succeeded == 1
-        assert runner.report.batches == 1
-
-    def test_compare_paired_through_the_runner(self, cluster, small_ts):
-        """CRN pairing via the sweep pool: strictly tighter than unpaired
-        on the reducer knob."""
-        baseline = single_job_workflow(small_ts)
-        candidate = single_job_workflow(replace(small_ts, num_reducers=10))
-        comparison = SweepRunner(cluster).compare_paired(
-            baseline,
-            candidate,
-            config=self._config(),
-            ensemble=self._ensemble(replications=8, min_replications=8),
-        )
-        assert comparison.replications == 8
-        assert comparison.paired_halfwidth < comparison.unpaired_halfwidth
-        assert comparison.deltas == tuple(
-            b - a
-            for a, b in zip(comparison.samples_a, comparison.samples_b)
-        )
-
-
 class TestCrashAndCancellation:
     """PR 7: worker death, cooperative cancellation, loud degradation."""
 
@@ -389,49 +273,6 @@ class TestCrashAndCancellation:
         assert [(r.index, r.label, r.total_time_s) for r in pooled] == [
             (r.index, r.label, r.total_time_s) for r in serial
         ]
-
-    def test_simulate_candidates_survives_worker_crash(
-        self, cluster, small_ts, monkeypatch
-    ):
-        """The other acceptance path: replication chunks through the sweep
-        pool fall back serially and stay deterministic."""
-        from repro.ensemble import EnsembleConfig
-        from repro.mapreduce import SkewModel
-        from repro.simulator import FailureModel, SimulationConfig
-
-        config = SimulationConfig(
-            skew=SkewModel(sigma=0.3), failures=FailureModel(probability=0.05)
-        )
-        ensemble = EnsembleConfig(
-            replications=4, min_replications=4, exemplars=0
-        )
-        workflows = [
-            single_job_workflow(replace(small_ts, num_reducers=r))
-            for r in (10, 40)
-        ]
-        serial = SweepRunner(cluster).simulate_candidates(
-            workflows, config=config, ensemble=ensemble
-        )
-        registry = get_metrics()
-        registry.enable()
-        try:
-            before = _counter_value(registry, "pool.broken")
-            monkeypatch.setattr(
-                "repro.ensemble.engine._evaluate_items",
-                _crashing_evaluate_items,
-            )
-            with SweepRunner(cluster, processes=2) as runner:
-                pooled = runner.simulate_candidates(
-                    workflows, config=config, ensemble=ensemble
-                )
-            broken = _counter_value(registry, "pool.broken") - before
-        finally:
-            registry.disable()
-        assert broken >= 1
-        for a, b in zip(serial, pooled):
-            assert a.samples == b.samples
-            assert a.quantiles == b.quantiles
-            assert a.ci == b.ci
 
     def test_unpicklable_source_warns_and_counts(self, cluster, grid, caplog):
         """Satellite: the silent probe now logs WARNING and increments
@@ -480,21 +321,6 @@ class TestCrashAndCancellation:
         time.sleep(0.005)
         with pytest.raises(JobTimeoutError):
             SweepRunner(cluster).evaluate(grid, cancel=expired)
-
-    def test_cancel_mid_simulate_candidates(self, cluster, small_ts):
-        from repro.ensemble import EnsembleConfig
-
-        def cancel():
-            return True
-
-        with pytest.raises(JobCancelledError):
-            SweepRunner(cluster).simulate_candidates(
-                [single_job_workflow(small_ts)],
-                ensemble=EnsembleConfig(
-                    replications=4, min_replications=4, exemplars=0
-                ),
-                cancel=cancel,
-            )
 
 
 class TestPruneMetrics:
