@@ -10,12 +10,12 @@ state dominates.  This engine re-hosts the same event loop on columns:
   arrays (progress, rate, re-base time, sub-stage index, failure plan, …)
   keyed by slot index; per-task facts (job, index, input size, attempt
   count) live in a second set of arrays keyed by task uid;
-* sub-stage pipelines and their sharing signatures are interned once per
-  ``(job, kind, input_mb)`` into a **class registry**, so a node's sharing
-  problem is described by a small (class id → count) composition; identical
-  compositions across nodes resolve through one cached call to
-  :func:`~repro.simulator.sharing.solve_max_min_classes` — the class-level
-  solver the fast engine also runs — instead of one solve per node;
+* sub-stage pipelines and their sharing classes come from the simulation's
+  :class:`~repro.simulator.sharing.SharingRegistry`, the one the fast loop
+  uses; this engine keeps only per-pipeline numpy lookup columns (sub-stage
+  count, first class id, gate flag) over its ids.  A node's sharing problem
+  is a small (class id → count) composition, and identical compositions
+  across nodes resolve through one cached registry solve;
 * the deadline heap (:class:`~repro.simulator.events.CohortDeadlineHeap`)
   stores index *cohorts* — arrays of slots sharing one class, rate and
   predicted instant — validated by per-slot epochs instead of tokens.
@@ -23,10 +23,8 @@ state dominates.  This engine re-hosts the same event loop on columns:
 Fidelity discipline is identical to the fast engine's: the object loops are
 the oracle, and ``tests/simulator/test_columnar_parity.py`` pins this
 engine's traces against them across the workload catalog.  Rates are
-bit-identical by construction: both engines run the one class solver over
-the same canonical class order (see
-:func:`~repro.simulator.sharing.class_sort_key`);
-the only tolerated divergence is the ordering of same-instant decisions,
+bit-identical by construction: both engines read them from the same
+registry code over the same canonical class order; the only tolerated divergence is the ordering of same-instant decisions,
 which the parity suite bounds at 1e-9 relative.
 """
 
@@ -39,10 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.resources import Resource
 from repro.errors import JobAbortedError, SchedulingError, SimulationError
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.phases import SubStageSpec, build_task_substages
 from repro.mapreduce.stage import StageKind, stage_input_mb
 from repro.scheduler.container import container_for
 from repro.simulator.engine import (
@@ -53,7 +49,6 @@ from repro.simulator.engine import (
 )
 from repro.obs.metrics import get_metrics
 from repro.simulator.events import CohortDeadlineHeap
-from repro.simulator.sharing import class_sort_key, solve_max_min_classes
 from repro.simulator.trace import (
     SimulationResult,
     SubStageTrace,
@@ -63,39 +58,6 @@ from repro.simulator.trace import (
 logger = logging.getLogger(__name__)
 
 _KINDS = (StageKind.MAP, StageKind.REDUCE)
-
-#: Generic (node-less) pool names.  A flow only ever touches its own node's
-#: pools, so the node suffix in the object engines' ``cpu:<n>`` ids carries
-#: no information within one sharing problem — and the generic names sort
-#: exactly like the suffixed ones do within a node, which keeps
-#: :func:`class_sort_key` orderings (and therefore sweep order and float
-#: results) identical between the engines.
-_POOL_NAME = {
-    Resource.CPU: "cpu",
-    Resource.DISK: "disk",
-    Resource.NETWORK: "net",
-}
-
-
-class _Pipeline:
-    """Interned sub-stage pipeline of one (job, kind, input size)."""
-
-    __slots__ = ("names", "scids", "gate0", "fail_weights", "fail_total")
-
-    def __init__(
-        self,
-        names: Tuple[str, ...],
-        scids: Tuple[int, ...],
-        gate0: bool,
-        fail_weights: List[float],
-        fail_total: float,
-    ):
-        self.names = names
-        self.scids = scids
-        self.gate0 = gate0  # first sub-stage is a slow-start-gated shuffle
-        self.fail_weights = fail_weights
-        self.fail_total = fail_total
-
 
 class _TaskQueue:
     """Pending-task queue as a uid block plus a retry tail.
@@ -267,13 +229,6 @@ class ColumnarSimulator(Simulator):
     def _init_loop_state(self) -> None:
         """Registries, slot/task columns and the cohort heap of this loop."""
         cluster = self._cluster
-        node = cluster.node
-        self._capacities = {
-            "cpu": float(node.cores),
-            "disk": node.disk_mb_s,
-            "net": node.network_mb_s,
-        }
-
         # Job registry: stable integer ids in workflow order.
         self._job_names = [j.name for j in self._workflow.jobs]
         self._jid_of = {name: i for i, name in enumerate(self._job_names)}
@@ -291,17 +246,9 @@ class ColumnarSimulator(Simulator):
             (len(self._job_names), cluster.workers), dtype=np.int64
         )
 
-        # Solver-class registry (one entry per distinct sharing signature).
-        self._class_key: Dict[tuple, int] = {}
-        self._class_weights: List[Dict[str, float]] = []
-        self._class_caps: List[Optional[float]] = []
-        self._class_sort_keys: List[tuple] = []
-        #: composition (tuple of (class id, count)) -> dense per-class rates
-        self._rate_cache: Dict[tuple, np.ndarray] = {}
-
-        # Pipeline registry + per-pid lookup columns.
-        self._pipes: List[_Pipeline] = []
-        self._pipe_key: Dict[Tuple[str, StageKind, float], int] = {}
+        # Lookup columns over the registry's pipeline ids (its list, which
+        # ``_pipes`` aliases, grows as tasks are interned).
+        self._pipes = self._sharing.pipelines
         self._pipe_nsub = np.zeros(16, dtype=np.int32)
         self._pipe_scid0 = np.zeros(16, dtype=np.int32)
         self._pipe_gate0 = np.zeros(16, dtype=np.bool_)
@@ -395,62 +342,16 @@ class ColumnarSimulator(Simulator):
             setattr(self, name, arr)
         self._max_sub = new_max
 
-    # -- registries ------------------------------------------------------------
-
-    def _class_for(self, sub: SubStageSpec) -> int:
-        """Intern one sub-stage's sharing signature, returning its class id.
-
-        Demands aggregate in op order and the per-flow cap folds with
-        ``min`` in op order — the exact accumulation sequence of
-        ``_RunState.build_flow`` + ``solve_max_min``, so the float weights
-        are the identical values the object engines feed their solver.
-        """
-        agg: Dict[str, float] = {}
-        cap: Optional[float] = None
-        for op in sub.ops:
-            pool = _POOL_NAME.get(op.resource)
-            if pool is None:
-                raise SimulationError(f"{op.resource} is not a throughput pool")
-            agg[pool] = agg.get(pool, 0.0) + op.amount
-            if op.per_flow_cap is not None:
-                op_cap = op.per_flow_cap / op.amount
-                cap = op_cap if cap is None else min(cap, op_cap)
-        key = (cap, tuple(sorted(agg.items())))
-        scid = self._class_key.get(key)
-        if scid is None:
-            scid = len(self._class_weights)
-            self._class_key[key] = scid
-            self._class_weights.append(agg)
-            self._class_caps.append(cap)
-            self._class_sort_keys.append(class_sort_key(*key))
-        return scid
+    # -- pipelines -------------------------------------------------------------
 
     def _pipeline_for(self, job: MapReduceJob, kind: StageKind, input_mb: float) -> int:
-        key = (job.name, kind, input_mb)
-        pid = self._pipe_key.get(key)
-        if pid is not None:
+        """Registry pipeline id of one task, its lookup columns filled on
+        first sight."""
+        known = len(self._pipes)
+        pipe = self._sharing.pipeline(job, kind, input_mb)
+        pid = pipe.pid
+        if pid < known:
             return pid
-        substages = build_task_substages(
-            job,
-            kind,
-            task_input_mb=input_mb if input_mb > 0 else None,
-            remote_fraction=self._cluster.remote_fraction,
-        )
-        scids = tuple(self._class_for(sub) for sub in substages)
-        gate0 = kind is StageKind.REDUCE and substages[0].name == "shuffle"
-        fail_weights = [sum(op.amount for op in sub.ops) for sub in substages]
-        fail_total = sum(fail_weights) or 1.0
-        pid = len(self._pipes)
-        self._pipes.append(
-            _Pipeline(
-                tuple(s.name for s in substages),
-                scids,
-                gate0,
-                fail_weights,
-                fail_total,
-            )
-        )
-        self._pipe_key[key] = pid
         if pid >= len(self._pipe_nsub):
             new_cap = max(len(self._pipe_nsub) * 2, pid + 1)
             for name in ("_pipe_nsub", "_pipe_scid0", "_pipe_gate0"):
@@ -458,11 +359,12 @@ class ColumnarSimulator(Simulator):
                 arr = np.zeros(new_cap, dtype=old.dtype)
                 arr[: len(old)] = old
                 setattr(self, name, arr)
-        self._pipe_nsub[pid] = len(substages)
-        self._pipe_scid0[pid] = scids[0]
-        self._pipe_gate0[pid] = gate0
-        if len(substages) > self._max_sub:
-            self._grow_sub_columns(len(substages))
+        nsub = len(pipe.substages)
+        self._pipe_nsub[pid] = nsub
+        self._pipe_scid0[pid] = pipe.scids[0]
+        self._pipe_gate0[pid] = pipe.gate0
+        if nsub > self._max_sub:
+            self._grow_sub_columns(nsub)
         return pid
 
     def _task_id_str(self, uid: int) -> str:
@@ -626,22 +528,11 @@ class ColumnarSimulator(Simulator):
             slots.tolist(), uids.tolist(), attempts.tolist()
         ):
             fails, fail_at = model.draw(self._task_id_str(uid), attempt)
-            if not fails:
-                continue
-            pipe = self._pipes[int(self._t_pid[uid])]
-            cumulative = 0.0
-            weights = pipe.fail_weights
-            for idx, weight in enumerate(weights):
-                share = weight / pipe.fail_total
-                if share <= 0:
-                    continue
-                if fail_at <= cumulative + share or idx == len(weights) - 1:
-                    self._s_fail_sub[slot] = idx
-                    self._s_fail_frac[slot] = min(
-                        0.999, (fail_at - cumulative) / share
-                    )
-                    break
-                cumulative += share
+            if fails:
+                pipe = self._pipes[int(self._t_pid[uid])]
+                self._s_fail_sub[slot], self._s_fail_frac[slot] = (
+                    pipe.failure_point(fail_at)
+                )
 
     # -- slow-start gating -------------------------------------------------------
 
@@ -674,27 +565,6 @@ class ColumnarSimulator(Simulator):
         return out
 
     # -- sharing -----------------------------------------------------------------
-
-    def _rates_for_comp(self, comp_key: tuple) -> np.ndarray:
-        """Dense per-class rates for one node composition, cached.
-
-        Symmetric cluster nodes running symmetric waves collapse onto a
-        handful of compositions, so most node re-solves are one dict hit.
-        """
-        dense = self._rate_cache.get(comp_key)
-        if dense is None:
-            order = sorted(comp_key, key=lambda it: self._class_sort_keys[it[0]])
-            rates = solve_max_min_classes(
-                [self._class_weights[scid] for scid, _ in order],
-                [self._class_caps[scid] for scid, _ in order],
-                [count for _, count in order],
-                self._capacities,
-            )
-            dense = np.zeros(len(self._class_weights))
-            for (scid, _), rate in zip(order, rates):
-                dense[scid] = rate
-            self._rate_cache[comp_key] = dense
-        return dense
 
     def _dirty_slots(self, dirty: np.ndarray) -> np.ndarray:
         """Active slots on the ``dirty`` nodes, node- then slot-ascending.
@@ -774,7 +644,7 @@ class ColumnarSimulator(Simulator):
         # run heads so far.  Symmetric waves collapse to a handful of
         # distinct rows, so probe the all-equal case first — it skips the
         # row dedup entirely.
-        nc = len(self._class_weights)
+        nc = len(self._sharing.weights)
         head = np.empty(node_inc.size, dtype=np.bool_)
         head[0] = True
         np.not_equal(node_inc[1:], node_inc[:-1], out=head[1:])
@@ -791,11 +661,10 @@ class ColumnarSimulator(Simulator):
         dense = np.zeros((uniq.shape[0], nc))
         for i in range(uniq.shape[0]):
             present = np.flatnonzero(uniq[i])
-            comp_key = tuple(
-                (int(scid), int(uniq[i, scid])) for scid in present
+            rate_of = self._sharing.rates(
+                tuple((int(scid), int(uniq[i, scid])) for scid in present)
             )
-            d = self._rates_for_comp(comp_key)
-            dense[i, : d.size] = d
+            dense[i, list(rate_of)] = list(rate_of.values())
         new_rates = dense[inverse[rows], scid_inc]
         self._s_rate[included] = new_rates
 
@@ -1219,8 +1088,8 @@ class _FinishedSlots:
         for slot, uid in zip(slots.tolist(), uids.tolist()):
             pipe = pipes[int(self._s_pid[slot])]
             substages = tuple(
-                SubStageTrace(name, float(sub_t0[slot, i]), float(sub_t1[slot, i]))
-                for i, name in enumerate(pipe.names)
+                SubStageTrace(sub.name, float(sub_t0[slot, i]), float(sub_t1[slot, i]))
+                for i, sub in enumerate(pipe.substages)
             )
             tasks.append(
                 TaskTrace(

@@ -9,9 +9,8 @@ mechanistically:
   containers to pending tasks under DRF with memory-only admission;
 * every running task executes its sub-stages (from
   :func:`~repro.mapreduce.phases.build_task_substages`) as fluid flows whose
-  rates are re-solved by progressive-filling max-min sharing
-  (:func:`~repro.simulator.sharing.solve_max_min`) each time the set of
-  active flows changes;
+  rates are re-solved by max-min sharing (:mod:`repro.simulator.sharing`)
+  each time the set of active flows changes;
 * per-task startup overheads, task waves, data skew and stage barriers all
   emerge from the mechanics rather than being asserted.
 
@@ -28,22 +27,24 @@ Three event loops are provided, selected by ``SimulationConfig.engine``:
   ``progress + (t - t_base) * rate``, so untouched flows cost nothing when
   the clock advances.  Every running sub-stage owns one entry in a
   completion-time heap; entries are invalidated (lazy cancellation) only
-  when the run's node is re-solved.  The sharing problems themselves
-  collapse symmetric flows into equivalence classes
-  (:func:`~repro.simulator.sharing.solve_max_min` with ``collapse=True``
-  groups them and hands the classes to
-  :func:`~repro.simulator.sharing.solve_max_min_classes`).
+  when the run's node is re-solved.  A node's sharing problem is the
+  composition of its runs' sharing classes, whose rates the simulation's
+  :class:`~repro.simulator.sharing.SharingRegistry` solves once per
+  distinct composition.
 * ``"reference"`` is the historical loop that rescans and advances every
-  active flow on every event — O(active flows) per event.  It is retained
-  as the oracle: ``benchmarks/bench_engine_scale.py`` and
+  active flow on every event — O(active flows) per event — and solves
+  every node flow by flow (``solve_max_min(collapse=False)``).  It is
+  retained as the oracle: ``benchmarks/bench_engine_scale.py`` and
   ``tests/simulator/test_engine_parity.py`` assert the two produce the same
   traces, so every accuracy result in EXPERIMENTS.md is preserved.
 * ``"columnar"`` (:mod:`repro.simulator.columnar`) re-hosts the fast loop's
   state in flat numpy arrays — per-run progress/rate/deadline columns keyed
-  by slot index, class-level sharing through the same
-  :func:`~repro.simulator.sharing.solve_max_min_classes`, and a deadline
-  heap of index *cohorts* instead of objects — for million-task DAGs.
+  by slot index, class rates from the same registry, and a deadline heap of
+  index *cohorts* instead of objects — for million-task DAGs.
   ``tests/simulator/test_columnar_parity.py`` pins it against this engine.
+
+Every loop takes its task pipelines (sub-stages, class ids, failure split)
+from the one registry built in ``Simulator.__init__``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.cluster.resources import Resource, ResourceVector
 from repro.dag.workflow import Workflow
 from repro.errors import JobAbortedError, SchedulingError, SimulationError
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.phases import SubStageSpec, build_task_substages
+from repro.mapreduce.phases import SubStageSpec
 from repro.mapreduce.stage import StageKind
 from repro.mapreduce.task import NO_SKEW, SkewModel, TaskSpec, build_task_specs
 from repro.obs.metrics import get_metrics
@@ -68,7 +69,13 @@ from repro.simulator.failures import NO_FAILURES, FailureModel
 from repro.scheduler.container import container_for
 from repro.scheduler.yarn import YarnPlacer
 from repro.simulator.events import EventQueue
-from repro.simulator.sharing import FlowSpec, solve_max_min
+from repro.simulator.sharing import (
+    POOL_NAMES,
+    FlowSpec,
+    Pipeline,
+    SharingRegistry,
+    solve_max_min,
+)
 from repro.simulator.trace import (
     SimulationResult,
     StageTrace,
@@ -97,10 +104,12 @@ class SimulationConfig:
         failures: task-attempt failure injection (fault tolerance).
         max_iterations: hard stop against engine bugs.
         engine: event-loop implementation — ``"fast"`` (lazy progress,
-            completion heap, collapsed sharing; the default),
-            ``"reference"`` (the historical rescan-everything loop, kept as
-            the trace-fidelity oracle) or ``"columnar"`` (numpy-backed flat
-            state for million-task DAGs, trace-pinned against ``"fast"``).
+            completion heap, class rates per node composition from the
+            sharing registry; the default), ``"reference"`` (the historical
+            rescan-everything loop with per-flow sharing, kept as the
+            trace-fidelity oracle) or ``"columnar"`` (numpy-backed flat
+            state for million-task DAGs, same registry, trace-pinned
+            against ``"fast"``).
     """
 
     policy: str = "drf"
@@ -118,7 +127,7 @@ class _RunState:
         "spec",
         "node",
         "container",
-        "substages",
+        "pipe",
         "stage_idx",
         "progress",
         "active",
@@ -139,13 +148,13 @@ class _RunState:
         spec: TaskSpec,
         node: int,
         container: ResourceVector,
-        substages: List[SubStageSpec],
+        pipe: Pipeline,
         t_launch: float,
     ):
         self.spec = spec
         self.node = node
         self.container = container
-        self.substages = substages
+        self.pipe = pipe
         self.stage_idx = 0
         self.progress = 0.0
         self.active = False  # False while paying the startup overhead
@@ -167,7 +176,7 @@ class _RunState:
 
     @property
     def current(self) -> SubStageSpec:
-        return self.substages[self.stage_idx]
+        return self.pipe.substages[self.stage_idx]
 
     def flow_id(self) -> str:
         return f"{self.spec.task_id}/{self.stage_idx}"
@@ -228,13 +237,9 @@ class _JobState:
 
 
 def _pool_id(resource: Resource, node: int) -> str:
-    if resource is Resource.CPU:
-        return f"cpu:{node}"
-    if resource is Resource.DISK:
-        return f"disk:{node}"
-    if resource is Resource.NETWORK:
-        return f"net:{node}"
-    raise SimulationError(f"{resource} is not a throughput pool")
+    if resource not in POOL_NAMES:
+        raise SimulationError(f"{resource} is not a throughput pool")
+    return f"{POOL_NAMES[resource]}:{node}"
 
 
 class Simulator:
@@ -312,25 +317,25 @@ class Simulator:
             self._ctr_deadlines = None
             self._ctr_sched = None
             self._hist_state = None
+        node = cluster.node
+        self._sharing = SharingRegistry(
+            {
+                "cpu": float(node.cores),
+                "disk": node.disk_mb_s,
+                "net": node.network_mb_s,
+            },
+            cluster.remote_fraction,
+        )
         self._init_loop_state()
 
     def _init_loop_state(self) -> None:
         """State of the object event loops (``fast`` and ``reference``)."""
-        node = self._cluster.node
         workers = self._cluster.workers
+        # Flows only ever touch their own node's pools, so the sharing
+        # problem decomposes by node and only nodes whose flow set changed
+        # need re-solving (a large speed-up).
         self._dirty_nodes = set(range(workers))
-        # Per-node pool maps: flows only ever touch their own node's pools,
-        # so the sharing problem decomposes by node and only nodes whose
-        # flow set changed need re-solving (a large speed-up).
-        self._node_pools: List[Dict[str, float]] = [
-            {
-                f"cpu:{i}": float(node.cores),
-                f"disk:{i}": node.disk_mb_s,
-                f"net:{i}": node.network_mb_s,
-            }
-            for i in range(workers)
-        ]
-        self._rates: Dict[str, float] = {}
+        self._rates: Dict[str, float] = {}  # reference loop: flow id -> rate
         self._runs: Dict[str, _RunState] = {}  # task_id -> run (launched, not finished)
         self._attempts: Dict[str, int] = {}  # task_id -> attempts launched
         self._first_launch: Dict[str, float] = {}  # task_id -> first attempt's launch
@@ -338,14 +343,9 @@ class Simulator:
         self._finished_tasks: List[TaskTrace] = []
         # Fast-engine structures: runs grouped by node (insertion-ordered so
         # symmetric tasks tie-break like the reference loop's run dict) and
-        # a completion-time heap with lazy cancellation.  Both object loops
-        # share the memo of sub-stage pipelines (identical tasks share one
-        # immutable spec list instead of rebuilding it per launch).
+        # a completion-time heap with lazy cancellation.
         self._node_runs: List[Dict[str, _RunState]] = [{} for _ in range(workers)]
         self._deadlines = EventQueue()
-        self._substage_cache: Dict[
-            Tuple[str, StageKind, float], List[SubStageSpec]
-        ] = {}
 
     # -- public API --------------------------------------------------------------
 
@@ -377,6 +377,10 @@ class Simulator:
 
     def _run_reference(self) -> SimulationResult:
         """The historical O(active flows)-per-event loop (trace oracle)."""
+        node_pools = [
+            {f"{name}:{i}": cap for name, cap in self._sharing.capacities.items()}
+            for i in range(self._cluster.workers)
+        ]
         for name in self._workflow.roots():
             self._arrive(name)
         self._schedule_pending()
@@ -406,7 +410,7 @@ class Simulator:
                     node_runs = by_node.get(node_idx, [])
                     solved = solve_max_min(
                         [r.build_flow() for r in node_runs],
-                        self._node_pools[node_idx],
+                        node_pools[node_idx],
                         collapse=False,
                     )
                     self._rates.update(solved)
@@ -578,6 +582,7 @@ class Simulator:
         """Re-share one dirty node and refresh its runs' heap deadlines."""
         now = self._now
         included: List[_RunState] = []
+        counts: Dict[int, int] = {}
         for run in self._node_runs[node_idx].values():
             if not run.active:
                 continue  # still paying the startup overhead
@@ -595,11 +600,13 @@ class Simulator:
                 self._cancel_deadline(run)
                 continue
             included.append(run)
-        solved = solve_max_min(
-            [r.build_flow() for r in included], self._node_pools[node_idx]
-        )
+            scid = run.pipe.scids[run.stage_idx]
+            counts[scid] = counts.get(scid, 0) + 1
+        if not included:
+            return
+        rate_of = self._sharing.rates(tuple(sorted(counts.items())))
         for run in included:
-            run.rate = solved[run.flow_id()]
+            run.rate = rate_of[run.pipe.scids[run.stage_idx]]
             self._push_deadline(run)
 
     def _push_deadline(self, run: _RunState) -> None:
@@ -701,30 +708,11 @@ class Simulator:
 
     # -- task lifecycle --------------------------------------------------------------
 
-    def _task_substages(self, js: _JobState, spec: TaskSpec) -> List[SubStageSpec]:
-        """Sub-stage pipeline for one task.
-
-        Identical tasks (same job, kind and input size — the overwhelmingly
-        common case without skew) share one immutable spec list, in both
-        object loops.
-        """
-        key = (js.job.name, spec.kind, spec.input_mb)
-        substages = self._substage_cache.get(key)
-        if substages is None:
-            substages = build_task_substages(
-                js.job,
-                spec.kind,
-                task_input_mb=spec.input_mb if spec.input_mb > 0 else None,
-                remote_fraction=self._cluster.remote_fraction,
-            )
-            self._substage_cache[key] = substages
-        return substages
-
     def _launch(self, js: _JobState, node: int, kind: StageKind) -> None:
         spec = js.pending[kind].popleft()
         container = container_for(js.job, spec.kind)
-        substages = self._task_substages(js, spec)
-        run = _RunState(spec, node, container, substages, self._now)
+        pipe = self._sharing.pipeline(js.job, spec.kind, spec.input_mb)
+        run = _RunState(spec, node, container, pipe, self._now)
         attempt = self._attempts.get(spec.task_id, 0) + 1
         self._attempts[spec.task_id] = attempt
         self._first_launch.setdefault(spec.task_id, self._now)
@@ -748,24 +736,8 @@ class Simulator:
         if not model.enabled:
             return
         fails, fail_at = model.draw(run.spec.task_id, attempt)
-        if not fails:
-            run.fail_substage = None
-            run.fail_fraction = 1.0
-            return
-        # Map the whole-task death point onto a (substage, fraction) pair,
-        # weighting substages by their total operation amounts.
-        weights = [sum(op.amount for op in sub.ops) for sub in run.substages]
-        total = sum(weights) or 1.0
-        cumulative = 0.0
-        for idx, weight in enumerate(weights):
-            share = weight / total
-            if share <= 0:
-                continue
-            if fail_at <= cumulative + share or idx == len(weights) - 1:
-                run.fail_substage = idx
-                run.fail_fraction = min(0.999, (fail_at - cumulative) / share)
-                return
-            cumulative += share
+        if fails:
+            run.fail_substage, run.fail_fraction = run.pipe.failure_point(fail_at)
 
     def _kill_attempt(self, run: _RunState) -> None:
         """A failed attempt: release the container and re-queue the task."""
@@ -804,7 +776,7 @@ class Simulator:
         run.flow_cache = None
         run.t_work_start = self._now
         run.t_base = self._now
-        if run.stage_idx < len(run.substages):
+        if run.stage_idx < len(run.pipe.substages):
             return
         # Task finished.
         spec = run.spec
@@ -987,9 +959,7 @@ class Simulator:
         exists: its shuffle sub-stage is capped at the completed-map
         fraction until the map stage closes.
         """
-        if run.spec.kind is not StageKind.REDUCE or run.stage_idx != 0:
-            return 1.0
-        if run.current.name != "shuffle":
+        if run.stage_idx != 0 or not run.pipe.gate0:
             return 1.0
         js = self._jobs[run.spec.job_name]
         if not js.map_stage_open:

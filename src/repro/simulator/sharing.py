@@ -40,23 +40,32 @@ Symmetric flows — identical ``(demands, cap)`` signatures, ubiquitous at
 scale because every task of one wave of one stage performs the same work —
 provably receive equal rates at the fixed point (the allocation is the
 unique max-min-fair point and is invariant under permuting identical flows).
-``solve_max_min`` therefore collapses each group of identical flows into one
-*equivalence class* with a multiplicity and iterates over classes: a node
-running six identical map tasks solves a 1-class problem, not a 6-flow
-Gauss–Seidel.  :func:`solve_max_min_classes` is that class-level solver,
-the one both engines run: the fast engine through ``solve_max_min``, the
-columnar engine directly on its interned classes.  Pass ``collapse=False``
-for the historical per-flow iteration (kept as the reference implementation
-the class solver is tested against).
+They therefore form one *equivalence class* with a multiplicity, and
+:func:`solve_max_min_classes` iterates over classes: a node running six
+identical map tasks solves a 1-class problem, not a 6-flow Gauss–Seidel.
+
+:class:`SharingRegistry` is the one place that decides what a class is.  A
+simulation builds one and interns every task pipeline into it (sub-stages,
+class ids, gate flag, failure weights); a node's sharing problem is then a
+``((class id, count), ...)`` composition, solved once per distinct
+composition.  ``solve_max_min`` groups its flows through a registry of its
+own, so the flow-level API and the engines share one class key and one
+class order.  Pass ``collapse=False`` for the historical per-flow iteration
+(kept as the reference implementation the class solver is tested against,
+and the rate path of the ``reference`` event loop).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.cluster.resources import Resource
 from repro.errors import SimulationError
+from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.phases import SubStageSpec, build_task_substages
+from repro.mapreduce.stage import StageKind
 
 _EPS = 1e-12
 _MAX_ITER = 500
@@ -180,10 +189,10 @@ def _nonconvergence(
 def class_sort_key(cap: Optional[float], items: Tuple[Tuple[str, float], ...]):
     """Canonical ordering key of one equivalence class.
 
-    Shared between :func:`_solve_collapsed` and the columnar engine's class
-    registry so both present identical class *sequences* to the solver: two
-    calls seeing the same multiset of flows perform bit-identical sweeps,
-    which is what keeps symmetric cluster nodes on float-identical rates.
+    :meth:`SharingRegistry.rates` presents every composition's classes to
+    the solver in this order: two solves seeing the same multiset of flows
+    perform bit-identical sweeps, which is what keeps symmetric cluster
+    nodes on float-identical rates.
     """
     return (cap is None, cap if cap is not None else 0.0, items)
 
@@ -199,8 +208,8 @@ def solve_max_min_classes(
     Takes the classes *pre-grouped* in :func:`class_sort_key` order and
     returns one rate per class.  Each class carries its multiplicity into
     the water-level computation (a class of ``m`` flows contributes ``m``
-    demanders to every pool it uses).  Both engines solve through here: the
-    columnar engine directly, the fast engine via ``solve_max_min``.
+    demanders to every pool it uses).  Every class-level solve goes through
+    here, by way of :meth:`SharingRegistry.rates`.
     """
     n_classes = len(cls_weights)
     pool_users: Dict[str, List[int]] = {}
@@ -299,6 +308,145 @@ def _repair_feasible(
     )  # pragma: no cover - scaling is monotone, one pass always suffices
 
 
+#: Node-less pool name of each throughput resource.  A flow only touches its
+#: own node's pools, so within one sharing problem the node suffix of the
+#: reference loop's ``cpu:<n>`` ids carries no information, and the bare
+#: names sort exactly like the suffixed ones: class order, sweep order and
+#: rates are the same either way.
+POOL_NAMES = {Resource.CPU: "cpu", Resource.DISK: "disk", Resource.NETWORK: "net"}
+
+
+class Pipeline(NamedTuple):
+    """One interned ``(job, kind, input size)`` sub-stage pipeline.
+
+    Attributes:
+        pid: index in :attr:`SharingRegistry.pipelines`.
+        substages: the sub-stage specs, in execution order.
+        scids: each sub-stage's class id.
+        gate0: the first sub-stage is a shuffle that slow-start gates.
+        fail_weights: each sub-stage's summed op amounts, over which a
+            failure draw is spread.
+        fail_total: their sum.
+    """
+
+    pid: int
+    substages: List[SubStageSpec]
+    scids: Tuple[int, ...]
+    gate0: bool
+    fail_weights: List[float]
+    fail_total: float
+
+    def failure_point(self, fail_at: float) -> Tuple[int, float]:
+        """The ``(sub-stage, fraction)`` at which an attempt drawn to die at
+        ``fail_at`` of its whole work dies, weighting sub-stages by their
+        op amounts."""
+        cumulative = 0.0
+        last = len(self.fail_weights) - 1
+        for idx, weight in enumerate(self.fail_weights):
+            share = weight / self.fail_total
+            if fail_at <= cumulative + share or idx == last:
+                break
+            cumulative += share
+        return idx, min(0.999, (fail_at - cumulative) / share)
+
+
+class SharingRegistry:
+    """The sharing classes of one simulation, interned once.
+
+    A class is the node-less key ``(cap, sorted (pool, weight) items)``:
+    demands summed per pool in op order, caps ``min``-folded in op order.
+    Class ids are dense and stable for the registry's life; a node's sharing
+    problem is a composition ``((class id, count), ...)`` in ascending class
+    id order, and :meth:`rates` solves each distinct composition once, in
+    :func:`class_sort_key` order.
+
+    Args:
+        capacities: pool name -> capacity of one node.
+        remote_fraction: the cluster's, for the pipelines :meth:`pipeline`
+            builds (0 for a single node).
+    """
+
+    def __init__(self, capacities: Mapping[str, float], remote_fraction: float = 0.0):
+        self.capacities = capacities
+        self._remote_fraction = remote_fraction
+        self._class_ids: Dict[tuple, int] = {}
+        self.weights: List[Dict[str, float]] = []
+        self.caps: List[Optional[float]] = []
+        self._sort_keys: List[tuple] = []
+        self._rates: Dict[tuple, Dict[int, float]] = {}
+        self._pipeline_of: Dict[Tuple[str, StageKind, float], Pipeline] = {}
+        self.pipelines: List[Pipeline] = []
+
+    def intern(self, agg: Dict[str, float], cap: Optional[float]) -> int:
+        """Class id of the flows with per-pool demands ``agg`` and ``cap``."""
+        key = (cap, tuple(sorted(agg.items())))
+        cid = self._class_ids.get(key)
+        if cid is None:
+            cid = len(self.weights)
+            self._class_ids[key] = cid
+            self.weights.append(agg)
+            self.caps.append(cap)
+            self._sort_keys.append(class_sort_key(*key))
+        return cid
+
+    def _intern_substage(self, sub: SubStageSpec) -> int:
+        agg: Dict[str, float] = {}
+        cap: Optional[float] = None
+        for op in sub.ops:
+            pool = POOL_NAMES.get(op.resource)
+            if pool is None:
+                raise SimulationError(f"{op.resource} is not a throughput pool")
+            if op.amount <= 0:
+                raise SimulationError(
+                    f"sub-stage {sub.name!r} has non-positive demand {op.amount} on {pool!r}"
+                )
+            agg[pool] = agg.get(pool, 0.0) + op.amount
+            if op.per_flow_cap is not None:
+                op_cap = op.per_flow_cap / op.amount
+                cap = op_cap if cap is None else min(cap, op_cap)
+        return self.intern(agg, cap)
+
+    def pipeline(self, job: MapReduceJob, kind: StageKind, input_mb: float) -> Pipeline:
+        """The interned pipeline of one task of ``job``'s ``kind`` stage with
+        ``input_mb`` input (identical tasks share one)."""
+        key = (job.name, kind, input_mb)
+        pipe = self._pipeline_of.get(key)
+        if pipe is None:
+            substages = build_task_substages(
+                job,
+                kind,
+                task_input_mb=input_mb if input_mb > 0 else None,
+                remote_fraction=self._remote_fraction,
+            )
+            fail_weights = [sum(op.amount for op in sub.ops) for sub in substages]
+            pipe = Pipeline(
+                len(self.pipelines),
+                substages,
+                tuple(self._intern_substage(sub) for sub in substages),
+                kind is StageKind.REDUCE and substages[0].name == "shuffle",
+                fail_weights,
+                sum(fail_weights),
+            )
+            self.pipelines.append(pipe)
+            self._pipeline_of[key] = pipe
+        return pipe
+
+    def rates(self, composition: Tuple[Tuple[int, int], ...]) -> Dict[int, float]:
+        """Class id -> progress rate on a node running ``composition``."""
+        rate_of = self._rates.get(composition)
+        if rate_of is None:
+            order = sorted(composition, key=lambda item: self._sort_keys[item[0]])
+            solved = solve_max_min_classes(
+                [self.weights[cid] for cid, _ in order],
+                [self.caps[cid] for cid, _ in order],
+                [count for _, count in order],
+                self.capacities,
+            )
+            rate_of = {cid: rate for (cid, _), rate in zip(order, solved)}
+            self._rates[composition] = rate_of
+        return rate_of
+
+
 def solve_max_min(
     flows: Sequence[FlowSpec],
     capacities: Mapping[str, float],
@@ -345,9 +493,17 @@ def solve_max_min(
             agg[pool_id] = agg.get(pool_id, 0.0) + weight
         weights.append(agg)
 
-    if collapse:
-        return _solve_collapsed(flows, weights, capacities)
-    return _solve_flowwise(flows, weights, capacities)
+    if not collapse:
+        return _solve_flowwise(flows, weights, capacities)
+    registry = SharingRegistry(capacities)
+    class_ids = [
+        registry.intern(agg, flow.cap) for flow, agg in zip(flows, weights)
+    ]
+    counts: Dict[int, int] = {}
+    for cid in class_ids:
+        counts[cid] = counts.get(cid, 0) + 1
+    rate_of = registry.rates(tuple(sorted(counts.items())))
+    return {flow.flow_id: rate_of[cid] for flow, cid in zip(flows, class_ids)}
 
 
 def _solve_flowwise(
@@ -413,43 +569,6 @@ def _solve_flowwise(
     _repair_feasible(final, weights, [1] * len(flows), pool_users, capacities)
     return {flow.flow_id: final[idx] for idx, flow in enumerate(flows)}
 
-
-def _solve_collapsed(
-    flows: Sequence[FlowSpec],
-    weights: List[Dict[str, float]],
-    capacities: Mapping[str, float],
-) -> Dict[str, float]:
-    """Group identical flows into classes and solve them with
-    :func:`solve_max_min_classes`.
-
-    Flows with the same aggregated ``(pool, weight)`` signature and the same
-    cap are interchangeable: the max-min-fair allocation is unique and
-    invariant under permuting them, so they share one rate.
-    """
-    member_map: Dict[Tuple, List[int]] = {}
-    for idx, flow in enumerate(flows):
-        key = (flow.cap, tuple(sorted(weights[idx].items())))
-        member_map.setdefault(key, []).append(idx)
-
-    # Canonical class order (independent of flow arrival order): two calls
-    # presenting the same *multiset* of flows perform bit-identical sweeps.
-    # This matters to the engine — symmetric cluster nodes must converge to
-    # float-identical rates so their completion deadlines coincide exactly.
-    members = [
-        member_map[key]
-        for key in sorted(member_map, key=lambda key: class_sort_key(*key))
-    ]
-    rates = solve_max_min_classes(
-        [weights[group[0]] for group in members],
-        [flows[group[0]].cap for group in members],
-        [len(group) for group in members],
-        capacities,
-    )
-    return {
-        flows[idx].flow_id: rate
-        for group, rate in zip(members, rates)
-        for idx in group
-    }
 
 def pool_utilisation(
     flows: Sequence[FlowSpec],
