@@ -22,12 +22,7 @@ from repro.core.estimator import (
     TaskTimeSource,
     estimate_workflow,
 )
-from repro.core.fingerprint import (
-    CacheStats,
-    LRUCache,
-    job_fingerprint,
-    value_fingerprint,
-)
+from repro.core.memo import CacheStats, LRUCache
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState
 
@@ -52,11 +47,9 @@ __all__ = [
     "completion_rate",
     "estimate_parallelism",
     "estimate_workflow",
-    "job_fingerprint",
     "per_task_throughput",
     "resource_users",
     "share_fraction",
     "stage_time",
-    "value_fingerprint",
     "wave_sizes",
 ]

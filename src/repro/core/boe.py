@@ -33,14 +33,13 @@ Counting the users of a resource needs care on two axes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
 from repro.core.allocation import StageLoad, resource_users
-from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES, CacheStats, LRUCache
+from repro.core.memo import DEFAULT_CACHE_ENTRIES, CacheStats, LRUCache
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.phases import SubStageSpec, build_task_substages
@@ -158,18 +157,25 @@ class _Pipeline:
     Immutable after construction, so one instance is shared by every solve
     of the model that asks for its (job, kind).  ``first`` maps a sub-stage
     name to its first index (phase lock across synchronised stages);
-    ``signature`` is the pipeline's part of the L2 cache key: every
-    sub-stage name and op tuple, the whole input of the solve.
+    ``signature`` is the pipeline's part of the structural memo key: every
+    sub-stage name and op tuple, the whole input of the solve.  ``tasks``
+    is the stage's task count, which fixes its wave regime at a given
+    parallelism.
     """
 
-    __slots__ = ("subs", "first", "signature")
+    __slots__ = ("subs", "first", "signature", "tasks")
 
-    def __init__(self, substages: Sequence[SubStageSpec]):
+    def __init__(self, substages: Sequence[SubStageSpec], tasks: int):
         self.subs = tuple(_compile(sub) for sub in substages)
         self.first: Dict[str, int] = {}
         for idx, sub in enumerate(self.subs):
             self.first.setdefault(sub.name, idx)
         self.signature = tuple((sub.name, sub.ops) for sub in self.subs)
+        self.tasks = tasks
+
+    def staggered(self, delta: float) -> bool:
+        """Whether the stage runs staggered waves at parallelism ``delta``."""
+        return self.tasks > _STAGGER_WAVES * max(delta, 1.0)
 
 
 class _StageCtx:
@@ -225,16 +231,16 @@ class _StageCtx:
 class BOEModel:
     """Task-level execution time estimation by bottleneck identification.
 
-    Estimates are memoised by default: :meth:`task_time` is a pure function
-    of (job spec, stage kind, ``delta``, concurrent-load signature) for a
-    fixed cluster and model configuration, so what-if sweeps that revisit a
+    Estimates are memoised by default: the competition solve behind
+    :meth:`task_time` is a pure function of the system's structure (every
+    stage's compiled sub-stages, parallelism and wave regime) for a fixed
+    cluster and model configuration, so what-if sweeps that revisit a
     combination — coordinate descent perturbing one knob, an experiment grid
     sharing sub-stage estimates across panels — pay for the fixed-point
-    solve once.  The keys hash every input by value (jobs are frozen
-    dataclasses), so a hit returns the *identical* (frozen) estimate the
-    cold path would compute: cached and uncached results are bit-for-bit
-    equal, and a changed job can never match a stale entry.
-    ``cache_stats`` exposes the hit/miss ledger.
+    solve once.  The key is built from the call-time values, so a hit
+    returns the sub-stage estimates the cold path would compute: cached and
+    uncached results are bit-for-bit equal, and a changed job can never
+    match a stale entry.  ``cache_stats`` exposes the hit/miss ledger.
     """
 
     def __init__(
@@ -243,12 +249,7 @@ class BOEModel:
         refine: bool = False,
         max_refine_iter: int = 25,
         cache: bool = True,
-        max_cache_entries: int = DEFAULT_CACHE_ENTRIES,
     ):
-        if max_cache_entries < 1:
-            raise EstimationError(
-                f"max_cache_entries must be >= 1: {max_cache_entries}"
-            )
         self._cluster = cluster
         self._refine = refine
         self._max_iter = max_refine_iter
@@ -256,24 +257,19 @@ class BOEModel:
         node = cluster.node
         self._capacity = (node.cores, node.disk_mb_s, node.network_mb_s)
         self._stats = CacheStats()
-        # Two memo levels (see task_time): exact call arguments -> final
-        # estimate, and solved system structure -> sub-stage estimates.
-        # Both are LRU-bounded (``max_cache_entries``) so a week-long sweep
-        # session cannot grow memory without bound; sweep locality keeps
-        # the working set resident.
-        self._call_cache: Optional[LRUCache] = (
-            LRUCache(max_cache_entries, self._stats) if cache else None
-        )
+        # Solved system structure -> the target's estimate (see
+        # _task_time), LRU-bounded so a week-long sweep session cannot grow
+        # memory without bound; sweep locality keeps the working set
+        # resident.
         self._cache: Optional[LRUCache] = (
-            LRUCache(max_cache_entries, self._stats) if cache else None
+            LRUCache(DEFAULT_CACHE_ENTRIES, self._stats) if cache else None
         )
         # Compiled pipelines by value-hashed (job, kind), kept for the
         # model's lifetime: a tuner's candidates share most jobs with the
         # incumbent, so most solves reuse a pipeline compiled by an earlier
         # batch.  Uncached models compile once per batch instead.
-        self._max_entries = max_cache_entries
         self._pipelines: Optional[LRUCache] = (
-            LRUCache(max_cache_entries) if cache else None
+            LRUCache(DEFAULT_CACHE_ENTRIES) if cache else None
         )
         # Mirror the CacheStats ledger into the process metrics registry
         # (when armed) so cache behaviour shows up in --metrics output and
@@ -313,8 +309,6 @@ class BOEModel:
         ledger is kept)."""
         if self._cache is not None:
             self._cache.clear()
-        if self._call_cache is not None:
-            self._call_cache.clear()
         if self._pipelines is not None:
             self._pipelines.clear()
 
@@ -493,10 +487,6 @@ class BOEModel:
 
     # -- task level ----------------------------------------------------------------
 
-    @staticmethod
-    def _is_staggered(job: MapReduceJob, kind: StageKind, delta: float) -> bool:
-        return job.num_tasks(kind) > _STAGGER_WAVES * max(delta, 1.0)
-
     def task_time(
         self,
         job: MapReduceJob,
@@ -549,7 +539,7 @@ class BOEModel:
             self._ctr_batch.inc(len(points))
         built = self._pipelines
         if built is None:
-            built = LRUCache(self._max_entries)
+            built = LRUCache(DEFAULT_CACHE_ENTRIES)
         return [
             self._task_time(job, kind, delta, concurrent, None, None, built)
             for job, kind, delta, concurrent in points
@@ -578,7 +568,8 @@ class BOEModel:
                     kind,
                     task_input_mb=task_input_mb,
                     remote_fraction=self._cluster.remote_fraction,
-                )
+                ),
+                job.num_tasks(kind),
             )
             if memo is not None:
                 memo.put((job, kind), pipeline)
@@ -594,40 +585,24 @@ class BOEModel:
         staggered: Optional[bool],
         built: Optional[LRUCache],
     ) -> TaskEstimate:
-        # Level 1: exact call arguments.  Jobs are frozen dataclasses hashing
-        # by value, so the key is recomputed from the *current* field values
-        # on every lookup — a job mutated after estimation hashes elsewhere
-        # and can never match its stale entry.
-        call_key = None
-        if self._call_cache is not None:
-            call_key = (job, kind, delta, task_input_mb, staggered, tuple(concurrent))
-            hit = self._call_cache.get(call_key)
-            if hit is not None:
-                self._stats.hits += 1
-                if self._ctr_hits is not None:
-                    self._ctr_hits.inc()
-                return hit
-
+        target = self._pipeline(job, kind, task_input_mb, built)
         target_ctx = _StageCtx(
-            self._pipeline(job, kind, task_input_mb, built),
+            target,
             delta,
-            self._is_staggered(job, kind, delta) if staggered is None else staggered,
+            target.staggered(delta) if staggered is None else staggered,
         )
         system = [target_ctx]
         for other, other_kind, other_delta in concurrent:
+            pipeline = self._pipeline(other, other_kind, None, built)
             system.append(
-                _StageCtx(
-                    self._pipeline(other, other_kind, None, built),
-                    other_delta,
-                    self._is_staggered(other, other_kind, other_delta),
-                )
+                _StageCtx(pipeline, other_delta, pipeline.staggered(other_delta))
             )
 
-        # Level 2: the competition solve is a pure function of the system
-        # signature (sub-stage structures, parallelisms, wave regimes, in
-        # state order); job identity only labels the result.  Keying on the
-        # *built* sub-stages keeps the fingerprint call-time fresh — a
-        # mutated job builds different sub-stages and misses — while
+        # The competition solve is a pure function of the system signature
+        # (sub-stage structures, parallelisms, wave regimes, in state
+        # order); job identity only labels the result.  Keying on the
+        # *built* sub-stages keeps the key call-time fresh — a changed
+        # job builds different sub-stages and misses — while
         # perturbing a knob that leaves this stage's pipeline untouched
         # (e.g. the reducer count, for a map estimate) still hits.
         key = None
@@ -635,14 +610,14 @@ class BOEModel:
             key = tuple(
                 (ctx.pipeline.signature, ctx.delta, ctx.staggered) for ctx in system
             )
-            substages = self._cache.get(key)
-            if substages is not None:
+            hit = self._cache.get(key)
+            if hit is not None:
                 self._stats.hits += 1
                 if self._ctr_hits is not None:
                     self._ctr_hits.inc()
-                estimate = TaskEstimate(job=job.name, kind=kind, substages=substages)
-                self._call_cache.put(call_key, estimate)
-                return estimate
+                if hit.job == job.name and hit.kind is kind:
+                    return hit  # a repeated query: the stored estimate
+                return TaskEstimate(job=job.name, kind=kind, substages=hit.substages)
             self._stats.misses += 1
             if self._ctr_misses is not None:
                 self._ctr_misses.inc()
@@ -651,14 +626,16 @@ class BOEModel:
             self._ctr_solves.inc()
         self._solve_system(system)
         # Frozen output objects only for the target's final sub-stages.
-        estimates = tuple(
-            self._estimate(sub, self._slot_users(system, target_ctx, idx))
-            for idx, sub in enumerate(target_ctx.pipeline.subs)
+        estimate = TaskEstimate(
+            job=job.name,
+            kind=kind,
+            substages=tuple(
+                self._estimate(sub, self._slot_users(system, target_ctx, idx))
+                for idx, sub in enumerate(target_ctx.pipeline.subs)
+            ),
         )
-        estimate = TaskEstimate(job=job.name, kind=kind, substages=estimates)
         if key is not None:
-            self._cache.put(key, estimates)
-            self._call_cache.put(call_key, estimate)
+            self._cache.put(key, estimate)
         return estimate
 
     def stage_bottleneck(

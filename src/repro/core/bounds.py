@@ -58,9 +58,9 @@ form additionally prices a stage forced serial by its own configuration
 (say, two reducers) that neither pure path nor pure work can see.
 
 Batching mirrors :meth:`repro.core.boe.BOEModel.solve_batch`: stage
-bounds are memoised two-level (object identity first — knob candidates
-share untouched jobs by identity — then value fingerprint, so jobs
-rebuilt across coordinate-descent passes skip the kernel too), a whole
+bounds are memoised by the value-hashed ``(job, kind)`` (jobs pin their
+hash at first use, so knob candidates sharing an untouched job and jobs
+rebuilt across coordinate-descent passes both skip the kernel), a whole
 batch's memo misses are priced in one padded numpy kernel call, and the
 cut-bound DP runs vectorised across all candidates of a topology group
 at once.
@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
-from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES, LRUCache, job_fingerprint
+from repro.core.memo import DEFAULT_CACHE_ENTRIES, LRUCache
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
 from repro.mapreduce.job import MapReduceJob
@@ -158,23 +158,16 @@ class BoundsModel:
         self._share_div = np.array(
             [float(cluster.total_cores), float(cluster.workers), float(cluster.workers)]
         )
-        # Two-level memoisation.  Level 1 keys on ``id(job)``: candidates
-        # produced by the knob layer share every untouched job *by object
-        # identity*, and hashing a frozen job dataclass walks its whole
-        # config — at sweep batch sizes that hash dominates the kernel
-        # itself.  Level 2 keys on the job's value fingerprint, so a
+        # Memos keyed on the frozen inputs themselves.  A job's hash is
+        # computed once and pinned, and a lookup with the very object
+        # stored in the key is decided by identity, so knob candidates
+        # sharing an untouched job pay one cached hash per stage; a
         # value-identical job rebuilt by a later coordinate-descent pass
-        # pays one fingerprint walk instead of a kernel run.  Every
-        # id-keyed entry holds a strong reference to its job: while the
-        # entry lives its job stays alive and the id cannot be recycled,
-        # so a hit always belongs to the queried object (an evicted entry
-        # takes the only possibly-stale id with it).
-        entries = DEFAULT_CACHE_ENTRIES
-        self._fp_by_id = LRUCache(entries)  # id(job) -> (job, fingerprint)
-        self._prims = LRUCache(entries)  # (id, kind) -> (job, primitives)
-        self._lows = LRUCache(entries)  # (id, kind) -> (job, lb, work[3])
-        self._lows_by_fp = LRUCache(entries)  # (fp, kind) -> (lb, work[3])
-        self._topologies = LRUCache(entries)  # identity -> (edges, topology)
+        # hits too, after one field-by-field equality check.  Stage
+        # primitives are built only for ``_lows`` misses, so they need no
+        # memo of their own.
+        self._lows = LRUCache(DEFAULT_CACHE_ENTRIES)  # (job, kind) -> (lb, work[3])
+        self._topologies = LRUCache(DEFAULT_CACHE_ENTRIES)  # structure -> topology
 
     @classmethod
     def from_source(
@@ -214,10 +207,6 @@ class BoundsModel:
         return max(1, int(delta_ub + 1e-9))
 
     def _primitives(self, job: MapReduceJob, kind: StageKind) -> _StagePrimitives:
-        key = (id(job), kind)
-        hit = self._prims.get(key)
-        if hit is not None:
-            return hit[1]
         substages = build_task_substages(
             job, kind, remote_fraction=self._cluster.remote_fraction
         )
@@ -227,7 +216,7 @@ class BoundsModel:
             amounts[i, 1] = spec.amount(Resource.DISK)
             amounts[i, 2] = spec.amount(Resource.NETWORK)
         n = job.num_tasks(kind)
-        prims = _StagePrimitives(
+        return _StagePrimitives(
             n=n,
             amounts=amounts,
             per_wave_ub=self._per_wave_ub(job, kind, n),
@@ -235,17 +224,6 @@ class BoundsModel:
                 job.config.task_overhead_s if self._include_overhead else 0.0
             ),
         )
-        self._prims.put(key, (job, prims))
-        return prims
-
-    def _job_fp(self, job: MapReduceJob):
-        """Value fingerprint of a job, memoised by object identity."""
-        hit = self._fp_by_id.get(id(job))
-        if hit is not None:
-            return hit[1]
-        fp = job_fingerprint(job)
-        self._fp_by_id.put(id(job), (job, fp))
-        return fp
 
     # -- the p-grid lower-bound kernel -------------------------------------------
 
@@ -364,27 +342,15 @@ class BoundsModel:
         out[live] = whole.min(axis=1) * _LB_SLACK
         return out
 
-    def _resolve_lows(self, pending: Dict) -> None:
-        """Fill the lower-bound memo for the stages it is missing.
-
-        Each miss is first tried against the value-fingerprint level (a
-        later coordinate-descent pass rebuilds value-identical jobs with
-        fresh identities); the remainder run through one batched kernel
-        call.  A stage whose decomposition cannot be built is recorded
-        with a ``None`` bound — its candidates stay unprunable.
-        """
-        kernel = []
-        for key, (job, kind) in pending.items():
-            fp_key = (self._job_fp(job), kind)
-            hit = self._lows_by_fp.get(fp_key)
-            if hit is not None:
-                self._lows.put(key, (job, hit[0], hit[1]))
-                continue
-            kernel.append((key, job, kind, fp_key))
-        if not kernel:
-            return
+    def _resolve_lows(
+        self, pending: Sequence[Tuple[MapReduceJob, StageKind]]
+    ) -> None:
+        """Fill the lower-bound memo for the stages it is missing, in one
+        batched kernel call.  A stage whose decomposition cannot be built
+        is recorded with a ``None`` bound — its candidates stay
+        unprunable."""
         prims_list = []
-        for key, job, kind, fp_key in kernel:
+        for job, kind in pending:
             try:
                 prims_list.append(self._primitives(job, kind))
             except (EstimationError, SchedulingError):
@@ -393,9 +359,9 @@ class BoundsModel:
             [p for p in prims_list if p is not None]
         )
         cursor = 0
-        for (key, job, kind, fp_key), prims in zip(kernel, prims_list):
+        for key, prims in zip(pending, prims_list):
             if prims is None:
-                self._lows.put(key, (job, None, None))
+                self._lows.put(key, (None, None))
                 continue
             lb = float(lbs[cursor])
             cursor += 1
@@ -406,8 +372,7 @@ class BoundsModel:
                 work = np.zeros(3)
             else:
                 work = prims.n * prims.amounts.sum(axis=0) / self._agg_rates
-            self._lows.put(key, (job, lb, work))
-            self._lows_by_fp.put(fp_key, (lb, work))
+            self._lows.put(key, (lb, work))
 
     # -- workflow-level bounds ---------------------------------------------------
 
@@ -417,18 +382,17 @@ class BoundsModel:
         The key depends only on the stage *structure* (names, edges, which
         jobs are map-only), so every knob-perturbed candidate of one
         workflow lands in the same group and shares one DP.  Knob-layer
-        candidates share the edge frozenset by object identity, which
-        makes ``(id(edges), names, map-only flags)`` a cheap memo key —
-        the entry pins the edge object so the id cannot be recycled.
+        candidates share the edge frozenset, whose hash CPython caches,
+        so ``(edges, names, map-only flags)`` is a cheap memo key.
         """
         memo_key = (
-            id(workflow.edges),
+            workflow.edges,
             tuple(job.name for job in workflow.jobs),
             tuple(job.is_map_only for job in workflow.jobs),
         )
         hit = self._topologies.get(memo_key)
         if hit is not None:
-            return hit[1]
+            return hit
         order = workflow.topological_order()
         stages: List[Tuple[str, StageKind]] = []
         deps: List[Tuple[int, ...]] = []
@@ -449,7 +413,7 @@ class BoundsModel:
             tuple(kind for _, kind in stages),
         )
         topology = (key, stages, deps, self._ancestor_matrix(deps))
-        self._topologies.put(memo_key, (workflow.edges, topology))
+        self._topologies.put(memo_key, topology)
         return topology
 
     @staticmethod
@@ -484,8 +448,8 @@ class BoundsModel:
         Candidates are grouped by stage topology; within a group the
         critical-path DP over per-stage lower bounds runs as one numpy
         recurrence across the whole candidate axis, the per-stage kernel
-        is shared through the two-level (identity, fingerprint) memo, and
-        group-wide memo misses are priced in one batched kernel call.
+        is shared through the ``(job, kind)`` memo, and group-wide memo
+        misses are priced in one batched kernel call.
         """
         results: List[Optional[float]] = [None] * len(workflows)
         groups: Dict[object, List[int]] = {}
@@ -505,19 +469,18 @@ class BoundsModel:
             # One memo pass: remember each cell's entry (or its key, for
             # misses) so hits are never looked up twice.
             grid_cells = []
-            pending: Dict = {}
+            misses = []
             for row in range(len(members)):
                 cells = []
                 for col, (_, kind) in enumerate(stages):
-                    job = jobs[row][col]
-                    stage_key = (id(job), kind)
+                    stage_key = (jobs[row][col], kind)
                     entry = self._lows.get(stage_key)
                     if entry is None:
-                        pending.setdefault(stage_key, (job, kind))
+                        misses.append(stage_key)
                     cells.append((stage_key, entry))
                 grid_cells.append(cells)
-            if pending:
-                self._resolve_lows(pending)
+            if misses:
+                self._resolve_lows(list(dict.fromkeys(misses)))
             low_rows = []
             work_rows = []
             zero_work = (0.0, 0.0, 0.0)
@@ -528,11 +491,11 @@ class BoundsModel:
                 for stage_key, entry in cells:
                     if entry is None:
                         entry = self._lows.get(stage_key)
-                    if entry is None or entry[1] is None:
+                    if entry is None or entry[0] is None:
                         valid[row] = False
                         break
-                    lows.append(entry[1])
-                    works.append(entry[2])
+                    lows.append(entry[0])
+                    works.append(entry[1])
                 if valid[row]:
                     low_rows.append(lows)
                     work_rows.append(works)

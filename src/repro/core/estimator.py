@@ -38,7 +38,7 @@ from repro.core.distributions import (
     stage_time,
     wave_sizes,
 )
-from repro.core.fingerprint import CacheStats
+from repro.core.memo import CacheStats
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState, WorkflowProgress
 from repro.dag.workflow import Workflow

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
 from repro.cluster.cluster import Cluster
+from repro.core.memo import LRUCache
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.stage import StageKind
@@ -64,8 +65,7 @@ class RunningStage:
 #: keys are taken from the call-time values and stay mutation-safe.  What-if
 #: sweeps revisit the same scheduler states constantly (a knob perturbing one
 #: job leaves every other state's demand vector unchanged).
-_MEMO: Dict[object, Dict[str, float]] = {}
-_MEMO_MAX = 65_536
+_MEMO = LRUCache(65_536)
 
 
 def clear_parallelism_memo() -> None:
@@ -110,7 +110,5 @@ def estimate_parallelism(
         )
     else:
         deltas = equilibrium(demands, cluster.capacity)
-    while len(_MEMO) >= _MEMO_MAX:
-        _MEMO.pop(next(iter(_MEMO)))
-    _MEMO[key] = dict(deltas)
+    _MEMO.put(key, dict(deltas))
     return deltas

@@ -510,10 +510,6 @@ class EnsembleRunner:
         self._ensemble = ensemble if ensemble is not None else EnsembleConfig()
         self._pool = pool
 
-    @property
-    def ensemble_config(self) -> EnsembleConfig:
-        return self._ensemble
-
     def run(
         self, workflow: Workflow, cancel: Optional[CancelCheck] = None
     ) -> EnsembleResult:

@@ -154,9 +154,9 @@ class MapReduceJob:
             object.__setattr__(self, key, value)
 
 
-# Jobs are hashed on every model-cache lookup (the BOE L1 key contains the
-# target job plus every concurrent job), and the generated dataclass hash
-# re-walks all fields including the nested config each time.  Instances are
+# Jobs are hashed on every model-cache lookup (the BOE pipeline memo and
+# the bound screen's stage memos key on ``(job, kind)``), and the generated
+# dataclass hash re-walks all fields including the nested config each time.  Instances are
 # frozen, so the value is computed once and pinned per object.  Installed
 # after class creation because ``@dataclass(frozen=True)`` overwrites a
 # ``__hash__`` defined in the class body; dataclass subclasses regenerate

@@ -27,6 +27,11 @@ class StageKind(enum.Enum):
     MAP = "map"
     REDUCE = "reduce"
 
+    # Members are singletons, so identity decides equality; hashing by
+    # identity runs in C, where Enum's default hashes the member name in
+    # Python.  Every memo key of the cost models holds a kind.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

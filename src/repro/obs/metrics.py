@@ -281,12 +281,6 @@ class MetricsRegistry:
             self._labels.setdefault(key, {k: str(v) for k, v in labels.items()})
         return self.counter(key)
 
-    def labeled_gauge(self, name: str, **labels: str) -> Gauge:
-        key = labeled_name(name, labels)
-        if labels:
-            self._labels.setdefault(key, {k: str(v) for k, v in labels.items()})
-        return self.gauge(key)
-
     def labeled_histogram(self, name: str, **labels: str) -> Histogram:
         key = labeled_name(name, labels)
         if labels:

@@ -658,7 +658,3 @@ class YarnPlacer:
         # rounds differently.
         free_v = np.maximum(self._free_v, 0.0)
         return ResourceVector(sum(free_v.tolist()), sum(self._free_m.tolist()))
-
-    def tasks_on_node(self, node_index: int) -> float:
-        """Committed vcores on a node (proxy for its running-task count)."""
-        return float(self._cluster.node.cores) - self._free_v.item(node_index)

@@ -29,12 +29,12 @@ estimate serving shows up inside the HTTP request's flame.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.distributions import Variant
+from repro.core.memo import LRUCache
 from repro.dag.workflow import Workflow
 from repro.errors import JobTimeoutError, ServiceError
 from repro.obs.metrics import get_metrics
@@ -69,8 +69,7 @@ class EstimateService:
             raise ServiceError(f"cache capacity must be >= 1: {capacity}")
         self._cluster = cluster
         self._policy = policy
-        self._capacity = capacity
-        self._cache: "OrderedDict[_Key, Dict[str, Any]]" = OrderedDict()
+        self._cache = LRUCache(capacity)
         self._inflight: Dict[_Key, Future] = {}
         self._pending: List[Tuple[_Key, Workflow, Optional[Cluster], Variant]] = []
         self._runners: Dict[str, Any] = {}
@@ -141,7 +140,6 @@ class EstimateService:
                     raise ServiceError("estimate service is closed")
                 hit = self._cache.get(key)
                 if hit is not None:
-                    self._cache.move_to_end(key)
                     if registry.enabled:
                         registry.counter("service.cache_hits").inc()
                         registry.labeled_counter(
@@ -199,7 +197,7 @@ class EstimateService:
                 self._pending = []
             if registry.enabled:
                 registry.counter("service.batches").inc()
-            by_variant: "OrderedDict[str, List]" = OrderedDict()
+            by_variant: Dict[str, List] = {}
             for entry in batch:
                 by_variant.setdefault(entry[3].value, []).append(entry)
             for entries in by_variant.values():
@@ -229,9 +227,7 @@ class EstimateService:
                     with self._cond:
                         future = self._inflight.pop(key)
                         if result.ok:
-                            self._cache[key] = payload
-                            while len(self._cache) > self._capacity:
-                                self._cache.popitem(last=False)
+                            self._cache.put(key, payload)
                     future.set_result(payload)
 
     def _fail_entries(self, entries, exc: BaseException) -> None:

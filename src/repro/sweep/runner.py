@@ -47,7 +47,7 @@ from repro.core.boe import BOEModel
 from repro.core.bounds import BoundsModel
 from repro.core.distributions import Variant
 from repro.core.estimator import BOESource, DagEstimator, TaskTimeSource
-from repro.core.fingerprint import CacheStats
+from repro.core.memo import CacheStats, LRUCache
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
 from repro.obs.metrics import get_metrics
@@ -213,7 +213,6 @@ class _EvalContext:
         enforce_vcores: bool,
         refine: bool,
         memo: bool = True,
-        max_memo_entries: int = 65_536,
     ):
         self._cluster = cluster
         self._fixed_source = source
@@ -224,9 +223,10 @@ class _EvalContext:
         self._sources: Dict[Cluster, TaskTimeSource] = {}
         if source is not None:
             self._sources[cluster] = source
-        self._memo: Optional[Dict[object, CandidateResult]] = {} if memo else None
-        self._max_memo_entries = max_memo_entries
         self._memo_stats = CacheStats()
+        self._memo: Optional[LRUCache] = (
+            LRUCache(65_536, self._memo_stats) if memo else None
+        )
 
     def source_for(self, cluster: Cluster) -> TaskTimeSource:
         source = self._sources.get(cluster)
@@ -294,10 +294,7 @@ class _EvalContext:
                 overhead_s=estimate.model_overhead_s,
             )
         if memo_key is not None:
-            while len(self._memo) >= self._max_memo_entries:
-                self._memo.pop(next(iter(self._memo)))
-                self._memo_stats.evictions += 1
-            self._memo[memo_key] = result
+            self._memo.put(memo_key, result)
         return result
 
 

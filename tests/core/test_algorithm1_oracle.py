@@ -8,6 +8,11 @@ the paper's "properties of schedulers") is shared with production.
 :class:`DagEstimator` must match it to the bit — total time, every state and
 every stage span — over the Table I catalogue, the 51 Table III DAGs at
 scale 0.05 and 30 generated DAGs, for Alg1-Mean, Alg1-Mid and Alg2-Normal.
+It must also match it resumed from a mid-run snapshot, the progress
+estimation path (:mod:`repro.progress`): the Table I catalogue is simulated
+and cut at a third and two thirds of its makespan, and every DAG with a
+dependency also at its first parent's end with the children left for the
+estimator to release.
 
 Every case matches.  Two task-time shapes are checked: the plain BOE source
 (a point distribution, as end-to-end estimation uses) and a profile-shaped
@@ -32,7 +37,10 @@ from repro.core import (
     Variant,
 )
 from repro.core.parallelism import RunningStage, estimate_parallelism
+from repro.core.state import WorkflowProgress
 from repro.mapreduce import StageKind
+from repro.progress import ProgressEstimator, snapshot_at
+from repro.simulator import simulate
 from repro.workloads import table3_workflows
 from repro.workloads.catalog import TABLE1
 from repro.workloads.generator import random_workflow
@@ -156,13 +164,37 @@ def start(workflow, name, kind, running, arrival, now) -> None:
     running[name] = Stage(workflow.job(name), kind, now)
 
 
-def algorithm1(workflow, cluster, source, variant):
-    """Iterate states until no job runs; t_dag is the sum of their lengths."""
+def resume(workflow, snapshot, running, done, arrival) -> None:
+    """The running set of a mid-run snapshot: its completed jobs are done,
+    and each stage it lists runs with the task-equivalents it has left.  A
+    stage with work already done may hold a full wave of tasks in flight,
+    so its demand cap starts at its task count.  A job whose parents have
+    all completed but which the snapshot does not list starts its map."""
+    done.update(snapshot.completed_jobs)
+    for name, (kind, remaining) in snapshot.running.items():
+        start(workflow, name, kind, running, arrival, 0.0)
+        stage = running[name]
+        stage.remaining = min(remaining, stage.total)
+        if remaining < stage.total:
+            stage.delta = stage.total
+    for job in workflow.jobs:
+        if job.name not in done and job.name not in running and all(
+            p in done for p in workflow.parents(job.name)
+        ):
+            start(workflow, job.name, StageKind.MAP, running, arrival, 0.0)
+
+
+def algorithm1(workflow, cluster, source, variant, initial=None):
+    """Iterate states until no job runs; t_dag is the sum of their lengths
+    (the remaining time when resumed from the snapshot ``initial``)."""
     running: Dict[str, Stage] = {}
     done, arrival, spans, states = set(), {}, {}, []
     now = 0.0
-    for name in workflow.roots():
-        start(workflow, name, StageKind.MAP, running, arrival, now)
+    if initial is None:
+        for name in workflow.roots():
+            start(workflow, name, StageKind.MAP, running, arrival, now)
+    else:
+        resume(workflow, initial, running, done, arrival)
     while running:
         found = step_parallelism(running, arrival, cluster)
         deltas = {name: max(found.get(name, 0.0), EPS) for name in running}
@@ -257,3 +289,66 @@ def test_estimator_equals_oracle(oracles, variant, shape):
         if (got.total_time, got.states, got.stage_spans) != (total, states, spans):
             drifted.append(name)
     assert not drifted, f"DagEstimator left the Algorithm 1 oracle on {drifted}"
+
+
+#: Fractions of the simulated makespan at which each snapshot is cut.
+CUTS = (1 / 3, 2 / 3)
+
+
+@pytest.fixture(scope="module")
+def snapshots(oracles):
+    """Mid-run snapshots of the Table I catalogue, cut from simulated
+    traces."""
+    cluster, _ = oracles
+    cases = {}
+    for entry in TABLE1:
+        workflow = entry.factory(1.0)
+        result = simulate(workflow, cluster)
+        for cut in CUTS:
+            snapshot = snapshot_at(result, workflow, result.makespan * cut)
+            cases[f"{entry.name}@{cut:.2f}"] = (workflow, snapshot)
+        ends = {
+            job.name: max(s.t_end for s in result.stages if s.job == job.name)
+            for job in workflow.jobs
+        }
+        parents = [name for name in ends if workflow.children(name)]
+        if parents:
+            # A tracker polled as a parent ends may not list its children
+            # yet; the estimator must launch them itself.
+            first = min(parents, key=ends.get)
+            snapshot = snapshot_at(result, workflow, ends[first])
+            children = workflow.children(first)
+            for child in children:
+                kind, remaining = snapshot.running[child]
+                assert remaining == workflow.job(child).num_tasks(kind)
+            unlisted = WorkflowProgress(
+                completed_jobs=snapshot.completed_jobs,
+                running={
+                    name: stage
+                    for name, stage in snapshot.running.items()
+                    if name not in children
+                },
+            )
+            cases[f"{entry.name}@{first}"] = (workflow, unlisted)
+    for name, (workflow, snapshot) in cases.items():
+        assert 0 < len(snapshot.completed_jobs) + len(snapshot.running), name
+        assert len(snapshot.completed_jobs) < len(workflow.jobs), name
+    return cases
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_resumed_estimator_equals_oracle(oracles, snapshots, variant, shape):
+    cluster, sources = oracles
+    progress = ProgressEstimator(
+        cluster, ShapedSource(BOEModel(cluster), SHAPES[shape]), variant=variant
+    )
+    drifted: List[str] = []
+    for name, (workflow, snapshot) in snapshots.items():
+        got = progress.remaining(workflow, snapshot)
+        total, states, spans = algorithm1(
+            workflow, cluster, sources[shape], variant, initial=snapshot
+        )
+        if (got.total_time, got.states, got.stage_spans) != (total, states, spans):
+            drifted.append(name)
+    assert not drifted, f"the resumed estimate left the Algorithm 1 oracle on {drifted}"

@@ -110,13 +110,42 @@ class TestBatchSemantics:
         singles = [BoundsModel(cluster).lower_bound(w) for w in workflows]
         assert batch == singles
 
-    def test_memo_is_value_stable(self, cluster):
-        """A value-identical workflow rebuilt from scratch (fresh object
-        identities) reuses the fingerprint memo and bounds identically."""
+    def test_memo_is_value_stable(self, cluster, monkeypatch):
+        """The stage memo keys on job values: a value-identical workflow
+        rebuilt from scratch (fresh object identities) is served without a
+        kernel call, and a knob-perturbed candidate re-prices only the
+        perturbed job's stages."""
+        kernel_rows = []
+        repriced = []
+        kernel = BoundsModel._span_lower_batch
+        resolve = BoundsModel._resolve_lows
+
+        def counting_kernel(self, prims_list):
+            kernel_rows.append(len(prims_list))
+            return kernel(self, prims_list)
+
+        def recording_resolve(self, pending):
+            repriced.append(sorted((job.name, kind.value) for job, kind in pending))
+            return resolve(self, pending)
+
+        monkeypatch.setattr(BoundsModel, "_span_lower_batch", counting_kernel)
+        monkeypatch.setattr(BoundsModel, "_resolve_lows", recording_resolve)
         model = BoundsModel(cluster)
-        first = model.lower_bound(tpch_query(21))
-        second = model.lower_bound(tpch_query(21))
-        assert first == second
+        q21 = tpch_query(21)
+        first = model.lower_bound(q21)
+        assert len(kernel_rows) == 1
+
+        rebuilt = tpch_query(21)
+        assert all(a is not b for a, b in zip(rebuilt.jobs, q21.jobs))
+        assert model.lower_bound(rebuilt) == first
+        assert len(kernel_rows) == 1
+
+        job = "q21-scan-lineitem"
+        perturbed = apply_knob_value(rebuilt, (job, "num_reducers"), 8)
+        bound = model.lower_bound(perturbed)
+        assert kernel_rows[1:] == [2]
+        assert repriced[-1] == [(job, "map"), (job, "reduce")]
+        assert bound.hex() == BoundsModel(cluster).lower_bound(perturbed).hex()
 
     def test_oversized_container_is_bounded(self, cluster):
         """A container larger than the whole cluster never runs: the

@@ -14,10 +14,10 @@ from repro.core import boe
 from repro.core.allocation import StageLoad, resource_users
 from repro.core.boe import BOEModel
 from repro.core.estimator import BOESource, DagEstimator
-from repro.core.fingerprint import DEFAULT_CACHE_ENTRIES
-from repro.errors import EstimationError
+from repro.core.memo import DEFAULT_CACHE_ENTRIES
 from repro.mapreduce import StageKind
 from repro.mapreduce.phases import build_task_substages
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.workloads import table3_workflows
 from repro.workloads.catalog import catalog
 
@@ -36,12 +36,20 @@ class TestTaskTimeCache:
         assert cold.cache_stats.lookups == 0
 
     def test_repeat_call_served_from_cache(self, cluster, small_ts):
-        model = BOEModel(cluster)
-        first = model.task_time(small_ts, StageKind.MAP, 40.0)
-        again = model.task_time(small_ts, StageKind.MAP, 40.0)
-        assert again is first  # the identical frozen object, not a rebuild
+        """A repeated query is one structural hit: no second system solve,
+        and an equal estimate."""
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            model = BOEModel(cluster)
+            first = model.task_time(small_ts, StageKind.MAP, 40.0)
+            again = model.task_time(small_ts, StageKind.MAP, 40.0)
+        finally:
+            set_metrics(previous)
+        assert again == first
         assert model.cache_stats.hits == 1
         assert model.cache_stats.misses == 1
+        assert registry.snapshot()["boe.system_solves"]["value"] == 1
 
     def test_affecting_knob_misses(self, cluster, small_ts):
         model = BOEModel(cluster)
@@ -95,8 +103,9 @@ class TestTaskTimeCache:
         )
         assert contended.duration > alone.duration
 
-    def test_eviction_is_counted(self, cluster, small_ts):
-        model = BOEModel(cluster, max_cache_entries=2)
+    def test_eviction_is_counted(self, cluster, small_ts, monkeypatch):
+        monkeypatch.setattr(boe, "DEFAULT_CACHE_ENTRIES", 2)
+        model = BOEModel(cluster)
         for delta in (4.0, 8.0, 16.0, 32.0):
             model.task_time(small_ts, StageKind.MAP, delta)
         assert model.cache_stats.evictions > 0
@@ -115,15 +124,11 @@ class TestTaskTimeCache:
         model.task_time(small_ts, StageKind.MAP, 40.0)
         assert model.cache_stats.lookups == 0
 
-    def test_invalid_bound_rejected(self, cluster):
-        with pytest.raises(EstimationError):
-            BOEModel(cluster, max_cache_entries=0)
-
 
 class TestPipelineMemo:
     """Compiled (job, kind) pipelines live as long as a cached model,
-    LRU-bounded by ``max_cache_entries``; an uncached model keeps them for
-    one batch."""
+    LRU-bounded by ``DEFAULT_CACHE_ENTRIES``; an uncached model keeps them
+    for one batch."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -160,7 +165,7 @@ class TestPipelineMemo:
         model.solve_batch([(small_ts, StageKind.MAP, 40.0, ())])
         assert len(builds) == 1
         # A value-equal rebuild (fresh identity) reuses the compiled
-        # pipeline in a later batch; a new delta keeps the call cache out.
+        # pipeline in a later batch, whatever the delta.
         model.solve_batch([(replace(small_ts), StageKind.MAP, 20.0, ())])
         model.task_time(replace(small_ts), StageKind.MAP, 10.0)
         assert len(builds) == 1
@@ -175,9 +180,10 @@ class TestPipelineMemo:
         model.solve_batch([(small_ts, StageKind.MAP, 40.0, ())])
         assert len(builds) == 2
 
-    def test_memo_is_bounded(self, cluster, small_ts, builds):
+    def test_memo_is_bounded(self, cluster, small_ts, builds, monkeypatch):
         assert BOEModel(cluster)._pipelines.max_entries == DEFAULT_CACHE_ENTRIES
-        model = BOEModel(cluster, max_cache_entries=2)
+        monkeypatch.setattr(boe, "DEFAULT_CACHE_ENTRIES", 2)
+        model = BOEModel(cluster)
         jobs = [replace(small_ts, input_mb=small_ts.input_mb * k) for k in (1, 2, 3)]
         for job in jobs:
             model.solve_batch([(job, StageKind.MAP, 40.0, ())])
