@@ -60,10 +60,12 @@ form additionally prices a stage forced serial by its own configuration
 Batching mirrors :meth:`repro.core.boe.BOEModel.solve_batch`: stage
 bounds are memoised by the value-hashed ``(job, kind)`` (jobs pin their
 hash at first use, so knob candidates sharing an untouched job and jobs
-rebuilt across coordinate-descent passes both skip the kernel), a whole
-batch's memo misses are priced in one padded numpy kernel call, and the
-cut-bound DP runs vectorised across all candidates of a topology group
-at once.
+rebuilt across coordinate-descent passes both skip the kernel), each
+distinct job object is looked up once per stage column of a batch, a
+whole batch's memo misses are priced in one numpy kernel call over a
+ragged ``(stage, p)`` cell axis (each stage contributes only the cells
+up to its own container cap), and the cut-bound DP runs vectorised
+across all candidates of a topology group at once.
 """
 
 from __future__ import annotations
@@ -251,16 +253,18 @@ class BoundsModel:
         return best if best is not math.inf else 0.0
 
     def _span_lower_batch(self, prims_list: Sequence[_StagePrimitives]) -> np.ndarray:
-        """Stage lower bounds for many stages in one padded numpy kernel.
+        """Stage lower bounds for many stages in one ragged numpy kernel.
 
         The per-candidate cost of pruning is dominated by the one or two
         stages each knob actually perturbs — every other stage hits the
         memo — so those misses are collected across the whole candidate
-        batch and priced together: one ``[M x P x S x 3]`` broadcast
-        instead of M small kernels, which drops the per-miss numpy
-        dispatch overhead by the batch width.  Sub-stage rows are
-        zero-padded (zero demand contributes nothing to any floor) and
-        the ``p`` grid is masked per stage at its container cap.
+        batch and priced together, which drops the per-miss numpy dispatch
+        overhead by the batch width.  Sub-stage rows are zero-padded (zero
+        demand contributes nothing to any floor).  The ``p`` axis is
+        ragged: stage ``l`` contributes its ``per_wave_ub`` cells
+        ``p = 1 .. per_wave_ub`` to one flat cell axis, and each stage's
+        minimum is one ``np.minimum.reduceat`` segment, so no cell above a
+        stage's container cap is ever priced.
         """
         M = len(prims_list)
         out = np.zeros(M)
@@ -268,78 +272,79 @@ class BoundsModel:
         if not live:
             return out
         s_max = max(len(prims_list[m].amounts) for m in live)
-        p_max = max(prims_list[m].per_wave_ub for m in live)
         L = len(live)
         amounts = np.zeros((L, s_max, 3))
-        n = np.zeros(L)
-        ub = np.zeros(L)
-        ovh = np.zeros(L)
-        slope = np.zeros(L)
+        n = np.empty(L)
+        ovh = np.empty(L)
+        counts = np.empty(L, dtype=np.intp)
         for row, m in enumerate(live):
             prims = prims_list[m]
             amounts[row, : len(prims.amounts)] = prims.amounts
             n[row] = float(prims.n)
-            ub[row] = float(prims.per_wave_ub)
             ovh[row] = prims.overhead_s
-            if self._refine:
-                # Refined models re-weight contention with sub-1
-                # utilisation, but each sub-stage's bottleneck resource
-                # keeps utilisation exactly 1 at the fixed point; the
-                # bottleneck's identity is the solver's, hence the
-                # min-max assignment slope.
-                slope[row] = self._min_assignment_slope(prims.amounts)
-            else:
-                # Work / aggregate-capacity slope (sound in every
-                # regime): the staggered fixed point serves each
-                # resource's *summed* sub-stage demand from the whole
-                # cluster, so ``t >= delta * sum_s amount_sR /
-                # agg_rate_R`` whether or not the resource ends up
-                # contended (occupancy argument).
-                slope[row] = float(
-                    (prims.amounts.sum(axis=0) / self._agg_rates).max()
-                )
+            counts[row] = prims.per_wave_ub
+        if self._refine:
+            # Refined models re-weight contention with sub-1 utilisation,
+            # but each sub-stage's bottleneck resource keeps utilisation
+            # exactly 1 at the fixed point; the bottleneck's identity is
+            # the solver's, hence the min-max assignment slope.
+            slope = np.array(
+                [self._min_assignment_slope(prims_list[m].amounts) for m in live]
+            )
+        else:
+            # Work / aggregate-capacity slope (sound in every regime): the
+            # staggered fixed point serves each resource's *summed*
+            # sub-stage demand from the whole cluster, so ``t >= delta *
+            # sum_s amount_sR / agg_rate_R`` whether or not the resource
+            # ends up contended (occupancy argument).
+            slope = (amounts.sum(axis=1) / self._agg_rates).max(axis=1)
         # Zero-contention floor: every sub-stage served at the best
         # per-task rate of its bottleneck resource.
         base = amounts / self._task_rates  # [L x S x 3] seconds
         t_min = base.max(axis=2).sum(axis=1)  # [L]
-        grid = np.arange(1.0, p_max + 1.0)  # [P]
-        n_ = n[:, None]
-        t_tail_sizes = n_ - (np.ceil(n_ / grid[None, :]) - 1.0) * grid[None, :]
+        # The ragged cell axis: cell c is (rows[c], grid[c]).
+        starts = np.zeros(L, dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        rows = np.repeat(np.arange(L), counts)
+        grid = (np.arange(len(rows)) - starts[rows] + 1).astype(float)
+        n_ = n[rows]
+        slope_ = slope[rows]
+        t_min_ = t_min[rows]
+        waves = np.ceil(n_ / grid)
+        t_tail_sizes = n_ - (waves - 1.0) * grid
+
         # Per-sub-stage self-contention at delta tasks per wave.  For
         # synchronized waves (n <= 1.5 p) the BOE times are exactly the
         # per-sub-stage maxima under self-only users; refined models keep
         # only the bottleneck's term (min over a sub-stage's *used*
         # resources, the solver picks which).
-        def sync_time(deltas: np.ndarray) -> np.ndarray:
-            factor = np.maximum(1.0, deltas[:, :, None] / self._share_div)
-            contended = base[:, None, :, :] * factor[:, :, None, :]
+        def sync_time(cells: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+            b = base[rows[cells]]  # [K x S x 3]
+            factor = np.maximum(1.0, deltas[:, None] / self._share_div)
+            contended = b * factor[:, None, :]
             if self._refine:
-                contended = np.where(
-                    base[:, None, :, :] > 0, contended, np.inf
-                ).min(axis=3)
+                contended = np.where(b > 0, contended, np.inf).min(axis=2)
                 contended[~np.isfinite(contended)] = 0.0
-                floors = np.maximum(base.max(axis=2)[:, None, :], contended)
-                return floors.sum(axis=2)
-            return contended.max(axis=3).sum(axis=2)
+                floors = np.maximum(b.max(axis=2), contended)
+                return floors.sum(axis=1)
+            return contended.max(axis=2).sum(axis=1)
 
-        t_sync = sync_time(np.broadcast_to(grid[None, :], (L, len(grid))))
-        t_stag = np.maximum(t_min[:, None], grid[None, :] * slope[:, None])
         # n <= 1.5 p: every delta in [p, p+1) is synchronized; otherwise
         # some delta may be staggered and only the slope bound holds.
-        t_body = np.where(n_ <= _STAGGER_WAVES * grid[None, :], t_sync, t_stag)
-        t_tail = np.maximum(t_min[:, None], t_tail_sizes * slope[:, None])
+        t_body = np.maximum(t_min_, grid * slope_)
+        body_sync = np.flatnonzero(n_ <= _STAGGER_WAVES * grid)
+        t_body[body_sync] = sync_time(body_sync, grid[body_sync])
+        t_tail = np.maximum(t_min_, t_tail_sizes * slope_)
         # The ragged tail is re-priced at ``delta = last``; the model
         # treats it as synchronized whenever ``n <= 1.5 * last``, and
         # concurrent loads only inflate the synchronized time.
-        t_tail = np.where(
-            n_ <= _STAGGER_WAVES * t_tail_sizes,
-            np.maximum(t_tail, sync_time(t_tail_sizes)),
-            t_tail,
+        tail_sync = np.flatnonzero(n_ <= _STAGGER_WAVES * t_tail_sizes)
+        t_tail[tail_sync] = np.maximum(
+            t_tail[tail_sync], sync_time(tail_sync, t_tail_sizes[tail_sync])
         )
-        waves = np.ceil(n_ / grid[None, :])
-        whole = (waves - 1.0) * (t_body + ovh[:, None]) + (t_tail + ovh[:, None])
-        whole = np.where(grid[None, :] <= ub[:, None], whole, np.inf)
-        out[live] = whole.min(axis=1) * _LB_SLACK
+        ovh_ = ovh[rows]
+        whole = (waves - 1.0) * (t_body + ovh_) + (t_tail + ovh_)
+        out[live] = np.minimum.reduceat(whole, starts) * _LB_SLACK
         return out
 
     def _resolve_lows(
@@ -462,46 +467,44 @@ class BoundsModel:
             stages, deps, ancestors = topologies[key]
             if not stages:
                 continue
-            jobs = [
-                [workflows[index].job(name) for name, _ in stages]
-                for index in members
-            ]
-            # One memo pass: remember each cell's entry (or its key, for
-            # misses) so hits are never looked up twice.
-            grid_cells = []
+            # One memo pass.  Knob candidates share every untouched job
+            # with the incumbent by identity, so each distinct job object
+            # is looked up once per column; its ``[key, entry]`` holder is
+            # shared by every row that carries it, and misses are filled
+            # in place after one batched kernel call.
+            seen: List[Dict[int, list]] = [{} for _ in stages]
             misses = []
-            for row in range(len(members)):
-                cells = []
-                for col, (_, kind) in enumerate(stages):
-                    stage_key = (jobs[row][col], kind)
-                    entry = self._lows.get(stage_key)
-                    if entry is None:
-                        misses.append(stage_key)
-                    cells.append((stage_key, entry))
-                grid_cells.append(cells)
+            row_holders = []
+            for index in members:
+                job_map = workflows[index].job_map
+                holders = []
+                for col, (name, kind) in enumerate(stages):
+                    job = job_map[name]
+                    holder = seen[col].get(id(job))
+                    if holder is None:
+                        stage_key = (job, kind)
+                        holder = [stage_key, self._lows.get(stage_key)]
+                        seen[col][id(job)] = holder
+                        if holder[1] is None:
+                            misses.append(holder)
+                    holders.append(holder)
+                row_holders.append(holders)
             if misses:
-                self._resolve_lows(list(dict.fromkeys(misses)))
+                self._resolve_lows(list(dict.fromkeys(h[0] for h in misses)))
+                for holder in misses:
+                    holder[1] = self._lows.get(holder[0])
             low_rows = []
             work_rows = []
             zero_work = (0.0, 0.0, 0.0)
             valid = [True] * len(members)
-            for row, cells in enumerate(grid_cells):
-                lows = []
-                works = []
-                for stage_key, entry in cells:
-                    if entry is None:
-                        entry = self._lows.get(stage_key)
-                    if entry is None or entry[0] is None:
-                        valid[row] = False
-                        break
-                    lows.append(entry[0])
-                    works.append(entry[1])
-                if valid[row]:
-                    low_rows.append(lows)
-                    work_rows.append(works)
-                else:
+            for row, holders in enumerate(row_holders):
+                if any(holder[1][0] is None for holder in holders):
+                    valid[row] = False
                     low_rows.append([0.0] * len(stages))
                     work_rows.append([zero_work] * len(stages))
+                else:
+                    low_rows.append([holder[1][0] for holder in holders])
+                    work_rows.append([holder[1][1] for holder in holders])
             lower = np.array(low_rows)
             stage_work = np.array(work_rows)
             # Cut bound over the stage DAG, vectorised across the group's
@@ -523,19 +526,24 @@ class BoundsModel:
             # of the cut) are special cases; the max over all cuts also
             # prices a stage forced serial by its configuration (e.g. two
             # reducers) that neither pure path nor pure work can see.
-            finish = np.zeros_like(lower)
-            ready = np.zeros_like(lower)
+            #
+            # The path recurrences run stage-major, one contiguous row of
+            # candidates per step.
+            by_stage = np.ascontiguousarray(lower.T)
+            finish = np.empty_like(by_stage)
+            ready = np.zeros_like(by_stage)
             for col, dep in enumerate(deps):
-                ready[:, col] = (
-                    finish[:, list(dep)].max(axis=1) if dep else 0.0
-                )
-                finish[:, col] = ready[:, col] + lower[:, col]
-            tail = np.zeros_like(lower)
+                if len(dep) > 1:
+                    ready[col] = finish[list(dep)].max(axis=0)
+                elif dep:
+                    ready[col] = finish[dep[0]]
+                finish[col] = ready[col] + by_stage[col]
+            tail = np.zeros_like(by_stage)
             for col in range(len(deps) - 1, -1, -1):
+                step = tail[col] + by_stage[col]
                 for parent in deps[col]:
-                    tail[:, parent] = np.maximum(
-                        tail[:, parent], tail[:, col] + lower[:, col]
-                    )
+                    np.maximum(tail[parent], step, out=tail[parent])
+            ready, tail = ready.T, tail.T
             # anc_work[c, s, r]: summed work of s's ancestors on resource
             # r; desc_work transposes the closure.
             anc_work = np.einsum("st,ctr->csr", ancestors, stage_work)

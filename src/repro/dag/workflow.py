@@ -78,6 +78,29 @@ class Workflow:
         for key, value in state.items():
             object.__setattr__(self, key, value)
 
+    def with_jobs(self, jobs: Sequence[MapReduceJob]) -> "Workflow":
+        """This workflow with its jobs replaced (same name, same edges).
+
+        When ``jobs`` keeps every job name in the same order — a knob
+        candidate, which re-configures jobs but never renames them — the
+        copy is derived from this already-validated workflow: no second
+        cycle check, and the parent and child maps are shared.  Any other
+        change of names goes through the validating constructor.
+        """
+        jobs = tuple(jobs)
+        if len(jobs) != len(self.jobs) or any(
+            new.name != old.name for new, old in zip(jobs, self.jobs)
+        ):
+            return Workflow(name=self.name, jobs=jobs, edges=self.edges)
+        derived = object.__new__(Workflow)
+        derived.__dict__.update(
+            name=self.name,
+            jobs=jobs,
+            edges=self.edges,
+            _memo={"parents": self._parent_sets(), "children": self._child_sets()},
+        )
+        return derived
+
     # -- structure queries -----------------------------------------------------
 
     @property

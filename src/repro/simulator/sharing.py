@@ -268,9 +268,7 @@ def solve_max_min_classes(
             residual, n_classes, 0.5, _REL_TOL_COLLAPSED_DAMPED
         )
 
-    final = [max(r, 0.0) for r in rates]
-    _repair_feasible(final, cls_weights, multiplicity, pool_users, capacities)
-    return final
+    return [max(r, 0.0) for r in rates]
 
 
 def _repair_feasible(

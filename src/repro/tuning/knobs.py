@@ -227,7 +227,7 @@ def apply_assignment(workflow: Workflow, assignment: Assignment) -> Workflow:
             if job_name == job.name:
                 updated = _apply_field(updated, field, value)
         jobs.append(updated)
-    return Workflow(name=workflow.name, jobs=tuple(jobs), edges=workflow.edges)
+    return workflow.with_jobs(jobs)
 
 
 def apply_knob_value(
@@ -245,8 +245,7 @@ def apply_knob_value(
     job_name, field = key
     if job_name not in workflow.job_map:
         return workflow
-    jobs = tuple(
+    return workflow.with_jobs(
         _apply_field(job, field, value) if job.name == job_name else job
         for job in workflow.jobs
     )
-    return Workflow(name=workflow.name, jobs=jobs, edges=workflow.edges)

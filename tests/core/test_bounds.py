@@ -9,14 +9,16 @@ be vacuous) — the speed/tightness trade-off is benchmarked, not unit
 tested.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import paper_cluster
 from repro.core.boe import BOEModel
-from repro.core.bounds import BoundsModel
+from repro.core.bounds import _LB_SLACK, _STAGGER_WAVES, BoundsModel, _StagePrimitives
 from repro.core.distributions import Variant
 from repro.core.estimator import BOESource, estimate_workflow
-from repro.errors import SchedulingError
+from repro.errors import EstimationError, SchedulingError
 from repro.mapreduce.config import NO_COMPRESSION, SNAPPY_TEXT
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sweep import SweepRunner
@@ -99,6 +101,170 @@ class TestSoundness:
         workflow = tpch_query(21)
         lower, est = _bound(workflow, cluster)
         assert lower >= est / 2.0
+
+
+def padded_span_lower_batch(model, prims_list):
+    """The stage-bound kernel as it was first written: every stage priced
+    on one ``[L x P_max x S x 3]`` grid padded to the largest container
+    cap, cells above a stage's own cap masked to ``inf``.  Kept as the
+    oracle the ragged production kernel must match bit for bit."""
+    M = len(prims_list)
+    out = np.zeros(M)
+    live = [m for m, p in enumerate(prims_list) if p.n > 0]
+    if not live:
+        return out
+    s_max = max(len(prims_list[m].amounts) for m in live)
+    p_max = max(prims_list[m].per_wave_ub for m in live)
+    L = len(live)
+    amounts = np.zeros((L, s_max, 3))
+    n = np.zeros(L)
+    ub = np.zeros(L)
+    ovh = np.zeros(L)
+    slope = np.zeros(L)
+    for row, m in enumerate(live):
+        prims = prims_list[m]
+        amounts[row, : len(prims.amounts)] = prims.amounts
+        n[row] = float(prims.n)
+        ub[row] = float(prims.per_wave_ub)
+        ovh[row] = prims.overhead_s
+        if model._refine:
+            slope[row] = model._min_assignment_slope(prims.amounts)
+        else:
+            slope[row] = float(
+                (prims.amounts.sum(axis=0) / model._agg_rates).max()
+            )
+    base = amounts / model._task_rates
+    t_min = base.max(axis=2).sum(axis=1)
+    grid = np.arange(1.0, p_max + 1.0)
+    n_ = n[:, None]
+    t_tail_sizes = n_ - (np.ceil(n_ / grid[None, :]) - 1.0) * grid[None, :]
+
+    def sync_time(deltas):
+        factor = np.maximum(1.0, deltas[:, :, None] / model._share_div)
+        contended = base[:, None, :, :] * factor[:, :, None, :]
+        if model._refine:
+            contended = np.where(
+                base[:, None, :, :] > 0, contended, np.inf
+            ).min(axis=3)
+            contended[~np.isfinite(contended)] = 0.0
+            floors = np.maximum(base.max(axis=2)[:, None, :], contended)
+            return floors.sum(axis=2)
+        return contended.max(axis=3).sum(axis=2)
+
+    t_sync = sync_time(np.broadcast_to(grid[None, :], (L, len(grid))))
+    t_stag = np.maximum(t_min[:, None], grid[None, :] * slope[:, None])
+    t_body = np.where(n_ <= _STAGGER_WAVES * grid[None, :], t_sync, t_stag)
+    t_tail = np.maximum(t_min[:, None], t_tail_sizes * slope[:, None])
+    t_tail = np.where(
+        n_ <= _STAGGER_WAVES * t_tail_sizes,
+        np.maximum(t_tail, sync_time(t_tail_sizes)),
+        t_tail,
+    )
+    waves = np.ceil(n_ / grid[None, :])
+    whole = (waves - 1.0) * (t_body + ovh[:, None]) + (t_tail + ovh[:, None])
+    whole = np.where(grid[None, :] <= ub[:, None], whole, np.inf)
+    out[live] = whole.min(axis=1) * _LB_SLACK
+    return out
+
+
+def _stage_primitives(model, workflows):
+    """Primitives of every buildable stage of every workflow."""
+    prims = []
+    for workflow in workflows:
+        for job in workflow.jobs:
+            for kind in job.stages():
+                try:
+                    prims.append(model._primitives(job, kind))
+                except (EstimationError, SchedulingError):
+                    pass
+    return prims
+
+
+def _assert_kernels_match(model, prims):
+    ragged = model._span_lower_batch(prims)
+    padded = padded_span_lower_batch(model, prims)
+    assert [x.hex() for x in ragged] == [x.hex() for x in padded]
+    # Each row is priced on its own cells only, alone or in a batch.
+    for row, one in enumerate(prims):
+        assert model._span_lower_batch([one])[0].hex() == ragged[row].hex()
+
+
+def _knob_candidates(workflow, space):
+    return [
+        apply_knob_value(workflow, knob.key, choice)
+        for knob in space
+        for choice in knob.choices
+        if choice != current_value(workflow, knob)
+    ]
+
+
+class TestRaggedKernel:
+    """The production kernel prices a ragged ``(stage, p)`` cell axis; the
+    padded kernel it replaced is the oracle, compared in ``float.hex``."""
+
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_table1_catalogue(self, cluster, refine):
+        model = BoundsModel(cluster, refine)
+        workflows = [entry.factory(1.0) for entry in catalog().values()]
+        prims = _stage_primitives(model, workflows)
+        assert len(prims) >= sum(w.num_stages for w in workflows)
+        _assert_kernels_match(model, prims)
+
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_q21_capacity_grid(self, cluster, refine):
+        q21 = tpch_query(21)
+        candidates = _knob_candidates(q21, q21_capacity_space(q21))
+        model = BoundsModel(cluster, refine)
+        prims = _stage_primitives(model, [q21, *candidates])
+        # The grid spans caps from one container to the whole cluster.
+        assert len({p.per_wave_ub for p in prims}) > 10
+        _assert_kernels_match(model, prims)
+
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_weblog_default_space(self, cluster, refine):
+        weblog = weblog_dag(gb(25))
+        candidates = _knob_candidates(weblog, default_space(weblog, cluster))
+        model = BoundsModel(cluster, refine)
+        _assert_kernels_match(model, _stage_primitives(model, [weblog, *candidates]))
+
+    @given(
+        stages=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from((0, 1)), st.integers(0, 400)),  # n
+                st.sampled_from(("one", "all", "some")),  # per_wave_ub
+                st.integers(1, 400),
+                st.sampled_from((0.0, 0.35, 2.0)),  # overhead_s
+                st.lists(  # sub-stages: (cpu, disk, net), zero columns too
+                    st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 500.0))] * 3),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        refine=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_primitives(self, stages, refine):
+        model = BoundsModel(paper_cluster(), refine)
+        prims = []
+        for n, cap, some, overhead, amounts in stages:
+            ub = {"one": 1, "all": max(1, n), "some": max(1, min(n, some))}[cap]
+            prims.append(
+                _StagePrimitives(
+                    n=n,
+                    amounts=np.array(amounts, dtype=float),
+                    per_wave_ub=ub,
+                    overhead_s=overhead,
+                )
+            )
+        _assert_kernels_match(model, prims)
+
+    def test_no_live_stage(self, cluster):
+        empty = _StagePrimitives(n=0, amounts=np.zeros((1, 3)), per_wave_ub=1,
+                                 overhead_s=0.0)
+        assert list(BoundsModel(cluster)._span_lower_batch([empty, empty])) == [0.0, 0.0]
 
 
 class TestBatchSemantics:

@@ -1,5 +1,6 @@
 """Tests for repro.tuning — model-driven configuration search."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ from repro.cluster.resources import ResourceVector
 from repro.core.boe import BOEModel
 from repro.core.distributions import TaskTimeDistribution
 from repro.core.estimator import BOESource
-from repro.dag import single_job_workflow
+from repro.dag import Workflow, single_job_workflow
 from repro.errors import EstimationError, SpecificationError
 from repro.mapreduce.config import NO_COMPRESSION, SNAPPY_TEXT
 from repro.simulator import simulate
@@ -20,9 +21,12 @@ from repro.tuning import (
     current_value,
     default_space,
     tune_workflow,
+    wide_space,
 )
+from repro.tuning.knobs import apply_knob_value
 from repro.units import gb
-from repro.workloads import terasort, wordcount
+from repro.workloads import terasort, weblog_dag, wordcount
+from repro.workloads.tpch import tpch_query
 
 
 @pytest.fixture
@@ -84,6 +88,69 @@ class TestApplyAssignment:
         wf = single_job_workflow(small_ts)
         tuned = apply_assignment(wf, {("ghost", "num_reducers"): 5})
         assert tuned.job("ts").num_reducers == small_ts.num_reducers
+
+
+def _one_knob_candidates(workflow, space):
+    return [
+        (knob.key, choice)
+        for knob in space
+        for choice in knob.choices
+        if choice != current_value(workflow, knob)
+    ]
+
+
+class TestDerivedCandidates:
+    """Knob candidates keep every job name, their order and the edges, so
+    they are derived from the validated parent: equal to, hashing and
+    pickling like the workflow the constructor builds, with the parent's
+    structure and no second cycle check."""
+
+    @pytest.fixture(params=("q21", "weblog"))
+    def grid(self, request, cluster):
+        if request.param == "q21":
+            workflow = tpch_query(21)
+            space = wide_space(workflow, cluster, jobs=["q21-scan-lineitem"])
+        else:
+            workflow = weblog_dag(gb(25))
+            space = default_space(workflow, cluster)
+        return workflow, _one_knob_candidates(workflow, space)
+
+    def test_candidate_is_the_constructed_workflow(self, grid):
+        workflow, candidates = grid
+        hash(workflow)
+        for key, value in candidates:
+            candidate = apply_knob_value(workflow, key, value)
+            built = Workflow(name=workflow.name, jobs=candidate.jobs, edges=workflow.edges)
+            assert candidate == built
+            assert hash(candidate) == hash(built)
+            candidate.job_map  # populate the structure memo
+            assert pickle.dumps(candidate) == pickle.dumps(built)
+            clone = pickle.loads(pickle.dumps(candidate))
+            assert "_memo" not in clone.__dict__ and clone == candidate
+            for name in workflow.job_map:
+                assert candidate.parents(name) == workflow.parents(name)
+                assert candidate.children(name) == workflow.children(name)
+            assert candidate.topological_order() == workflow.topological_order()
+            assigned = apply_assignment(workflow, {key: value})
+            assert assigned == candidate and hash(assigned) == hash(candidate)
+
+    def test_no_cycle_check_per_candidate(self, grid, monkeypatch):
+        workflow, candidates = grid
+        calls = []
+        order = Workflow.topological_order
+
+        def counting(self):
+            calls.append(self.name)
+            return order(self)
+
+        monkeypatch.setattr(Workflow, "topological_order", counting)
+        for key, value in candidates:
+            apply_knob_value(workflow, key, value)
+            apply_assignment(workflow, {key: value})
+        assert calls == []
+        # The constructor still validates.
+        Workflow(name=workflow.name, jobs=workflow.jobs, edges=workflow.edges)
+        assert calls == [workflow.name]
 
 
 class TestGreedyTuner:

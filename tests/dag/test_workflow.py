@@ -87,6 +87,37 @@ class TestStructure:
         assert "4 jobs" in diamond().describe()
 
 
+class TestWithJobs:
+    """``with_jobs`` derives a same-names copy from the validated parent;
+    any other change of names goes through the validating constructor."""
+
+    def test_same_names_share_the_parent_structure(self):
+        wf = diamond()
+        jobs = (job("a"), job("b", reducers=9), job("c"), job("d"))
+        derived = wf.with_jobs(jobs)
+        assert derived == Workflow(name=wf.name, jobs=jobs, edges=wf.edges)
+        assert derived.jobs == jobs and derived.job("b").num_reducers == 9
+        assert derived._parent_sets() is wf._parent_sets()
+        assert derived._child_sets() is wf._child_sets()
+        assert derived.topological_order() == wf.topological_order()
+
+    @pytest.mark.parametrize(
+        "names",
+        (("a", "b", "c", "e"), ("a", "b", "c", "c")),
+        ids=("renamed", "duplicated"),
+    )
+    def test_renamed_or_duplicated_job_raises(self, names):
+        with pytest.raises(WorkflowError):
+            diamond().with_jobs(tuple(job(name) for name in names))
+
+    def test_reordered_jobs_go_through_the_constructor(self):
+        jobs = (job("a"), job("c"), job("b"), job("d"))
+        derived = diamond().with_jobs(jobs)
+        assert derived == Workflow(name="diamond", jobs=jobs, edges=diamond().edges)
+        # Ties break by the new declaration order.
+        assert derived.topological_order() == ["a", "c", "b", "d"]
+
+
 @st.composite
 def random_dag(draw):
     """Random DAG: edges only from lower to higher index (acyclic by

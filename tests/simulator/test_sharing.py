@@ -322,7 +322,8 @@ def _random_flows(rng, n):
 
 
 def _group_classes(flows):
-    """Replicates ``_solve_collapsed``'s grouping in ``class_sort_key`` order."""
+    """Replicates ``SharingRegistry.intern``'s grouping in ``class_sort_key``
+    order (what ``solve_max_min(collapse=True)`` does before its solve)."""
     weights = []
     for flow in flows:
         agg = {}
