@@ -96,6 +96,9 @@ _LB_SLACK = 1.0 - 1e-9
 #: Stagger threshold — must match ``repro.core.boe._STAGGER_WAVES``.
 _STAGGER_WAVES = 1.5
 
+#: Column of each throughput resource in a stage's amounts matrix.
+_AMOUNT_COLUMN = {Resource.CPU: 0, Resource.DISK: 1, Resource.NETWORK: 2}
+
 
 @dataclass(frozen=True)
 class _StagePrimitives:
@@ -137,6 +140,7 @@ class BoundsModel:
         include_overhead: bool = True,
     ):
         self._cluster = cluster
+        self._capacity = cluster.capacity
         self._refine = refine
         self._policy = policy
         self._enforce_vcores = enforce_vcores
@@ -195,7 +199,7 @@ class BoundsModel:
 
     def _per_wave_ub(self, job: MapReduceJob, kind: StageKind, n: int) -> int:
         container = container_for(job, kind)
-        capacity = self._cluster.capacity
+        capacity = self._capacity
         slots = float("inf")
         if container.memory_mb > 0:
             slots = capacity.memory_mb / container.memory_mb
@@ -212,15 +216,20 @@ class BoundsModel:
         substages = build_task_substages(
             job, kind, remote_fraction=self._cluster.remote_fraction
         )
-        amounts = np.zeros((len(substages), 3))
-        for i, spec in enumerate(substages):
-            amounts[i, 0] = spec.amount(Resource.CPU)
-            amounts[i, 1] = spec.amount(Resource.DISK)
-            amounts[i, 2] = spec.amount(Resource.NETWORK)
+        # One pass over each sub-stage's ops, summed in op order from 0.0:
+        # bit-identical to ``SubStageSpec.amount`` per resource.
+        rows = []
+        for spec in substages:
+            row = [0.0, 0.0, 0.0]
+            for op in spec.ops:
+                column = _AMOUNT_COLUMN.get(op.resource)
+                if column is not None:
+                    row[column] += op.amount
+            rows.append(row)
         n = job.num_tasks(kind)
         return _StagePrimitives(
             n=n,
-            amounts=amounts,
+            amounts=np.array(rows, dtype=float).reshape(len(rows), 3),
             per_wave_ub=self._per_wave_ub(job, kind, n),
             overhead_s=(
                 job.config.task_overhead_s if self._include_overhead else 0.0

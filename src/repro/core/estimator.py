@@ -17,6 +17,14 @@ the paper's five steps, one :class:`DagEstimator` method each:
 4. ``_advance`` — everyone else's progress over the state;
 5. ``_transition`` — map -> reduce, job completion, DAG children arriving.
 
+Steps 1–3 are a pure function of what is running — each stage's job,
+kind, remaining work and previous Delta_i, in insertion and arrival
+order — so :meth:`DagEstimator._step` memoises them per estimator.  The
+candidates of a sweep share most of their states (a knob leaves every
+state before its job starts untouched), and an estimator reused across
+them steps each such state once; steps 4–5 and the recorded plan still
+run on every state.
+
 ``t_dag = sum_s t_stage(s)`` falls out as the sum of state durations.
 ``tests/core/test_algorithm1_oracle.py`` checks the whole loop, to the bit,
 against a step-by-step transcription of the pseudocode.
@@ -38,7 +46,7 @@ from repro.core.distributions import (
     stage_time,
     wave_sizes,
 )
-from repro.core.memo import CacheStats
+from repro.core.memo import DEFAULT_CACHE_ENTRIES, CacheStats, LRUCache
 from repro.core.parallelism import RunningStage, estimate_parallelism
 from repro.core.state import DagEstimate, EstimatedState, WorkflowProgress
 from repro.dag.workflow import Workflow
@@ -66,6 +74,12 @@ Point = Tuple[
 #: Per running stage: its task-time distribution and, for a ragged final
 #: wave, the distribution at that wave's own parallelism.
 _StageDists = Dict[str, Tuple[TaskTimeDistribution, Optional[TaskTimeDistribution]]]
+
+#: Steps 1–3 of one state: granted Delta_i, the clamped deltas, the task
+#: times, the state's length, each stage's rest time and the finishers.
+_Step = Tuple[
+    Dict[str, float], Dict[str, float], _StageDists, float, Dict[str, float], Set[str]
+]
 
 
 class TaskTimeSource(Protocol):
@@ -267,6 +281,9 @@ class DagEstimator:
     :meth:`_transition`.  With ``batch`` (the default) and a source
     exposing ``distribution_batch``, each state's task-time queries are
     evaluated in one vectorised call, bit-identical to the per-point path.
+    Steps 1–3 are memoised per running state (:meth:`_step`), so an
+    estimator reused across related workflows — a sweep's candidates —
+    steps each state they share once.
     """
 
     def __init__(
@@ -294,6 +311,13 @@ class DagEstimator:
         self._ctr_iterations = (
             metrics.counter("est.iterations") if metrics.enabled else None
         )
+        self._step_stats = CacheStats()
+        self._steps = LRUCache(DEFAULT_CACHE_ENTRIES, self._step_stats)
+
+    @property
+    def cache_stats(self) -> CacheStats:
+        """Hit/miss ledger of the per-state step memo (:meth:`_step`)."""
+        return self._step_stats
 
     def estimate(
         self,
@@ -328,10 +352,7 @@ class DagEstimator:
                 if self._otr is not None
                 else None
             )
-            granted = self._parallelism(walk)
-            deltas = {n: max(granted.get(n, 0.0), _EPS) for n in walk.running}
-            dists = self._task_times(walk, deltas)
-            dt, rests, finishing = self._first_stage_end(walk, deltas, dists)
+            granted, deltas, dists, dt, rests, finishing = self._step(walk)
             self._record_state(walk, granted, dists, dt)
             walk.now += dt
             self._advance(walk, deltas, rests, dt, finishing)
@@ -392,6 +413,35 @@ class DagEstimator:
             if all(p in walk.done for p in workflow.parents(name)):
                 walk.start(name, StageKind.MAP)
         return walk
+
+    def _step(self, walk: _Walk) -> _Step:
+        """Steps 1–3 of the current state, memoised on what is running.
+
+        They read only the running stages: each one's job, kind (which fix
+        its task count), remaining work and previous Delta_i (the demand
+        cap), in ``walk.running`` insertion order (the order the source
+        sees concurrent load in) and in arrival order (the order FIFO/fair
+        serve).  The key is exactly that, with the arrival order as the
+        running names sorted by arrival; the estimator's cluster, source
+        and configuration are fixed.  Callers only read the cached step.
+        """
+        running = walk.running
+        signature = sorted(running, key=walk.arrival.__getitem__)
+        for p in running.values():
+            signature += (p.job, p.kind, p.remaining, p.prev_delta)
+        key = tuple(signature)
+        step = self._steps.get(key)
+        if step is not None:
+            self._step_stats.hits += 1
+            return step
+        self._step_stats.misses += 1
+        granted = self._parallelism(walk)
+        deltas = {n: max(granted.get(n, 0.0), _EPS) for n in running}
+        dists = self._task_times(walk, deltas)
+        dt, rests, finishing = self._first_stage_end(walk, deltas, dists)
+        step = (granted, deltas, dists, dt, rests, finishing)
+        self._steps.put(key, step)
+        return step
 
     def _parallelism(self, walk: _Walk) -> Dict[str, float]:
         """Step 1: Delta_i per running job from the scheduler equilibrium.

@@ -2,8 +2,9 @@
 
 :class:`LRUCache` is the one bounded map behind every memo in the
 estimator stack (the BOE model's structural and pipeline memos, the bound
-screen's stage and topology memos, the parallelism equilibrium memo, the
-sweep's candidate memo and the estimate service's hot cache), and
+screen's stage and topology memos, the parallelism equilibrium memo,
+Algorithm 1's state step memo, the sweep's candidate memo and the
+estimate service's hot cache), and
 :class:`CacheStats` the shared hit/miss ledger they report through.
 Every key is built from the frozen, value-hashed inputs themselves (jobs,
 workflows, clusters, enums, tuples of floats): equality decides a hit, so
@@ -17,6 +18,8 @@ from collections import OrderedDict
 from typing import Hashable, Optional
 
 from repro.errors import EstimationError
+
+_MISSING = object()
 
 #: Entry bound of the model-level memos.  Sized for a week-long sweep
 #: session: entries are small (a key of frozen inputs plus a frozen
@@ -106,24 +109,24 @@ class LRUCache:
 
     def get(self, key: Hashable, default=None):
         """Look up ``key``, marking it most recently used on a hit."""
-        try:
-            value = self._data[key]
-        except KeyError:
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
             return default
         self._data.move_to_end(key)
         return value
 
     def put(self, key: Hashable, value) -> None:
         """Insert ``key``, evicting least-recently-used entries past the bound."""
-        if key in self._data:
-            self._data[key] = value
-            self._data.move_to_end(key)
+        data = self._data
+        size = len(data)
+        data[key] = value  # a new key lands last, as most recently used
+        if len(data) == size:
+            data.move_to_end(key)
             return
-        while len(self._data) >= self._max_entries:
-            self._data.popitem(last=False)
+        while len(data) > self._max_entries:
+            data.popitem(last=False)
             if self._stats is not None:
                 self._stats.evictions += 1
-        self._data[key] = value
 
     def clear(self) -> None:
         self._data.clear()

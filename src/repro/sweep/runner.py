@@ -9,7 +9,8 @@ batched-cached-parallel:
 * every candidate is evaluated through the memoised BOE model
   (:class:`~repro.core.boe.BOEModel`), so sub-stage solves shared between
   candidates — the ~90 % a coordinate-descent step does not perturb — are
-  paid for once;
+  paid for once, and one estimator per cluster steps each Algorithm 1
+  state its candidates share once;
 * a batch can be fanned out over a process pool with deterministic result
   ordering (results come back in candidate order regardless of worker
   scheduling, and each worker runs the same pure code the serial path
@@ -199,6 +200,13 @@ class _EvalContext:
     pass, and grids often contain repeated points.  Workflows and clusters
     are frozen dataclasses hashing by value, so the key is taken at call
     time and a mutated workflow can never match a stale entry.
+
+    With the memo on, the context also keeps one
+    :class:`~repro.core.estimator.DagEstimator` per target cluster, so its
+    per-state step memo serves every candidate: a knob leaves each state
+    before its job starts untouched, and those states are stepped once.
+    The estimators stay out of pickles (they hold the tracer's hooks);
+    each worker builds its own.
     """
 
     #: Span wrapping each pooled chunk (see :mod:`repro.service.pool`).
@@ -227,6 +235,12 @@ class _EvalContext:
         self._memo: Optional[LRUCache] = (
             LRUCache(65_536, self._memo_stats) if memo else None
         )
+        self._estimators: Dict[Cluster, DagEstimator] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state["_estimators"] = {}
+        return state
 
     def source_for(self, cluster: Cluster) -> TaskTimeSource:
         source = self._sources.get(cluster)
@@ -241,15 +255,36 @@ class _EvalContext:
             self._sources[cluster] = source
         return source
 
+    def estimator_for(self, cluster: Cluster) -> DagEstimator:
+        """The estimator for ``cluster``: kept per cluster with the memo
+        on, fresh per candidate (the cold reference path) with it off."""
+        estimator = self._estimators.get(cluster)
+        if estimator is None:
+            estimator = DagEstimator(
+                cluster,
+                self.source_for(cluster),
+                variant=self._variant,
+                policy=self._policy,
+                enforce_vcores=self._enforce_vcores,
+                batch=self._memo is not None,
+            )
+            if self._memo is not None:
+                self._estimators[cluster] = estimator
+        return estimator
+
     def cache_stats(self) -> CacheStats:
-        """Aggregate ledger: per-task caches of every source, plus the
-        candidate-level memo (a memo hit stands for all the task-time
-        lookups the skipped estimate would have made)."""
+        """Aggregate ledger: per-task caches of every source, the
+        candidate-level memo, and the hits of the kept estimators' state
+        step memos.  A memo hit stands for all the task-time lookups the
+        skipped estimate or state would have made; a state step miss is
+        counted as the task-time lookups it falls through to."""
         total = CacheStats()
         for source in self._sources.values():
             stats = getattr(source, "cache_stats", None)
             if stats is not None:
                 total.add(stats)
+        for estimator in self._estimators.values():
+            total.hits += estimator.cache_stats.hits
         total.add(self._memo_stats)
         return total
 
@@ -269,14 +304,7 @@ class _EvalContext:
                 self._memo_stats.hits += 1
                 return replace(hit, index=index, label=label)
             self._memo_stats.misses += 1
-        estimator = DagEstimator(
-            target,
-            self.source_for(target),
-            variant=self._variant,
-            policy=self._policy,
-            enforce_vcores=self._enforce_vcores,
-            batch=self._memo is not None,
-        )
+        estimator = self.estimator_for(target)
         try:
             estimate = estimator.estimate(workflow)
         except (EstimationError, SchedulingError) as exc:
@@ -331,10 +359,12 @@ class SweepRunner:
         policy: scheduler policy for the parallelism equilibrium.
         enforce_vcores: forwarded to :class:`~repro.core.estimator.DagEstimator`.
         refine: build refined BOE models (only with ``source=None``).
-        memo: memoise whole candidate outcomes by (workflow, cluster) and
-            evaluate each state's task-time queries through the batched
-            BOE kernel (``distribution_batch``) when the source supports
-            it; disable to reproduce the uncached serial reference path.
+        memo: memoise whole candidate outcomes by (workflow, cluster),
+            keep one estimator per cluster so candidates share its
+            Algorithm 1 state steps, and evaluate each state's task-time
+            queries through the batched BOE kernel
+            (``distribution_batch``) when the source supports it; disable
+            to reproduce the uncached serial reference path.
         prune: screen candidates with analytic makespan bounds
             (:mod:`repro.core.bounds`) before estimation: a candidate whose
             lower bound exceeds the incumbent's evaluated estimate (or,
