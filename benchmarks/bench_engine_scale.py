@@ -22,6 +22,7 @@ import os
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from _bench_utils import emit, emit_json, peak_rss_mb
@@ -29,7 +30,7 @@ from repro.analysis import render_table
 from repro.cluster import Cluster
 from repro.cluster.node import PAPER_NODE
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.simulator import SimulationConfig, simulate
+from repro.simulator import ColumnarSimulator, SimulationConfig, simulate
 from repro.units import gb
 from repro.workloads import hybrid, micro_workflow
 
@@ -74,6 +75,13 @@ TARGET_COLUMNAR_TASKS_PER_S = 300_000.0
 #: loop costs ~4 us/grant, so the ceiling catches a regression to per-grant
 #: Python bookkeeping while leaving >10x slack for slow runners.
 MAX_BULK_US_PER_GRANT = 1.5
+#: Re-shares of at most this many dirty nodes count as small (see
+#: ``test_reshare_cost_flat_in_cluster_size``).
+SMALL_RESHARE_NODES = 8
+#: CPU-gated ceiling on a small re-share's median at 3,261 workers over its
+#: median at 65.  Measured 1.2-1.3x with the node index and 3.0-3.4x with a
+#: gather that scans the whole window (2-vCPU VM, four runs each).
+MAX_RESHARE_GROWTH = 2.0
 
 
 def _workload(workers: int):
@@ -381,6 +389,61 @@ def test_launch_bookkeeping_sublinear():
             assert big_us <= 4.0 * max(small_us, 0.02), row
             # ...and must stay far below the scalar loop's ~4 us/grant.
             assert big_us <= MAX_BULK_US_PER_GRANT, row
+
+
+def test_reshare_cost_flat_in_cluster_size():
+    """Micro-regression: a few-node re-share must not cost the whole window.
+
+    Times every columnar ``_solve_dirty`` that re-shares at most
+    ``SMALL_RESHARE_NODES`` nodes on the WC+TS hybrid, on a 65-worker and a
+    3,261-worker odd cluster (whose per-grant tail makes ~90 such
+    re-shares per run).  The 3,261-worker window holds ~50k live slots,
+    the 65-worker one ~1k: a gather that scans the window makes the large
+    cluster's median re-share ~3x the small one's, the node index keeps
+    the two close.  CPU-gated like its siblings.
+    """
+    class _Timed(ColumnarSimulator):
+        def _solve_dirty(self):
+            small = np.count_nonzero(self._dirty) <= SMALL_RESHARE_NODES
+            t0 = time.perf_counter()
+            super()._solve_dirty()
+            if small:
+                self.small_s.append(time.perf_counter() - t0)
+
+    def small_reshares(workers: int) -> list:
+        sim = _Timed(
+            Cluster(node=PAPER_NODE, workers=workers),
+            _workload(workers),
+            SimulationConfig(engine="columnar"),
+        )
+        sim.small_s = []
+        sim.run()
+        return sim.small_s
+
+    small_reshares(65)  # warm-up
+    # Alternate the sizes so host drift hits both medians alike.
+    small, big = [], []
+    for _ in range(3):
+        small += small_reshares(65)
+        big += small_reshares(3261)
+    small_us = statistics.median(small) * 1e6
+    big_us = statistics.median(big) * 1e6
+    small_n, big_n = len(small) // 3, len(big) // 3
+    row = {
+        "bench": "reshare_cost",
+        "max_dirty_nodes": SMALL_RESHARE_NODES,
+        "small_workers": 65,
+        "small_reshares": small_n,
+        "small_median_us": round(small_us, 1),
+        "big_workers": 3261,
+        "big_reshares": big_n,
+        "big_median_us": round(big_us, 1),
+        "ratio": round(big_us / small_us, 2),
+    }
+    print("BENCH " + json.dumps(row))
+    assert small_n > 50 and big_n > 50, row
+    if (os.cpu_count() or 1) >= 4:
+        assert big_us <= MAX_RESHARE_GROWTH * small_us, row
 
 
 def test_engine_scale_columnar_full(columnar_sweep):

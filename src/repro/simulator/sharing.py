@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.resources import Resource
+from repro.core.memo import DEFAULT_CACHE_ENTRIES, LRUCache
 from repro.errors import SimulationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.phases import SubStageSpec, build_task_substages
@@ -355,8 +356,10 @@ class SharingRegistry:
     demands summed per pool in op order, caps ``min``-folded in op order.
     Class ids are dense and stable for the registry's life; a node's sharing
     problem is a composition ``((class id, count), ...)`` in ascending class
-    id order, and :meth:`rates` solves each distinct composition once, in
-    :func:`class_sort_key` order.
+    id order, and :meth:`rates` solves each distinct composition in
+    :func:`class_sort_key` order, memoised on a bounded LRU map (a solve is
+    a pure function of the composition, so eviction only forces a
+    re-solve).
 
     Args:
         capacities: pool name -> capacity of one node.
@@ -371,7 +374,9 @@ class SharingRegistry:
         self.weights: List[Dict[str, float]] = []
         self.caps: List[Optional[float]] = []
         self._sort_keys: List[tuple] = []
-        self._rates: Dict[tuple, Dict[int, float]] = {}
+        # Bounded: under skew most compositions are seen once, so an
+        # unbounded map would mostly keep answers it never reads again.
+        self._rates = LRUCache(DEFAULT_CACHE_ENTRIES)
         self._pipeline_of: Dict[Tuple[str, StageKind, float], Pipeline] = {}
         self.pipelines: List[Pipeline] = []
 
@@ -441,7 +446,7 @@ class SharingRegistry:
                 self.capacities,
             )
             rate_of = {cid: rate for (cid, _), rate in zip(order, solved)}
-            self._rates[composition] = rate_of
+            self._rates.put(composition, rate_of)
         return rate_of
 
 

@@ -2,8 +2,8 @@
 compositions for every event loop.
 
 Pins what the class key is (demands summed in op order, caps min-folded),
-that a cached composition answers with the class solver's own floats, that
-the failure split is the op-amount-weighted one, and that the fast loop
+that a cached composition answers with the class solver's own floats (also
+once the bounded memo has evicted it), that the failure split is the op-amount-weighted one, and that the fast loop
 reaches rates only through the registry.
 """
 
@@ -103,21 +103,26 @@ class TestRates:
         registry.intern({"cpu": 1.0, "net": 3.0}, 1.0)
         return registry
 
-    def test_cache_hit_returns_the_fresh_solve(self, monkeypatch):
-        registry = self._registry()
-        composition = ((0, 3), (1, 2), (2, 1))
+    @staticmethod
+    def _fresh(registry, composition):
+        """Canonical class order and the class solver's rates in it."""
         order = sorted(
             composition,
             key=lambda item: class_sort_key(
                 registry.caps[item[0]], tuple(sorted(registry.weights[item[0]].items()))
             ),
         )
-        fresh = sharing.solve_max_min_classes(
+        return order, sharing.solve_max_min_classes(
             [registry.weights[cid] for cid, _ in order],
             [registry.caps[cid] for cid, _ in order],
             [count for _, count in order],
             CAPACITIES,
         )
+
+    def test_cache_hit_returns_the_fresh_solve(self, monkeypatch):
+        registry = self._registry()
+        composition = ((0, 3), (1, 2), (2, 1))
+        order, fresh = self._fresh(registry, composition)
         first = registry.rates(composition)
         calls = []
         monkeypatch.setattr(
@@ -127,6 +132,30 @@ class TestRates:
         assert not calls  # served from the cache
         assert again == first
         assert [again[cid] for cid, _ in order] == fresh  # bit-identical
+
+    def test_bounded_memo_evicts_and_stays_exact(self, monkeypatch):
+        # A two-entry memo cycling through four compositions evicts on
+        # every miss; every answer must still be the class solver's floats.
+        monkeypatch.setattr(sharing, "DEFAULT_CACHE_ENTRIES", 2)
+        registry = self._registry()
+        compositions = [((0, 3), (1, 2)), ((1, 1), (2, 4)), ((0, 1),), ((0, 2), (2, 2))]
+        solve = sharing.solve_max_min_classes
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(sharing, "solve_max_min_classes", counted)
+        for _ in range(2):
+            for composition in compositions:
+                order, fresh = self._fresh(registry, composition)
+                got = registry.rates(composition)
+                assert [got[cid] for cid, _ in order] == fresh
+                assert len(registry._rates) <= 2
+        # Two fresh solves per lookup: the registry's (an evicted entry is
+        # re-solved) and the reference's.
+        assert len(calls) == 2 * 2 * len(compositions)
 
     def test_compositions_are_solved_independently(self):
         registry = self._registry()
