@@ -34,7 +34,7 @@ Counting the users of a resource needs care on two axes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
@@ -48,6 +48,8 @@ from repro.obs.metrics import get_metrics
 
 #: A stage is treated as staggered once it runs this many waves.
 _STAGGER_WAVES = 1.5
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,99 @@ class OpEstimate:
     utilisation: float
 
 
-@dataclass(frozen=True)
 class SubStageEstimate:
-    """BOE output for one sub-stage of one task."""
+    """BOE output for one sub-stage of one task.
 
-    name: str
-    duration: float
-    bottleneck: Resource
-    ops: Tuple[OpEstimate, ...]
+    Attributes:
+        name: the sub-stage name.
+        duration: ``t_sigma``, the time of its bottleneck (Eq. 3).
+        bottleneck: the first slowest resource in op order.
+        ops: one :class:`OpEstimate` per operation, in op order.  The kernel
+            keeps each op's time and the per-resource totals and builds
+            these objects the first time ``ops`` is read, since Algorithm 1
+            reads only durations.  Equality, hashing, ``repr`` and pickling
+            all go through ``ops``, so a lazily built estimate behaves
+            exactly like one built with its ops up front.
+
+    Instances are immutable.
+    """
+
+    __slots__ = ("name", "duration", "bottleneck", "_ops", "_detail")
+
+    def __init__(
+        self,
+        name: str,
+        duration: float,
+        bottleneck: Resource,
+        ops: Tuple[OpEstimate, ...],
+    ):
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "duration", duration)
+        _set(self, "bottleneck", bottleneck)
+        _set(self, "_ops", ops)
+        _set(self, "_detail", None)
+
+    @classmethod
+    def _deferred(
+        cls,
+        sub: "_Sub",
+        duration: float,
+        times: List[float],
+        op_times: List[float],
+    ) -> "SubStageEstimate":
+        """The kernel's estimate: ``ops`` deferred until first read."""
+        estimate = cls.__new__(cls)
+        _set = object.__setattr__
+        _set(estimate, "name", sub.name)
+        _set(estimate, "duration", duration)
+        _set(estimate, "bottleneck", _SLOTS[max(sub.order, key=times.__getitem__)])
+        _set(estimate, "_ops", None)
+        _set(estimate, "_detail", (sub.ops, times, op_times))
+        return estimate
+
+    @property
+    def ops(self) -> Tuple[OpEstimate, ...]:
+        ops = self._ops
+        if ops is None:
+            sub_ops, times, op_times = self._detail
+            duration = self.duration
+            ops = tuple(
+                OpEstimate(kind, _SLOTS[slot], t_op, times[slot] / duration)
+                for (slot, _, _, kind), t_op in zip(sub_ops, op_times)
+            )
+            object.__setattr__(self, "_ops", ops)
+            object.__setattr__(self, "_detail", None)
+        return ops
 
     def op(self, kind: str) -> Optional[OpEstimate]:
         for candidate in self.ops:
             if candidate.kind == kind:
                 return candidate
         return None
+
+    def _fields(self) -> tuple:
+        return (self.name, self.duration, self.bottleneck, self.ops)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SubStageEstimate(name={self.name!r}, duration={self.duration!r}, "
+            f"bottleneck={self.bottleneck!r}, ops={self.ops!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
 
 
 @dataclass(frozen=True)
@@ -96,7 +177,7 @@ class TaskEstimate:
 
     @property
     def duration(self) -> float:
-        return sum(s.duration for s in self.substages)
+        return sum([s.duration for s in self.substages])
 
     @property
     def bottlenecks(self) -> Tuple[Resource, ...]:
@@ -131,8 +212,7 @@ _SLOTS = (Resource.CPU, Resource.DISK, Resource.NETWORK, Resource.MEMORY)
 _SLOT_OF = {resource: slot for slot, resource in enumerate(_SLOTS)}
 
 
-@dataclass(frozen=True)
-class _Sub:
+class _Sub(NamedTuple):
     """One sub-stage lowered for the kernel: ops as ``(slot, amount,
     per_flow_cap, kind)`` tuples, its distinct slots by first occurrence, and
     its total demand (the initial duration guess)."""
@@ -144,11 +224,36 @@ class _Sub:
 
 
 def _compile(sub: SubStageSpec) -> _Sub:
-    ops = tuple(
-        (_SLOT_OF[op.resource], op.amount, op.per_flow_cap, op.kind) for op in sub.ops
-    )
-    order = tuple(dict.fromkeys(op[0] for op in ops))
-    return _Sub(sub.name, ops, order, sum(op.amount for op in sub.ops))
+    ops = []
+    order: Dict[int, None] = {}
+    for op in sub.ops:
+        slot = _SLOT_OF[op.resource]
+        ops.append((slot, op.amount, op.per_flow_cap, op.kind))
+        order[slot] = None
+    return _Sub(sub.name, tuple(ops), tuple(order), sum([op[1] for op in ops]))
+
+
+class _Signature:
+    """A pipeline's part of the structural memo key: every sub-stage name and
+    op tuple, the whole input of a solve.  Equal by value; the hash of the
+    nested tuple is taken once, when the pipeline is compiled, not on every
+    memo lookup."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple):
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not _Signature:
+            return NotImplemented
+        return self._hash == other._hash and self.value == other.value
 
 
 class _Pipeline:
@@ -157,75 +262,172 @@ class _Pipeline:
     Immutable after construction, so one instance is shared by every solve
     of the model that asks for its (job, kind).  ``first`` maps a sub-stage
     name to its first index (phase lock across synchronised stages);
-    ``signature`` is the pipeline's part of the structural memo key: every
-    sub-stage name and op tuple, the whole input of the solve.  ``tasks``
-    is the stage's task count, which fixes its wave regime at a given
-    parallelism.
+    ``signature`` is the pipeline's part of the structural memo key.
+    ``tasks`` is the stage's task count, which fixes its wave regime at a
+    given parallelism.  ``pooled`` says every op draws on a throughput pool
+    (no memory op), so evaluating a sub-stage can fail only under an
+    unbounded user count.
     """
 
-    __slots__ = ("subs", "first", "signature", "tasks")
+    __slots__ = ("subs", "first", "signature", "tasks", "pooled")
 
     def __init__(self, substages: Sequence[SubStageSpec], tasks: int):
         self.subs = tuple(_compile(sub) for sub in substages)
         self.first: Dict[str, int] = {}
         for idx, sub in enumerate(self.subs):
             self.first.setdefault(sub.name, idx)
-        self.signature = tuple((sub.name, sub.ops) for sub in self.subs)
+        self.signature = _Signature(tuple((sub.name, sub.ops) for sub in self.subs))
         self.tasks = tasks
+        self.pooled = all(3 not in sub.order for sub in self.subs)
 
     def staggered(self, delta: float) -> bool:
         """Whether the stage runs staggered waves at parallelism ``delta``."""
         return self.tasks > _STAGGER_WAVES * max(delta, 1.0)
 
 
+def _terms(
+    order: Tuple[int, ...], weight: float, util: Optional[List[float]], workers: int
+) -> List[Tuple[int, float]]:
+    """``(slot, weight * p / workers)`` per resource of one sub-stage; ``p``
+    is the refine utilisation, 1 without one (``weight * 1.0`` is
+    ``weight`` exactly, so that case skips the product)."""
+    if weight <= 0:
+        return []
+    if util is None:
+        add = weight / workers
+        return [(slot, add) for slot in order]
+    return [(slot, weight * util[slot] / workers) for slot in order]
+
+
+def _mix(
+    subs: Tuple[_Sub, ...],
+    delta: float,
+    durations: List[float],
+    util: Optional[List[List[float]]],
+    workers: int,
+) -> List[Tuple[int, float]]:
+    """The per-node user increments of ``delta`` tasks spread over their
+    sub-stages in proportion to the sub-stage durations (occupancy)."""
+    count = len(durations)
+    total = sum(durations)
+    if total <= 0:
+        occupancy = [1.0 / count] * count
+    else:
+        occupancy = [d / total for d in durations]
+    mix: List[Tuple[int, float]] = []
+    for idx, occ in enumerate(occupancy):
+        mix += _terms(
+            subs[idx].order, delta * occ, None if util is None else util[idx], workers
+        )
+    return mix
+
+
+class _Stage:
+    """One running stage of a batch at one parallelism, resolved once and
+    shared by every point of the batch that names it, as target or as
+    competitor: its compiled pipeline, wave regime and memo-key part.
+
+    On the first real solve :meth:`prime` adds ``own[idx]``, the per-node
+    user increments of all ``delta`` tasks sitting in sub-stage ``idx``
+    (synchronised stages only), and :meth:`start` gives ``start_mix``, those
+    of plain user counts and amount-proportional occupancy, when first
+    read.  ``safe`` says evaluating the stage cannot fail: no memory op,
+    and a finite Delta (only an unbounded user count starves an op).
+    """
+
+    __slots__ = (
+        "subs",
+        "first",
+        "delta",
+        "staggered",
+        "part",
+        "safe",
+        "primed",
+        "own",
+        "start_mix",
+    )
+
+    def __init__(self, pipeline: _Pipeline, delta: float, staggered: bool):
+        self.subs = pipeline.subs
+        self.first = pipeline.first
+        self.delta = delta
+        self.staggered = staggered
+        self.part = (pipeline.signature, delta, staggered)
+        self.safe = pipeline.pooled and delta < _INF
+        self.primed = False
+        self.own: Optional[List[List[Tuple[int, float]]]] = None
+        self.start_mix: Optional[List[Tuple[int, float]]] = None
+
+    def prime(self, workers: int) -> None:
+        self.primed = True
+        if not self.staggered:
+            self.own = [
+                _terms(sub.order, self.delta, None, workers) for sub in self.subs
+            ]
+
+    def start(self, workers: int) -> List[Tuple[int, float]]:
+        mix = self.start_mix
+        if mix is None:
+            subs = self.subs
+            mix = self.start_mix = _mix(
+                subs, self.delta, [sub.demand for sub in subs], None, workers
+            )
+        return mix
+
+
 class _StageCtx:
-    """One stage participating in the competition system.
+    """One stage iterating in one competition fixed point.
 
     Besides its current sub-stage ``durations`` and (refine only) per-slot
     utilisations ``util``, a context holds the per-node user increments it
-    adds to whoever it competes with, derived once per :meth:`settle`:
-    ``mix`` for its occupancy-weighted sub-stage mix and ``own[idx]`` for all
-    ``delta`` tasks sitting in sub-stage ``idx``.
+    adds to whoever it competes with: ``mix`` for its occupancy-weighted
+    sub-stage mix (rebuilt from the durations on first read after each
+    :meth:`settle`) and ``own[idx]`` for all ``delta`` tasks sitting in
+    sub-stage ``idx``.  The starting values are the primed
+    :class:`_Stage`'s; a settle replaces them, never mutates them.
     """
 
-    __slots__ = ("pipeline", "delta", "staggered", "durations", "util", "mix", "own")
+    __slots__ = (
+        "subs",
+        "first",
+        "delta",
+        "staggered",
+        "workers",
+        "durations",
+        "util",
+        "mix",
+        "own",
+    )
 
-    def __init__(self, pipeline: _Pipeline, delta: float, staggered: bool):
-        self.pipeline = pipeline
-        self.delta = delta
-        self.staggered = staggered
-        self.own: Optional[List[List[Tuple[int, float]]]] = None
+    def __init__(self, stage: _Stage, workers: int):
+        self.subs = stage.subs
+        self.first = stage.first
+        self.delta = stage.delta
+        self.staggered = stage.staggered
+        self.workers = workers
+        self.durations = [sub.demand for sub in stage.subs]
+        self.util: Optional[List[List[float]]] = None
+        self.mix: Optional[List[Tuple[int, float]]] = stage.start(workers)
+        self.own = stage.own
 
-    def settle(
-        self, durations: List[float], util: Optional[List[List[float]]], workers: int
-    ) -> None:
+    def settle(self, durations: List[float], util: Optional[List[List[float]]]) -> None:
         self.durations = durations
         self.util = util
-        count = len(durations)
-        total = sum(durations)
-        if total <= 0:
-            occupancy = [1.0 / count] * count
-        else:
-            occupancy = [d / total for d in durations]
-        self.mix = [
-            term
-            for idx, occ in enumerate(occupancy)
-            for term in self._terms(idx, self.delta * occ, workers)
-        ]
+        self.mix = None
         # ``own`` moves with the utilisations only (plain BOE: never).
-        if not self.staggered and (util is not None or self.own is None):
-            self.own = [self._terms(idx, self.delta, workers) for idx in range(count)]
+        if util is not None and not self.staggered:
+            self.own = [
+                _terms(sub.order, self.delta, sub_util, self.workers)
+                for sub, sub_util in zip(self.subs, util)
+            ]
 
-    def _terms(self, idx: int, weight: float, workers: int) -> List[Tuple[int, float]]:
-        """``(slot, weight * p / workers)`` per resource of sub-stage ``idx``;
-        ``p`` is the refine utilisation, 1 before the first evaluation."""
-        if weight <= 0:
-            return []
-        util = self.util[idx] if self.util is not None else None
-        return [
-            (slot, weight * (1.0 if util is None else util[slot]) / workers)
-            for slot in self.pipeline.subs[idx].order
-        ]
+    def mixed(self) -> List[Tuple[int, float]]:
+        mix = self.mix
+        if mix is None:
+            mix = self.mix = _mix(
+                self.subs, self.delta, self.durations, self.util, self.workers
+            )
+        return mix
 
 
 class BOEModel:
@@ -355,17 +557,11 @@ class BOEModel:
 
     def _estimate(self, sub: _Sub, users: List[float]) -> SubStageEstimate:
         """:meth:`_sub_times` as an output object; the bottleneck is the
-        first slowest resource in op order."""
+        first slowest resource in op order, and the per-op detail is built
+        only if read."""
         op_times: List[float] = []
         duration, times = self._sub_times(sub, users, op_times)
-        ops = tuple(
-            OpEstimate(kind, _SLOTS[slot], t_op, times[slot] / duration)
-            for (slot, _, _, kind), t_op in zip(sub.ops, op_times)
-        )
-        bottleneck = _SLOTS[max(sub.order, key=times.__getitem__)]
-        return SubStageEstimate(
-            name=sub.name, duration=duration, bottleneck=bottleneck, ops=ops
-        )
+        return SubStageEstimate._deferred(sub, duration, times, op_times)
 
     def _evaluate(
         self, substage: SubStageSpec, users: Mapping[Resource, float]
@@ -430,10 +626,10 @@ class BOEModel:
         """Per-node competitor counts per slot seen by ``target``'s sub-stage
         ``idx`` given current occupancies/utilisations."""
         users = [0.0, 0.0, 0.0, 0.0]
-        name = target.pipeline.subs[idx].name
+        name = target.subs[idx].name
         for ctx in system:
             if ctx.staggered:
-                terms = ctx.mix
+                terms = ctx.mixed()
             elif ctx is target:
                 terms = ctx.own[idx]
             else:
@@ -443,29 +639,24 @@ class BOEModel:
                 # Without a same-named sub-stage there is no phase lock
                 # across jobs and the competitor presents its time-weighted
                 # average (occupancy) mix.
-                same = ctx.pipeline.first.get(name)
-                terms = ctx.mix if same is None else ctx.own[same]
+                same = ctx.first.get(name)
+                terms = ctx.mixed() if same is None else ctx.own[same]
             for slot, add in terms:
                 users[slot] += add
         return users
 
     def _solve_system(self, system: List[_StageCtx]) -> None:
         """Iterate sub-stage durations to the occupancy/utilisation fixed
-        point; results land in each context's ``durations``."""
-        workers = self._cluster.workers
+        point of a refined system or one with a staggered stage; results
+        land in each context's ``durations``.  The contexts start settled
+        on plain user counts and amount-proportional occupancy."""
         refine = self._refine
-        # Initial pass: plain user counts, amount-proportional occupancy.
-        for ctx in system:
-            ctx.settle([sub.demand for sub in ctx.pipeline.subs], None, workers)
-
-        needs_iteration = refine or any(c.staggered for c in system)
-        rounds = self._max_iter if needs_iteration else 1
         previous_total = None
-        for _ in range(rounds):
+        for _ in range(self._max_iter):
             for ctx in system:
                 durations: List[float] = []
                 util: Optional[List[List[float]]] = [] if refine else None
-                for idx, sub in enumerate(ctx.pipeline.subs):
+                for idx, sub in enumerate(ctx.subs):
                     duration, times = self._sub_times(
                         sub, self._slot_users(system, ctx, idx)
                     )
@@ -474,7 +665,7 @@ class BOEModel:
                         for slot in sub.order:
                             times[slot] = max(times[slot] / duration, 1e-3)
                         util.append(times)
-                ctx.settle(durations, util, workers)
+                ctx.settle(durations, util)
             total = sum(sum(ctx.durations) for ctx in system)
             if previous_total is not None and abs(total - previous_total) <= 1e-6 * max(
                 previous_total, 1e-9
@@ -482,8 +673,75 @@ class BOEModel:
                 break
             previous_total = total
         else:
-            if needs_iteration and self._ctr_unconverged is not None:
+            if self._ctr_unconverged is not None:
                 self._ctr_unconverged.inc()
+
+    # A plain system whose stages are all synchronised has nothing to
+    # converge: the fixed point is one round of the loop above.  Stage
+    # ``k`` is evaluated against the settled mixes of the stages before it
+    # and the starting mixes of those after it, then settles, and the
+    # target is read once more at the end.  A synchronised stage's own
+    # increments never move, and a stage reads a competitor's mix only when
+    # the competitor has no same-named sub-stage.  So the round is
+    # evaluated on demand, from the end: each read of a settled mix
+    # evaluates that stage first (``_once``), with the very inputs the
+    # round would give it, and a stage whose settled mix nobody reads is
+    # never evaluated.  Every evaluation that happens is one the round
+    # makes, on the same values in the same order.
+
+    def _round_users(
+        self,
+        stages: List[_Stage],
+        settled: List[Optional[List[Tuple[int, float]]]],
+        reader: int,
+        position: int,
+        idx: int,
+    ) -> List[float]:
+        """:meth:`_slot_users` for sub-stage ``idx`` of the stage at
+        ``reader``, read at ``position`` in the single round: competitors
+        before it count with their ``settled`` mix, those after it with
+        their starting mix.  ``position == len(stages)`` is the target's
+        read after the round."""
+        users = [0.0, 0.0, 0.0, 0.0]
+        name = stages[reader].subs[idx].name
+        for other, stage in enumerate(stages):
+            if other == reader:
+                terms = stage.own[idx]
+            else:
+                same = stage.first.get(name)
+                if same is not None:
+                    terms = stage.own[same]
+                elif other < position:
+                    terms = settled[other]
+                    if terms is None:
+                        terms = self._once(stages, settled, other)
+                else:
+                    terms = stage.start_mix
+                    if terms is None:
+                        terms = stage.start(self._cluster.workers)
+            for slot, add in terms:
+                users[slot] += add
+        return users
+
+    def _once(
+        self,
+        stages: List[_Stage],
+        settled: List[Optional[List[Tuple[int, float]]]],
+        position: int,
+    ) -> List[Tuple[int, float]]:
+        """The settled mix of the stage at ``position``: its one-round
+        durations, evaluated now, spread over its sub-stages."""
+        stage = stages[position]
+        durations = [
+            self._sub_times(
+                sub, self._round_users(stages, settled, position, position, idx)
+            )[0]
+            for idx, sub in enumerate(stage.subs)
+        ]
+        mix = settled[position] = _mix(
+            stage.subs, stage.delta, durations, None, self._cluster.workers
+        )
+        return mix
 
     # -- task level ----------------------------------------------------------------
 
@@ -510,9 +768,21 @@ class BOEModel:
                 from the stage's task count vs ``delta`` (concurrent stages
                 always auto-detect).
         """
-        return self._task_time(
-            job, kind, delta, concurrent, task_input_mb, staggered, self._pipelines
-        )
+        built = self._pipelines
+        target = self._pipeline(job, kind, task_input_mb, built)
+        stages = [
+            _Stage(
+                target,
+                delta,
+                target.staggered(delta) if staggered is None else staggered,
+            )
+        ]
+        for other, other_kind, other_delta in concurrent:
+            pipeline = self._pipeline(other, other_kind, None, built)
+            stages.append(
+                _Stage(pipeline, other_delta, pipeline.staggered(other_delta))
+            )
+        return self._solve(job.name, kind, stages)
 
     def solve_batch(
         self,
@@ -523,27 +793,53 @@ class BOEModel:
 
         The per-point arithmetic is *exactly* :meth:`task_time`'s — same
         cache lookups, same fixed-point solves, same float operation order —
-        so batched and serial results are bit-identical.  What the model
-        amortises is the setup: each distinct (job, stage) pipeline is
-        decomposed (:func:`~repro.mapreduce.phases.build_task_substages`) and
-        compiled into slot-indexed op tuples once per model, and shared by
-        every point of every batch that references it, instead of being
-        rebuilt per target *and* per concurrent appearance.  An Algorithm 1
-        state with ``R`` running stages performs at most ``R``
-        decompositions instead of ``R**2``; a tuner's batches share them
-        across every candidate that keeps a job unchanged.  An uncached
-        model (``cache=False``) keeps the compiled pipelines for one batch
-        only.
+        so batched and serial results are bit-identical.  What the batch
+        amortises is the bookkeeping around the arithmetic.  Each distinct
+        (job, stage) is resolved to its compiled pipeline once per call,
+        and each distinct (job, stage, Delta) to a shared stage record once
+        per call: its wave regime, its part of the memo key and, on the
+        first real solve, its starting user increments.  An Algorithm 1
+        state with ``R`` running stages asks ``R`` main points and its
+        ragged tails, and they all share those ``R`` resolutions instead of
+        each point resolving its whole system again.  The pipelines
+        themselves are decomposed
+        (:func:`~repro.mapreduce.phases.build_task_substages`) and compiled
+        into slot-indexed op tuples once per model and shared by every later
+        batch, so a tuner's batches share them across every candidate that
+        keeps a job unchanged.  An uncached model (``cache=False``) keeps
+        the compiled pipelines for one batch only.
         """
         if self._ctr_batch is not None:
             self._ctr_batch.inc(len(points))
         built = self._pipelines
         if built is None:
             built = LRUCache(DEFAULT_CACHE_ENTRIES)
-        return [
-            self._task_time(job, kind, delta, concurrent, None, None, built)
-            for job, kind, delta, concurrent in points
-        ]
+        # Keyed by identity: the points of a batch hold their jobs, and an
+        # equal job under another identity still shares the model's
+        # value-keyed pipeline memo.
+        pipelines: Dict[Tuple[int, StageKind], _Pipeline] = {}
+        stages: Dict[Tuple[int, StageKind, float], _Stage] = {}
+
+        def stage(job: MapReduceJob, kind: StageKind, delta: float) -> _Stage:
+            found = stages.get((id(job), kind, delta))
+            if found is None:
+                pipeline = pipelines.get((id(job), kind))
+                if pipeline is None:
+                    pipeline = pipelines[(id(job), kind)] = self._pipeline(
+                        job, kind, None, built
+                    )
+                found = stages[(id(job), kind, delta)] = _Stage(
+                    pipeline, delta, pipeline.staggered(delta)
+                )
+            return found
+
+        answers = []
+        for job, kind, delta, concurrent in points:
+            system = [stage(job, kind, delta)]
+            for other, other_kind, other_delta in concurrent:
+                system.append(stage(other, other_kind, other_delta))
+            answers.append(self._solve(job.name, kind, system))
+        return answers
 
     def _pipeline(
         self,
@@ -575,63 +871,70 @@ class BOEModel:
                 memo.put((job, kind), pipeline)
         return pipeline
 
-    def _task_time(
-        self,
-        job: MapReduceJob,
-        kind: StageKind,
-        delta: float,
-        concurrent: Sequence[Tuple[MapReduceJob, StageKind, float]],
-        task_input_mb: Optional[float],
-        staggered: Optional[bool],
-        built: Optional[LRUCache],
-    ) -> TaskEstimate:
-        target = self._pipeline(job, kind, task_input_mb, built)
-        target_ctx = _StageCtx(
-            target,
-            delta,
-            target.staggered(delta) if staggered is None else staggered,
-        )
-        system = [target_ctx]
-        for other, other_kind, other_delta in concurrent:
-            pipeline = self._pipeline(other, other_kind, None, built)
-            system.append(
-                _StageCtx(pipeline, other_delta, pipeline.staggered(other_delta))
-            )
+    def _solve(self, job: str, kind: StageKind, stages: List[_Stage]) -> TaskEstimate:
+        """The target's estimate (``stages[0]``) under the others' load.
 
-        # The competition solve is a pure function of the system signature
-        # (sub-stage structures, parallelisms, wave regimes, in state
-        # order); job identity only labels the result.  Keying on the
-        # *built* sub-stages keeps the key call-time fresh — a changed
-        # job builds different sub-stages and misses — while
-        # perturbing a knob that leaves this stage's pipeline untouched
-        # (e.g. the reducer count, for a map estimate) still hits.
+        The competition solve is a pure function of the system signature
+        (sub-stage structures, parallelisms, wave regimes, in state order);
+        job identity only labels the result.  Keying on the *built*
+        sub-stages keeps the key call-time fresh — a changed job builds
+        different sub-stages and misses — while perturbing a knob that
+        leaves this stage's pipeline untouched (e.g. the reducer count, for
+        a map estimate) still hits.
+        """
         key = None
         if self._cache is not None:
-            key = tuple(
-                (ctx.pipeline.signature, ctx.delta, ctx.staggered) for ctx in system
-            )
+            key = tuple([stage.part for stage in stages])
             hit = self._cache.get(key)
             if hit is not None:
                 self._stats.hits += 1
                 if self._ctr_hits is not None:
                     self._ctr_hits.inc()
-                if hit.job == job.name and hit.kind is kind:
+                if hit.job == job and hit.kind is kind:
                     return hit  # a repeated query: the stored estimate
-                return TaskEstimate(job=job.name, kind=kind, substages=hit.substages)
+                return TaskEstimate(job=job, kind=kind, substages=hit.substages)
             self._stats.misses += 1
             if self._ctr_misses is not None:
                 self._ctr_misses.inc()
 
         if self._ctr_solves is not None:
             self._ctr_solves.inc()
-        self._solve_system(system)
-        # Frozen output objects only for the target's final sub-stages.
+        workers = self._cluster.workers
+        plain = not self._refine
+        safe = True
+        for stage in stages:
+            if not stage.primed:
+                stage.prime(workers)
+            if stage.staggered:
+                plain = False
+            if not stage.safe:
+                safe = False
+        subs = stages[0].subs
+        if plain:
+            # One round, evaluated on demand (see _round_users); where a
+            # stage could fail, every stage is evaluated in round order, so
+            # the error comes from the evaluation the full round fails in.
+            end = len(stages)
+            settled: List[Optional[List[Tuple[int, float]]]] = [None] * end
+            if not safe:
+                for position in range(end):
+                    self._once(stages, settled, position)
+            users = [
+                self._round_users(stages, settled, 0, end, idx)
+                for idx in range(len(subs))
+            ]
+        else:
+            system = [_StageCtx(stage, workers) for stage in stages]
+            self._solve_system(system)
+            users = [
+                self._slot_users(system, system[0], idx) for idx in range(len(subs))
+            ]
+        # Output objects only for the target's final sub-stages.
         estimate = TaskEstimate(
-            job=job.name,
+            job=job,
             kind=kind,
             substages=tuple(
-                self._estimate(sub, self._slot_users(system, target_ctx, idx))
-                for idx, sub in enumerate(target_ctx.pipeline.subs)
+                [self._estimate(sub, counts) for sub, counts in zip(subs, users)]
             ),
         )
         if key is not None:

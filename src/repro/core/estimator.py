@@ -22,8 +22,9 @@ kind, remaining work and previous Delta_i, in insertion and arrival
 order — so :meth:`DagEstimator._step` memoises them per estimator.  The
 candidates of a sweep share most of their states (a knob leaves every
 state before its job starts untouched), and an estimator reused across
-them steps each such state once; steps 4–5 and the recorded plan still
-run on every state.
+them steps each such state once; steps 4–5 still run on every state.
+The plan keeps one record per state (its start and its step) and builds
+:class:`~repro.core.state.EstimatedState` objects only when they are read.
 
 ``t_dag = sum_s t_stage(s)`` falls out as the sum of state durations.
 ``tests/core/test_algorithm1_oracle.py`` checks the whole loop, to the bit,
@@ -39,22 +40,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.core.boe import BOEModel
-from repro.core.distributions import (
-    TaskTimeDistribution,
-    Variant,
-    stage_time,
-    wave_sizes,
-)
+from repro.core.distributions import TaskTimeDistribution, Variant, wave_sizes
 from repro.core.memo import DEFAULT_CACHE_ENTRIES, CacheStats, LRUCache
-from repro.core.parallelism import RunningStage, estimate_parallelism
-from repro.core.state import DagEstimate, EstimatedState, WorkflowProgress
+from repro.core.parallelism import equilibrium
+from repro.core.state import DagEstimate, EstimatedState, LazyStates, WorkflowProgress
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.stage import StageKind
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.scheduler.container import container_for
 
 _EPS = 1e-9
 _MAX_ITERATIONS = 100_000
@@ -76,9 +74,17 @@ Point = Tuple[
 _StageDists = Dict[str, Tuple[TaskTimeDistribution, Optional[TaskTimeDistribution]]]
 
 #: Steps 1–3 of one state: granted Delta_i, the clamped deltas, the task
-#: times, the state's length, each stage's rest time and the finishers.
+#: times, the state's length, each stage's rest time, the finishers, and
+#: the running (job name, kind) pairs in insertion order (which the step's
+#: key fixes, so a cached step can label any state it is replayed for).
 _Step = Tuple[
-    Dict[str, float], Dict[str, float], _StageDists, float, Dict[str, float], Set[str]
+    Dict[str, float],
+    Dict[str, float],
+    _StageDists,
+    float,
+    Dict[str, float],
+    Set[str],
+    Tuple[Tuple[str, StageKind], ...],
 ]
 
 
@@ -151,9 +157,7 @@ class BOESource:
         value = duration
         if self._include_overhead:
             value += job.config.task_overhead_s
-        return TaskTimeDistribution(
-            mean=value, median=value, std=value * self._skew_cv, n=0
-        )
+        return TaskTimeDistribution(value, value, value * self._skew_cv, 0)
 
     def distribution(
         self,
@@ -170,9 +174,10 @@ class BOESource:
     ) -> List[TaskTimeDistribution]:
         """Vectorised :meth:`distribution` via the batched BOE kernel."""
         estimates = self._model.solve_batch(points)
+        wrap = self._wrap
         return [
-            self._wrap(job, estimate.duration)
-            for (job, _, _, _), estimate in zip(points, estimates)
+            wrap(point[0], estimate.duration)
+            for point, estimate in zip(points, estimates)
         ]
 
 
@@ -232,20 +237,23 @@ class _StageProgress:
     total: float  # task count of the stage
     t_start: float
     prev_delta: float = 0.0  # parallelism granted in the previous state
+    container: Optional[ResourceVector] = None  # request per task (DRF demand)
 
 
 @dataclass
 class _Walk:
     """Algorithm 1's loop state over one workflow: the running stages in
     start order, the completed jobs, the arrival order the FIFO/fair
-    policies serve by, the clock, and the plan recorded so far."""
+    policies serve by, the clock, and the plan recorded so far: one
+    ``(t_start, step)`` record per state, built into
+    :class:`~repro.core.state.EstimatedState` objects only when read."""
 
     workflow: Workflow
     now: float = 0.0
     running: Dict[str, _StageProgress] = field(default_factory=dict)
     done: Set[str] = field(default_factory=set)
     arrival: Dict[str, int] = field(default_factory=dict)
-    states: List[EstimatedState] = field(default_factory=list)
+    records: List[Tuple[float, _Step]] = field(default_factory=list)
     spans: Dict[Tuple[str, StageKind], Tuple[float, float]] = field(
         default_factory=dict
     )
@@ -269,6 +277,7 @@ class _Walk:
             # tasks already running; seed the demand cap accordingly (the
             # scheduler clamps it to the actual slots).
             prev_delta=tasks if resumed_mid_flight else 0.0,
+            container=container_for(job, kind),
         )
 
 
@@ -296,6 +305,7 @@ class DagEstimator:
         batch: bool = True,
     ):
         self._cluster = cluster
+        self._capacity = cluster.capacity
         self._source = source
         self._variant = variant
         self._policy = policy
@@ -342,18 +352,20 @@ class DagEstimator:
             else None
         )
         walk = self._first_state(workflow, initial)
+        records = walk.records
         while walk.running:
-            if len(walk.states) >= _MAX_ITERATIONS:
+            if len(records) >= _MAX_ITERATIONS:
                 raise self._exhausted(walk)
             iter_span = (
                 self._otr.begin(
-                    "est.state", index=len(walk.states) + 1, sim_t_start=walk.now
+                    "est.state", index=len(records) + 1, sim_t_start=walk.now
                 )
                 if self._otr is not None
                 else None
             )
-            granted, deltas, dists, dt, rests, finishing = self._step(walk)
-            self._record_state(walk, granted, dists, dt)
+            step = self._step(walk)
+            _, deltas, _, dt, rests, finishing, _ = step
+            self._record_state(walk, step)
             walk.now += dt
             self._advance(walk, deltas, rests, dt, finishing)
             self._transition(walk, finishing)
@@ -368,21 +380,21 @@ class DagEstimator:
         total = walk.now
         overhead = time.perf_counter() - t_wall
         if self._ctr_iterations is not None:
-            self._ctr_iterations.inc(len(walk.states))
+            self._ctr_iterations.inc(len(records))
         if run_span is not None:
-            self._otr.finish(run_span, total_time_s=total, states=len(walk.states))
+            self._otr.finish(run_span, total_time_s=total, states=len(records))
         logger.debug(
             "estimated %s (%s): t_dag=%.3fs states=%d overhead=%.1fms",
             workflow.name,
             self._variant.value,
             total,
-            len(walk.states),
+            len(records),
             overhead * 1e3,
         )
         return DagEstimate(
             workflow_name=workflow.name,
             total_time=total,
-            states=walk.states,
+            states=LazyStates(records, self._state_from_record),
             stage_spans=walk.spans,
             variant=self._variant.value,
             model_overhead_s=overhead,
@@ -426,7 +438,8 @@ class DagEstimator:
         and configuration are fixed.  Callers only read the cached step.
         """
         running = walk.running
-        signature = sorted(running, key=walk.arrival.__getitem__)
+        order = sorted(running, key=walk.arrival.__getitem__)
+        signature = list(order)
         for p in running.values():
             signature += (p.job, p.kind, p.remaining, p.prev_delta)
         key = tuple(signature)
@@ -435,16 +448,18 @@ class DagEstimator:
             self._step_stats.hits += 1
             return step
         self._step_stats.misses += 1
-        granted = self._parallelism(walk)
+        granted = self._parallelism(walk, order)
         deltas = {n: max(granted.get(n, 0.0), _EPS) for n in running}
-        dists = self._task_times(walk, deltas)
-        dt, rests, finishing = self._first_stage_end(walk, deltas, dists)
-        step = (granted, deltas, dists, dt, rests, finishing)
+        dists, waves = self._task_times(walk, deltas)
+        dt, rests, finishing = self._first_stage_end(walk, deltas, dists, waves)
+        layout = tuple([(name, p.kind) for name, p in running.items()])
+        step = (granted, deltas, dists, dt, rests, finishing, layout)
         self._steps.put(key, step)
         return step
 
-    def _parallelism(self, walk: _Walk) -> Dict[str, float]:
-        """Step 1: Delta_i per running job from the scheduler equilibrium.
+    def _parallelism(self, walk: _Walk, order: List[str]) -> Dict[str, float]:
+        """Step 1: Delta_i per running job from the scheduler equilibrium,
+        with the stages in arrival ``order``.
 
         The scheduler demand cap is the number of *not yet completed*
         tasks.  Fluid work accounting cannot distinguish "W task
@@ -452,44 +467,42 @@ class DagEstimator:
         wave in flight", so it is bounded from above: the tasks in flight
         (at most the previous state's parallelism) plus the pending work.
         Under-capping here would starve a single-wave stage whose tasks all
-        stay in flight to the very end.
+        stay in flight to the very end.  The rows are the memo key of
+        :func:`~repro.core.parallelism.equilibrium`; the returned mapping
+        is shared, and only read.
         """
-        stages = [
-            RunningStage(
-                p.job, p.kind, min(p.total, math.ceil(p.remaining + p.prev_delta))
-            )
-            for _, p in sorted(
-                walk.running.items(), key=lambda item: walk.arrival[item[0]]
-            )
-        ]
-        return estimate_parallelism(
-            stages,
-            self._cluster,
-            policy=self._policy,
-            enforce_vcores=self._enforce_vcores,
+        running = walk.running
+        rows = []
+        for name in order:
+            p = running[name]
+            cap = min(p.total, math.ceil(p.remaining + p.prev_delta))
+            rows.append((name, p.container, int(math.ceil(cap - 1e-9))))
+        return equilibrium(
+            tuple(rows), self._capacity, self._policy, self._enforce_vcores
         )
 
     def _task_times(
         self, walk: _Walk, deltas: Dict[str, float]
-    ) -> _StageDists:
+    ) -> Tuple[_StageDists, List[List[int]]]:
         """Step 2: each running stage's task-time distribution at its
         Delta_i under the others' load, plus — for a ragged final wave —
         the distribution at that wave's own, lower parallelism (for
         contention-driven task times those final tasks are genuinely
         faster).  All of a state's queries go to the source in one call.
+        Also returns each stage's wave sizes, in running order, for step 3.
         """
+        running = walk.running
+        loads = [(p.job, p.kind, deltas[name]) for name, p in running.items()]
         main: List[Point] = []
         tails: List[Point] = []
         ragged: List[bool] = []
-        for name, progress in walk.running.items():
-            delta = deltas[name]
-            concurrent = [
-                (other.job, other.kind, deltas[other_name])
-                for other_name, other in walk.running.items()
-                if other_name != name
-            ]
+        waves_of: List[List[int]] = []
+        for index, (progress, load) in enumerate(zip(running.values(), loads)):
+            delta = load[2]
+            concurrent = loads[:index] + loads[index + 1:]
             main.append((progress.job, progress.kind, delta, concurrent))
             waves = wave_sizes(progress.total, delta)
+            waves_of.append(waves)
             last = waves[-1]
             is_ragged = len(waves) >= 2 and last < max(1, int(delta + 1e-9))
             if is_ragged:
@@ -500,16 +513,18 @@ class DagEstimator:
         else:
             answers = [self._source.distribution(*point) for point in main + tails]
         tail_answers = iter(answers[len(main):])
-        return {
+        dists = {
             name: (dist, next(tail_answers) if is_ragged else None)
-            for name, dist, is_ragged in zip(walk.running, answers, ragged)
+            for name, dist, is_ragged in zip(running, answers, ragged)
         }
+        return dists, waves_of
 
     def _first_stage_end(
         self,
         walk: _Walk,
         deltas: Dict[str, float],
         dists: _StageDists,
+        waves_of: List[List[int]],
     ) -> Tuple[float, Dict[str, float], Set[str]]:
         """Step 3: every stage's rest time, and the state's length — the
         first stage end — with the stages that finish at it.
@@ -521,9 +536,11 @@ class DagEstimator:
         has one third of a wave left, not a whole fresh wave.
         """
         rests: Dict[str, float] = {}
-        for name, progress in walk.running.items():
+        for (name, progress), waves in zip(walk.running.items(), waves_of):
             dist, tail = dists[name]
-            whole = self._whole_stage_time(progress.total, deltas[name], dist, tail)
+            whole = self._whole_stage_time(
+                progress.total, deltas[name], waves, dist, tail
+            )
             rests[name] = whole * (progress.remaining / progress.total)
         dt = min(rests.values())
         return dt, rests, {name for name, rest in rests.items() if rest <= dt + _EPS}
@@ -532,42 +549,46 @@ class DagEstimator:
         self,
         total: float,
         delta: float,
+        waves: List[int],
         dist: TaskTimeDistribution,
         tail: Optional[TaskTimeDistribution],
     ) -> float:
-        """Wave-quantized stage duration; ``tail`` re-prices a ragged final
-        wave (sources that ignore ``delta``, such as measured profiles,
-        give it the same distribution)."""
-        if tail is None:
-            return stage_time(total, delta, dist, self._variant)
-        waves = wave_sizes(total, delta)
-        if self._variant is Variant.NORMAL:
+        """Wave-quantized stage duration
+        (:func:`~repro.core.distributions.stage_time` on the stage's
+        ``waves``); ``tail`` re-prices a ragged final wave (sources that
+        ignore ``delta``, such as measured profiles, give it the same
+        distribution)."""
+        variant = self._variant
+        if variant is Variant.NORMAL:
             body = (total - waves[-1]) / max(1, int(delta + 1e-9)) * dist.mean
-            return body + tail.expected_wave_max(waves[-1])
-        return (len(waves) - 1) * dist.statistic(self._variant) + tail.statistic(
-            self._variant
-        )
+            last = dist if tail is None else tail
+            return body + last.expected_wave_max(waves[-1])
+        if tail is None:
+            return len(waves) * dist.statistic(variant)
+        return (len(waves) - 1) * dist.statistic(variant) + tail.statistic(variant)
 
-    def _record_state(
-        self,
-        walk: _Walk,
-        granted: Dict[str, float],
-        dists: _StageDists,
-        dt: float,
-    ) -> None:
-        """Append the state ``[now, now + dt)`` to the estimated plan."""
-        walk.states.append(
-            EstimatedState(
-                index=len(walk.states) + 1,
-                t_start=walk.now,
-                t_end=walk.now + dt,
-                running=frozenset((p.job.name, p.kind) for p in walk.running.values()),
-                deltas={n: granted.get(n, 0.0) for n in walk.running},
-                task_times={
-                    (p.job.name, p.kind): dists[n][0].statistic(self._variant)
-                    for n, p in walk.running.items()
-                },
-            )
+    @staticmethod
+    def _record_state(walk: _Walk, step: _Step) -> None:
+        """Append the state ``[now, now + dt)`` to the estimated plan, as a
+        record: its start and the (shared, read-only) step."""
+        walk.records.append((walk.now, step))
+
+    def _state_from_record(
+        self, index: int, record: Tuple[float, _Step]
+    ) -> EstimatedState:
+        """The plan's ``index``-th state, built from its record."""
+        t_start, (granted, _, dists, dt, _, _, layout) = record
+        variant = self._variant
+        return EstimatedState(
+            index=index,
+            t_start=t_start,
+            t_end=t_start + dt,
+            running=frozenset(layout),
+            deltas={name: granted.get(name, 0.0) for name, _ in layout},
+            task_times={
+                (name, kind): dists[name][0].statistic(variant)
+                for name, kind in layout
+            },
         )
 
     @staticmethod
@@ -595,17 +616,21 @@ class DagEstimator:
         stage; a finished job releases every child whose parents have all
         completed."""
         workflow = walk.workflow
-        for name in [n for n in walk.running if n in finishing]:
-            progress = walk.running.pop(name)
+        running = walk.running
+        done = walk.done
+        if len(finishing) > 1:  # finishers transition in start order
+            finishing = [n for n in running if n in finishing]
+        for name in finishing:
+            progress = running.pop(name)
             walk.spans[(name, progress.kind)] = (progress.t_start, walk.now)
             if progress.kind is StageKind.MAP and not progress.job.is_map_only:
                 walk.start(name, StageKind.REDUCE)
                 continue
-            walk.done.add(name)
+            done.add(name)
             for child in sorted(workflow.children(name)):
-                if child in walk.done or child in walk.running:
+                if child in done or child in running:
                     continue
-                if all(p in walk.done for p in workflow.parents(child)):
+                if all(p in done for p in workflow.parents(child)):
                     walk.start(child, StageKind.MAP)
 
     @staticmethod

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.core.memo import LRUCache
 from repro.errors import EstimationError
 from repro.mapreduce.job import MapReduceJob
@@ -73,6 +74,11 @@ def clear_parallelism_memo() -> None:
     _MEMO.clear()
 
 
+#: One stage's row of an equilibrium query and of its memo key: job name,
+#: container request and demand cap (whole tasks).
+DemandRow = Tuple[str, ResourceVector, int]
+
+
 def estimate_parallelism(
     stages: Sequence[RunningStage],
     cluster: Cluster,
@@ -84,31 +90,43 @@ def estimate_parallelism(
     Returns a mapping from job name to the continuous equilibrium container
     count, capped by each stage's remaining tasks.
     """
-    if policy not in _EQUILIBRIA:
-        raise EstimationError(f"unknown scheduler policy {policy!r}")
-    demands = [
-        JobDemand(
-            name=stage.job.name,
-            container=container_for(stage.job, stage.kind),
-            max_tasks=int(math.ceil(stage.remaining_tasks - 1e-9)),
+    rows = tuple(
+        (
+            stage.job.name,
+            container_for(stage.job, stage.kind),
+            int(math.ceil(stage.remaining_tasks - 1e-9)),
         )
         for stage in stages
-    ]
-    key = (
-        tuple((d.name, d.container, d.max_tasks) for d in demands),
-        cluster.capacity,
-        policy,
-        enforce_vcores,
     )
+    return dict(equilibrium(rows, cluster.capacity, policy, enforce_vcores))
+
+
+def equilibrium(
+    rows: Tuple[DemandRow, ...],
+    capacity: ResourceVector,
+    policy: str = "drf",
+    enforce_vcores: bool = False,
+) -> Mapping[str, float]:
+    """:func:`estimate_parallelism` for demand rows already in key form.
+
+    The rows *are* the memo key, so a hit builds no object; the
+    :class:`JobDemand` list the scheduler takes is built only on a miss.
+    The returned mapping is the memo's own entry: read it, never mutate it.
+    """
+    if policy not in _EQUILIBRIA:
+        raise EstimationError(f"unknown scheduler policy {policy!r}")
+    key = (rows, capacity, policy, enforce_vcores)
     hit = _MEMO.get(key)
     if hit is not None:
-        return dict(hit)
-    equilibrium = _EQUILIBRIA[policy]
+        return hit
+    demands = [
+        JobDemand(name=name, container=container, max_tasks=max_tasks)
+        for name, container, max_tasks in rows
+    ]
+    solve = _EQUILIBRIA[policy]
     if policy == "drf":
-        deltas = equilibrium(
-            demands, cluster.capacity, enforce_vcores=enforce_vcores
-        )
+        deltas = solve(demands, capacity, enforce_vcores=enforce_vcores)
     else:
-        deltas = equilibrium(demands, cluster.capacity)
-    _MEMO.put(key, dict(deltas))
+        deltas = solve(demands, capacity)
+    _MEMO.put(key, deltas)
     return deltas

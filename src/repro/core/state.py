@@ -11,7 +11,17 @@ estimated execution plan, directly comparable with the simulator's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import EstimationError
 from repro.mapreduce.stage import StageKind
@@ -71,6 +81,64 @@ class EstimatedState:
         return self.t_end - self.t_start
 
 
+class LazyStates(Sequence[EstimatedState]):
+    """An estimated plan whose :class:`EstimatedState` objects are built on
+    first read.
+
+    Algorithm 1 keeps one compact record per state, and most callers (a
+    sweep ranking candidates, the service counting states) never look
+    inside; ``len`` answers from the records without building anything.
+    Any other read builds the whole list once, with ``build(index,
+    record)``, and serves it from then on.  A plan compares equal to a list
+    of the same states, and pickles as one.
+    """
+
+    __slots__ = ("_records", "_build", "_states")
+
+    def __init__(
+        self, records: List[Any], build: Callable[[int, Any], EstimatedState]
+    ):
+        self._records: Optional[List[Any]] = records
+        self._build: Optional[Callable[[int, Any], EstimatedState]] = build
+        self._states: Optional[List[EstimatedState]] = None
+
+    def _built(self) -> List[EstimatedState]:
+        states = self._states
+        if states is None:
+            build = self._build
+            states = self._states = [
+                build(index, record) for index, record in enumerate(self._records, 1)
+            ]
+            self._records = self._build = None
+        return states
+
+    def __len__(self) -> int:
+        if self._states is None:
+            return len(self._records)
+        return len(self._states)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[EstimatedState]:
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyStates):
+            other = other._built()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._built() == other
+
+    __hash__ = None  # type: ignore[assignment]  # a list is unhashable too
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __reduce__(self):
+        return (list, (self._built(),))
+
+
 @dataclass
 class DagEstimate:
     """Full output of the state-based workflow estimator.
@@ -78,7 +146,9 @@ class DagEstimate:
     Attributes:
         workflow_name: which workflow was estimated.
         total_time: estimated end-to-end execution time ``t_dag``.
-        states: the estimated execution plan, one entry per state.
+        states: the estimated execution plan, one entry per state.  The
+            estimator hands over a :class:`LazyStates`, which builds the
+            state objects on first read; :attr:`state_count` never does.
         stage_spans: estimated (start, end) per (job name, stage kind).
         variant: which per-task statistic was planned with.
         model_overhead_s: wall-clock cost of computing this estimate (the
@@ -87,12 +157,17 @@ class DagEstimate:
 
     workflow_name: str
     total_time: float
-    states: List[EstimatedState] = field(default_factory=list)
+    states: Sequence[EstimatedState] = field(default_factory=list)
     stage_spans: Dict[Tuple[str, StageKind], Tuple[float, float]] = field(
         default_factory=dict
     )
     variant: str = "mean"
     model_overhead_s: float = 0.0
+
+    @property
+    def state_count(self) -> int:
+        """How many states the plan has, without building them."""
+        return len(self.states)
 
     def stage_duration(self, job: str, kind: StageKind) -> float:
         try:

@@ -79,13 +79,11 @@ def drf_equilibrium(
     free_vcores = capacity.vcores
     free_memory = capacity.memory_mb
 
+    # Growth rate of each job in containers per unit of the common
+    # (weighted) dominant-share parameter lambda.  Fairness always uses the
+    # full dominant share, even when admission ignores vcores.
+    growth = {d.name: d.weight / d.container.dominant_share(capacity) for d in active}
     while active:
-        # Growth rate of each active job in containers per unit of the common
-        # (weighted) dominant-share parameter lambda.  Fairness always uses
-        # the full dominant share, even when admission ignores vcores.
-        growth = {
-            d.name: d.weight / d.container.dominant_share(capacity) for d in active
-        }
         # Candidate events: a job hits its demand cap, or a resource that
         # gates admission saturates.
         lam = float("inf")

@@ -318,7 +318,7 @@ class _EvalContext:
                 index=index,
                 label=label,
                 total_time_s=estimate.total_time,
-                states=len(estimate.states),
+                states=estimate.state_count,
                 overhead_s=estimate.model_overhead_s,
             )
         if memo_key is not None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.cluster.resources import Resource
 from repro.core import BOEModel, BOESource, DagEstimator, StageLoad
 from repro.core.allocation import per_task_throughput
 from repro.core.boe import OpEstimate, SubStageEstimate, TaskEstimate
+from repro.core.state import LazyStates
 from repro.core import boe
 from repro.errors import EstimationError, SpecificationError
 from repro.mapreduce import StageKind, build_task_substages
@@ -300,6 +302,83 @@ class TestDictPathDifferential:
                     )
 
 
+class TestBatchedEqualsSerial:
+    """Every answer the batched, memoised kernel gives Algorithm 1 equals an
+    unbatched, uncached ``task_time`` of the same point and the dict path,
+    with its per-op detail read lazily or after a pickle round trip; and a
+    plan's lazily built states equal states built as the estimate ends."""
+
+    @staticmethod
+    def workflows() -> Dict[str, object]:
+        named = {f"table3/{name}": wf for name, wf in table3_workflows(0.05).items()}
+        named.update({f"generated/{i}": random_workflow(i) for i in range(RANDOM_DAGS)})
+        return named
+
+    @staticmethod
+    def _fields(estimate: TaskEstimate) -> List[tuple]:
+        """Everything but the per-op detail, which stays unread."""
+        return [(estimate.job, estimate.kind)] + [
+            (sub.name, sub.duration.hex(), sub.bottleneck) for sub in estimate.substages
+        ]
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_batched_answers_equal_serial_and_dict_path(self, refine):
+        cluster = paper_cluster()
+        serial = BOEModel(cluster, refine=refine, cache=False)
+        oracle = DictPathOracle(serial)
+        checked = 0
+        for name, workflow in self.workflows().items():
+            model = _RecordingModel(cluster, refine=refine)
+            DagEstimator(cluster, BOESource(model)).estimate(workflow)
+            # The memo's entries, pickled before anything reads their ops
+            # (a sweep pickles BOE sources into pool contexts).
+            memo = list(model._cache._data.values())
+            thawed = pickle.loads(pickle.dumps(memo))
+            for (job, kind, delta, concurrent), got in model.log:
+                want = serial.task_time(job, kind, delta, concurrent)
+                assert self._fields(got) == self._fields(want), (name, job.name, kind)
+                exact = oracle.task_time(job, kind, delta, concurrent)
+                assert [sub.ops for sub in got.substages] == [
+                    sub.ops for sub in exact.substages
+                ], (name, job.name, kind)
+                assert got == want == exact, (name, job.name, kind)
+                checked += 1
+            assert thawed == memo, name
+            for before, after in zip(memo, thawed):
+                assert [s.ops for s in after.substages] == [
+                    s.ops for s in before.substages
+                ]
+        assert checked > 1000
+
+    def test_lazy_states_equal_states_built_at_once(self):
+        cluster = paper_cluster()
+        workflows = list(self.workflows().values())
+        # One estimator for every workflow: the later estimates replay and
+        # extend steps the earlier plans' records share.
+        shared = DagEstimator(cluster, BOESource(BOEModel(cluster)))
+        plans = [shared.estimate(workflow) for workflow in workflows]
+        for workflow, plan in zip(workflows, plans):
+            assert isinstance(plan.states, LazyStates)
+            count = plan.state_count
+            assert len(plan.states) == count and plan.states._states is None
+            eager = DagEstimator(cluster, BOESource(BOEModel(cluster))).estimate(workflow)
+            eager_states = list(eager.states)
+            lazy_states = list(plan.states)
+            assert len(lazy_states) == count == len(eager_states)
+            for lazy, built in zip(lazy_states, eager_states):
+                assert lazy.index == built.index
+                assert lazy.t_start.hex() == built.t_start.hex()
+                assert lazy.t_end.hex() == built.t_end.hex()
+                assert lazy.running == built.running
+                assert list(lazy.deltas.items()) == list(built.deltas.items())
+                assert list(lazy.task_times.items()) == list(built.task_times.items())
+                assert [v.hex() for v in lazy.task_times.values()] == [
+                    v.hex() for v in built.task_times.values()
+                ]
+            assert plan.states == eager.states == eager_states
+            assert pickle.loads(pickle.dumps(plan.states)) == eager_states
+
+
 class TestErrorParity:
     """Inputs the kernel rejects, it rejects exactly as the dict path does."""
 
@@ -329,6 +408,49 @@ class TestErrorParity:
             monkeypatch.setattr(module, "build_task_substages", lambda *a, **k: pipeline)
         kind, _ = self._both(paper_cluster(), small_ts, 4.0)
         assert kind is SpecificationError
+
+    @pytest.mark.parametrize("failure", ["memory-op", "infinite-delta"])
+    def test_failing_competitor_raises_as_dict_path(
+        self, small_ts, small_wc, monkeypatch, failure
+    ):
+        """A competitor whose own evaluation fails fails the solve, even
+        when the target reads only its same-named sub-stages' own load and
+        never its settled mix: a memory op, or an infinite Delta that
+        starves the competitor's disk but not the target's cores."""
+        build = build_task_substages
+        delta = 40.0
+        if failure == "memory-op":
+            competitor_ops = (
+                OpSpec(OP_READ, Resource.DISK, 10.0),
+                OpSpec(OP_COMPUTE, Resource.MEMORY, 5.0),
+            )
+            target_ops = None
+        else:
+            competitor_ops = (OpSpec(OP_READ, Resource.DISK, 10.0),)
+            target_ops = (OpSpec(OP_COMPUTE, Resource.CPU, 5.0, per_flow_cap=1.0),)
+            delta = float("inf")
+
+        def patched(job, kind, **kwargs):
+            substages = build(small_ts, kind, **kwargs)
+            ops = competitor_ops if job.name == small_wc.name else target_ops
+            if ops is None:
+                return substages
+            # The target's sub-stage names, so every read is phase-locked.
+            return [SubStageSpec(sub.name, ops) for sub in substages]
+
+        for module in (boe, sys.modules[__name__]):
+            monkeypatch.setattr(module, "build_task_substages", patched)
+        model = BOEModel(paper_cluster(), cache=False)
+        raised = []
+        for solver in (model, DictPathOracle(model)):
+            with pytest.raises(Exception) as info:
+                solver.task_time(
+                    small_ts, StageKind.MAP, 40.0, [(small_wc, StageKind.MAP, delta)]
+                )
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        want = SpecificationError if failure == "memory-op" else EstimationError
+        assert raised[0][0] is want
 
 
 class TestBottleneckTieBreak:
