@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resource
 from repro.core.allocation import StageLoad, resource_users
@@ -50,6 +52,12 @@ from repro.obs.metrics import get_metrics
 _STAGGER_WAVES = 1.5
 
 _INF = float("inf")
+
+
+def _synchronised(tasks, delta):
+    """The stagger rule: ``tasks`` run in synchronised waves at parallelism
+    ``delta`` (elementwise on arrays, as the bound kernel reads it)."""
+    return tasks <= _STAGGER_WAVES * delta
 
 
 @dataclass(frozen=True)
@@ -266,10 +274,11 @@ class _Pipeline:
     ``tasks`` is the stage's task count, which fixes its wave regime at a
     given parallelism.  ``pooled`` says every op draws on a throughput pool
     (no memory op), so evaluating a sub-stage can fail only under an
-    unbounded user count.
+    unbounded user count.  ``amounts`` is the bound screen's view
+    (:mod:`repro.core.bounds`), built when first read.
     """
 
-    __slots__ = ("subs", "first", "signature", "tasks", "pooled")
+    __slots__ = ("subs", "first", "signature", "tasks", "pooled", "_amounts")
 
     def __init__(self, substages: Sequence[SubStageSpec], tasks: int):
         self.subs = tuple(_compile(sub) for sub in substages)
@@ -279,10 +288,26 @@ class _Pipeline:
         self.signature = _Signature(tuple((sub.name, sub.ops) for sub in self.subs))
         self.tasks = tasks
         self.pooled = all(3 not in sub.order for sub in self.subs)
+        self._amounts: Optional[np.ndarray] = None
+
+    @property
+    def amounts(self) -> np.ndarray:
+        """Read-only ``[sub-stages x (cpu core-s, disk MB, net MB)]`` matrix:
+        each sub-stage's throughput demand per slot, summed in op order
+        from 0.0 (memory ops carry no throughput demand)."""
+        if self._amounts is None:
+            rows = [[0.0, 0.0, 0.0] for _ in self.subs]
+            for row, sub in zip(rows, self.subs):
+                for slot, amount, _, _ in sub.ops:
+                    if slot < 3:
+                        row[slot] += amount
+            self._amounts = np.array(rows, dtype=float).reshape(len(rows), 3)
+            self._amounts.flags.writeable = False
+        return self._amounts
 
     def staggered(self, delta: float) -> bool:
         """Whether the stage runs staggered waves at parallelism ``delta``."""
-        return self.tasks > _STAGGER_WAVES * max(delta, 1.0)
+        return not _synchronised(self.tasks, max(delta, 1.0))
 
 
 def _terms(
@@ -805,9 +830,9 @@ class BOEModel:
         themselves are decomposed
         (:func:`~repro.mapreduce.phases.build_task_substages`) and compiled
         into slot-indexed op tuples once per model and shared by every later
-        batch, so a tuner's batches share them across every candidate that
-        keeps a job unchanged.  An uncached model (``cache=False``) keeps
-        the compiled pipelines for one batch only.
+        batch and by the bound screen (:meth:`pipeline`), so a tuner
+        decomposes each (job, stage) once.  An uncached model
+        (``cache=False``) keeps the compiled pipelines for one batch only.
         """
         if self._ctr_batch is not None:
             self._ctr_batch.inc(len(points))
@@ -840,6 +865,12 @@ class BOEModel:
                 system.append(stage(other, other_kind, other_delta))
             answers.append(self._solve(job.name, kind, system))
         return answers
+
+    def pipeline(self, job: MapReduceJob, kind: StageKind) -> _Pipeline:
+        """The compiled task pipeline of one stage at its average per-task
+        input, through the model's pipeline memo (built afresh by an
+        uncached model)."""
+        return self._pipeline(job, kind, None, self._pipelines)
 
     def _pipeline(
         self,

@@ -3,7 +3,7 @@
 The sweep/tuning layers evaluate thousands of candidate workflows through
 Algorithm 1; most of them provably cannot beat the incumbent.  This module
 computes a conservative lower bound on the estimator's makespan *directly
-from the BOE sub-stage decompositions* — no Algorithm 1 state
+from the BOE model's compiled sub-stage pipelines* — no Algorithm 1 state
 stepping, no fixed-point refinement — so a candidate can be rejected for
 the cost of a few vectorised numpy reductions.
 
@@ -77,13 +77,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.resources import Resource
+from repro.core.boe import BOEModel, _synchronised
 from repro.core.memo import DEFAULT_CACHE_ENTRIES, LRUCache
 from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.phases import build_task_substages
 from repro.mapreduce.stage import StageKind
 from repro.scheduler.container import container_for
 
@@ -92,12 +90,6 @@ from repro.scheduler.container import container_for
 #: analytic bound concedes the same order of float slop rather than claim
 #: a spuriously strict inequality.
 _LB_SLACK = 1.0 - 1e-9
-
-#: Stagger threshold — must match ``repro.core.boe._STAGGER_WAVES``.
-_STAGGER_WAVES = 1.5
-
-#: Column of each throughput resource in a stage's amounts matrix.
-_AMOUNT_COLUMN = {Resource.CPU: 0, Resource.DISK: 1, Resource.NETWORK: 2}
 
 
 @dataclass(frozen=True)
@@ -111,19 +103,19 @@ class _StagePrimitives:
 
 
 class BoundsModel:
-    """Vectorised makespan lower bounds for candidates on one cluster.
+    """Vectorised makespan lower bounds for the estimates of one BOE model.
 
-    Bound to one (cluster, estimator configuration) like
-    :class:`~repro.core.boe.BOEModel`; the sweep layer keeps one per
-    candidate cluster.  Stage bounds are memoised by the value-hashed
+    Built on the :class:`~repro.core.boe.BOEModel` whose estimates it
+    bounds, so its cluster and refinement setting are that model's, and
+    each stage's demand comes from the model's own compiled pipeline
+    (:meth:`~repro.core.boe.BOEModel.pipeline`).  The sweep layer keeps one
+    per candidate cluster.  Stage bounds are memoised by the value-hashed
     (job, kind) key, so a batch of knob-perturbed candidates pays the
     kernel only for the stages the knob actually changed.
 
     Args:
-        cluster: the target cluster.
-        refine: whether the bounded estimates come from a refined BOE
-            model (``BOEModel(refine=True)``), which selects the looser
-            refined-model kernel.
+        model: the BOE model whose estimates are bounded; a refined model
+            (``refine=True``) selects the looser refined-model kernel.
         policy / enforce_vcores: scheduler configuration — fixes the
             container-slot cap ``per_wave_ub``.
         include_overhead: whether the bounded estimates add the job's
@@ -132,46 +124,39 @@ class BoundsModel:
 
     def __init__(
         self,
-        cluster: Cluster,
-        refine: bool = False,
+        model: BOEModel,
         *,
         policy: str = "drf",
         enforce_vcores: bool = False,
         include_overhead: bool = True,
     ):
-        self._cluster = cluster
+        cluster = model.cluster
+        self._model = model
         self._capacity = cluster.capacity
-        self._refine = refine
+        self._refine = model.refine
         self._policy = policy
         self._enforce_vcores = enforce_vcores
         self._include_overhead = include_overhead
         node = cluster.node
         # Best per-task service rates (CPU has no node bandwidth: one task
         # pipelines at most one core, per repro.core.allocation).
-        self._task_rates = np.array(
-            [
-                1.0,
-                node.bandwidth(Resource.DISK),
-                node.bandwidth(Resource.NETWORK),
-            ]
-        )
-        # Aggregate cluster capacity per resource axis.
-        self._agg_rates = self._task_rates * np.array(
-            [float(cluster.total_cores), float(cluster.workers), float(cluster.workers)]
-        )
+        self._task_rates = np.array([1.0, node.disk_mb_s, node.network_mb_s])
         # Per-node sharing divisors: delta tasks spread over `workers`
         # nodes contend for `cores` CPUs / one disk / one NIC each.
         self._share_div = np.array(
             [float(cluster.total_cores), float(cluster.workers), float(cluster.workers)]
         )
+        # Aggregate cluster capacity per resource axis.
+        self._agg_rates = self._task_rates * self._share_div
         # Memos keyed on the frozen inputs themselves.  A job's hash is
         # computed once and pinned, and a lookup with the very object
         # stored in the key is decided by identity, so knob candidates
         # sharing an untouched job pay one cached hash per stage; a
         # value-identical job rebuilt by a later coordinate-descent pass
-        # hits too, after one field-by-field equality check.  Stage
-        # primitives are built only for ``_lows`` misses, so they need no
-        # memo of their own.
+        # hits too, after one field-by-field equality check.  A ``_lows``
+        # miss reads the stage from the BOE model's pipeline memo, which
+        # the model's solves share, so screen and solves decompose each
+        # (job, kind) once between them.
         self._lows = LRUCache(DEFAULT_CACHE_ENTRIES)  # (job, kind) -> (lb, work[3])
         self._topologies = LRUCache(DEFAULT_CACHE_ENTRIES)  # structure -> topology
 
@@ -184,12 +169,9 @@ class BoundsModel:
         enforce_vcores: bool = False,
     ) -> "BoundsModel":
         """Build for what a :class:`~repro.core.estimator.BOESource`
-        estimates: its model's cluster and refinement setting, and its
-        overhead accounting."""
-        model = source.model
+        estimates: on its model, with its overhead accounting."""
         return cls(
-            model.cluster,
-            model.refine,
+            source.model,
             policy=policy,
             enforce_vcores=enforce_vcores,
             include_overhead=source.include_overhead,
@@ -213,23 +195,11 @@ class BoundsModel:
         return max(1, int(delta_ub + 1e-9))
 
     def _primitives(self, job: MapReduceJob, kind: StageKind) -> _StagePrimitives:
-        substages = build_task_substages(
-            job, kind, remote_fraction=self._cluster.remote_fraction
-        )
-        # One pass over each sub-stage's ops, summed in op order from 0.0:
-        # bit-identical to ``SubStageSpec.amount`` per resource.
-        rows = []
-        for spec in substages:
-            row = [0.0, 0.0, 0.0]
-            for op in spec.ops:
-                column = _AMOUNT_COLUMN.get(op.resource)
-                if column is not None:
-                    row[column] += op.amount
-            rows.append(row)
-        n = job.num_tasks(kind)
+        pipeline = self._model.pipeline(job, kind)
+        n = pipeline.tasks
         return _StagePrimitives(
             n=n,
-            amounts=np.array(rows, dtype=float).reshape(len(rows), 3),
+            amounts=pipeline.amounts,
             per_wave_ub=self._per_wave_ub(job, kind, n),
             overhead_s=(
                 job.config.task_overhead_s if self._include_overhead else 0.0
@@ -341,13 +311,13 @@ class BoundsModel:
         # n <= 1.5 p: every delta in [p, p+1) is synchronized; otherwise
         # some delta may be staggered and only the slope bound holds.
         t_body = np.maximum(t_min_, grid * slope_)
-        body_sync = np.flatnonzero(n_ <= _STAGGER_WAVES * grid)
+        body_sync = np.flatnonzero(_synchronised(n_, grid))
         t_body[body_sync] = sync_time(body_sync, grid[body_sync])
         t_tail = np.maximum(t_min_, t_tail_sizes * slope_)
         # The ragged tail is re-priced at ``delta = last``; the model
         # treats it as synchronized whenever ``n <= 1.5 * last``, and
         # concurrent loads only inflate the synchronized time.
-        tail_sync = np.flatnonzero(n_ <= _STAGGER_WAVES * t_tail_sizes)
+        tail_sync = np.flatnonzero(_synchronised(n_, t_tail_sizes))
         t_tail[tail_sync] = np.maximum(
             t_tail[tail_sync], sync_time(tail_sync, t_tail_sizes[tail_sync])
         )
@@ -450,7 +420,7 @@ class BoundsModel:
         if result is None:
             raise EstimationError(
                 f"could not bound workflow {workflow.name!r} on "
-                f"{self._cluster.name!r}"
+                f"{self._model.cluster.name!r}"
             )
         return result
 

@@ -108,8 +108,11 @@ class Workflow:
         return self._memoised("job_map", lambda: {j.name: j for j in self.jobs})
 
     def job(self, name: str) -> MapReduceJob:
+        return self._named(self.job_map, name)
+
+    def _named(self, by_name: Dict[str, object], name: str):
         try:
-            return self.job_map[name]
+            return by_name[name]
         except KeyError:
             raise WorkflowError(f"no job {name!r} in workflow {self.name!r}") from None
 
@@ -133,17 +136,11 @@ class Workflow:
 
     def parents(self, name: str) -> FrozenSet[str]:
         """Names of jobs that must complete before ``name`` starts."""
-        sets = self._parent_sets()
-        return sets[name] if name in sets else frozenset(
-            p for p, c in self.edges if c == name
-        )
+        return self._named(self._parent_sets(), name)
 
     def children(self, name: str) -> FrozenSet[str]:
         """Names of jobs unlocked (partially) by ``name``'s completion."""
-        sets = self._child_sets()
-        return sets[name] if name in sets else frozenset(
-            c for p, c in self.edges if p == name
-        )
+        return self._named(self._child_sets(), name)
 
     def roots(self) -> List[str]:
         """Jobs with no parents — they all start at time zero."""

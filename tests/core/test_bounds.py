@@ -9,17 +9,25 @@ be vacuous) — the speed/tightness trade-off is benchmarked, not unit
 tested.
 """
 
+import random
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.mapreduce.phases as phases
 from repro.cluster import paper_cluster
-from repro.core.boe import BOEModel
-from repro.core.bounds import _LB_SLACK, _STAGGER_WAVES, BoundsModel, _StagePrimitives
+from repro.cluster.resources import ResourceVector
+from repro.core.boe import _STAGGER_WAVES, BOEModel, _synchronised
+from repro.core.bounds import _LB_SLACK, BoundsModel, _StagePrimitives
 from repro.core.distributions import Variant
 from repro.core.estimator import BOESource, estimate_workflow
+from repro.dag.workflow import Workflow
 from repro.errors import EstimationError, SchedulingError
+from repro.mapreduce import JobConfig, MapReduceJob
 from repro.mapreduce.config import NO_COMPRESSION, SNAPPY_TEXT
+from repro.mapreduce.stage import StageKind
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.sweep import SweepRunner
 from repro.tuning import GreedyTuner, default_space, wide_space
@@ -27,10 +35,20 @@ from repro.tuning.knobs import Knob, apply_knob_value, current_value
 from repro.units import gb
 from repro.workloads import weblog_dag
 from repro.workloads.catalog import catalog
+from repro.workloads.generator import random_workflow
 from repro.workloads.tpch import tpch_query
 
 #: Catalog entries covering single jobs, chains, diamonds and joins.
 CATALOG_NAMES = ("WC", "TS3R", "WC+TS", "WC+PageRank", "TS+KMeans")
+#: Seeded generated DAGs (``workloads.generator``) screened beside them.
+GENERATED = 30
+
+
+def _workflow(name):
+    """A catalogue entry at scale 1, or ``generated/<i>``."""
+    if name.startswith("generated/"):
+        return random_workflow(int(name.split("/")[1]))
+    return catalog()[name].factory(1.0)
 
 
 def q21_capacity_space(workflow):
@@ -62,11 +80,12 @@ def _bound(workflow, cluster, *, refine=False, variant=Variant.MEAN):
 
 
 class TestSoundness:
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize(
+        "name", CATALOG_NAMES + tuple(f"generated/{i}" for i in range(GENERATED))
+    )
     @pytest.mark.parametrize("refine", (False, True))
     def test_catalog_bracket(self, cluster, name, refine):
-        workflow = catalog()[name].factory(1.0)
-        lower, est = _bound(workflow, cluster, refine=refine)
+        lower, est = _bound(_workflow(name), cluster, refine=refine)
         assert 0.0 < lower <= est
 
     @pytest.mark.parametrize("variant", (Variant.MEAN, Variant.MEDIAN))
@@ -204,17 +223,30 @@ class TestRaggedKernel:
 
     @pytest.mark.parametrize("refine", (False, True))
     def test_table1_catalogue(self, cluster, refine):
-        model = BoundsModel(cluster, refine)
+        model = BoundsModel(BOEModel(cluster, refine))
         workflows = [entry.factory(1.0) for entry in catalog().values()]
         prims = _stage_primitives(model, workflows)
         assert len(prims) >= sum(w.num_stages for w in workflows)
         _assert_kernels_match(model, prims)
 
     @pytest.mark.parametrize("refine", (False, True))
+    def test_generated_dags(self, cluster, refine):
+        """The primitives come from the BOE model's shared pipelines."""
+        boe = BOEModel(cluster, refine)
+        model = BoundsModel(boe)
+        workflows = [random_workflow(i) for i in range(GENERATED)]
+        prims = _stage_primitives(model, workflows)
+        stages = [(job, kind) for w in workflows for job in w.jobs for kind in job.stages()]
+        assert len(prims) == len(stages)
+        for (job, kind), one in zip(stages, prims):
+            assert one.amounts is boe.pipeline(job, kind).amounts
+        _assert_kernels_match(model, prims)
+
+    @pytest.mark.parametrize("refine", (False, True))
     def test_q21_capacity_grid(self, cluster, refine):
         q21 = tpch_query(21)
         candidates = _knob_candidates(q21, q21_capacity_space(q21))
-        model = BoundsModel(cluster, refine)
+        model = BoundsModel(BOEModel(cluster, refine))
         prims = _stage_primitives(model, [q21, *candidates])
         # The grid spans caps from one container to the whole cluster.
         assert len({p.per_wave_ub for p in prims}) > 10
@@ -224,7 +256,7 @@ class TestRaggedKernel:
     def test_weblog_default_space(self, cluster, refine):
         weblog = weblog_dag(gb(25))
         candidates = _knob_candidates(weblog, default_space(weblog, cluster))
-        model = BoundsModel(cluster, refine)
+        model = BoundsModel(BOEModel(cluster, refine))
         _assert_kernels_match(model, _stage_primitives(model, [weblog, *candidates]))
 
     @given(
@@ -247,7 +279,7 @@ class TestRaggedKernel:
     )
     @settings(max_examples=150, deadline=None)
     def test_generated_primitives(self, stages, refine):
-        model = BoundsModel(paper_cluster(), refine)
+        model = BoundsModel(BOEModel(paper_cluster(), refine))
         prims = []
         for n, cap, some, overhead, amounts in stages:
             ub = {"one": 1, "all": max(1, n), "some": max(1, min(n, some))}[cap]
@@ -264,16 +296,16 @@ class TestRaggedKernel:
     def test_no_live_stage(self, cluster):
         empty = _StagePrimitives(n=0, amounts=np.zeros((1, 3)), per_wave_ub=1,
                                  overhead_s=0.0)
-        assert list(BoundsModel(cluster)._span_lower_batch([empty, empty])) == [0.0, 0.0]
+        assert list(BoundsModel(BOEModel(cluster))._span_lower_batch([empty, empty])) == [0.0, 0.0]
 
 
 class TestBatchSemantics:
     def test_batch_matches_single(self, cluster):
         entries = catalog()
         workflows = [entries[name].factory(1.0) for name in CATALOG_NAMES]
-        model = BoundsModel(cluster)
+        model = BoundsModel(BOEModel(cluster))
         batch = model.bounds_batch(workflows)
-        singles = [BoundsModel(cluster).lower_bound(w) for w in workflows]
+        singles = [BoundsModel(BOEModel(cluster)).lower_bound(w) for w in workflows]
         assert batch == singles
 
     def test_memo_is_value_stable(self, cluster, monkeypatch):
@@ -296,7 +328,7 @@ class TestBatchSemantics:
 
         monkeypatch.setattr(BoundsModel, "_span_lower_batch", counting_kernel)
         monkeypatch.setattr(BoundsModel, "_resolve_lows", recording_resolve)
-        model = BoundsModel(cluster)
+        model = BoundsModel(BOEModel(cluster))
         q21 = tpch_query(21)
         first = model.lower_bound(q21)
         assert len(kernel_rows) == 1
@@ -311,7 +343,7 @@ class TestBatchSemantics:
         bound = model.lower_bound(perturbed)
         assert kernel_rows[1:] == [2]
         assert repriced[-1] == [(job, "map"), (job, "reduce")]
-        assert bound.hex() == BoundsModel(cluster).lower_bound(perturbed).hex()
+        assert bound.hex() == BoundsModel(BOEModel(cluster)).lower_bound(perturbed).hex()
 
     def test_oversized_container_is_bounded(self, cluster):
         """A container larger than the whole cluster never runs: the
@@ -325,10 +357,10 @@ class TestBatchSemantics:
             ("q21-scan-lineitem", "map_memory_mb"),
             cluster.capacity.memory_mb * 4.0,
         )
-        model = BoundsModel(cluster)
+        model = BoundsModel(BOEModel(cluster))
         results = model.bounds_batch([monster, workflow])
         assert results[0] is not None and results[0] > 0.0
-        assert results[1] == BoundsModel(cluster).lower_bound(workflow)
+        assert results[1] == BoundsModel(BOEModel(cluster)).lower_bound(workflow)
         with pytest.raises(SchedulingError):
             estimate_workflow(monster, cluster)
 
@@ -354,14 +386,14 @@ class TestBatchSemantics:
             "_ancestor_matrix",
             staticmethod(lambda deps: builds.append(deps) or build(deps)),
         )
-        model = BoundsModel(cluster, refine)
+        model = BoundsModel(BOEModel(cluster, refine))
         first = model.bounds_batch(workflows)
         built_once = len(builds)
         assert 0 < built_once < len(workflows)
         for _ in range(2):
             assert model.bounds_batch(workflows) == first
         assert len(builds) == built_once
-        cold = [BoundsModel(cluster, refine).lower_bound(w) for w in workflows]
+        cold = [BoundsModel(BOEModel(cluster, refine)).lower_bound(w) for w in workflows]
         assert [b.hex() for b in first] == [b.hex() for b in cold]
 
     def test_mixed_topologies_group_correctly(self, cluster):
@@ -371,7 +403,7 @@ class TestBatchSemantics:
             tpch_query(21),
             entries["WC"].factory(1.0),
         ]
-        batch = BoundsModel(cluster).bounds_batch(workflows)
+        batch = BoundsModel(BOEModel(cluster)).bounds_batch(workflows)
         assert all(b is not None for b in batch)
         assert batch[0] == batch[2]
 
@@ -443,6 +475,76 @@ class TestPruneParity:
         armed = tune(True)
         assert disarmed[3] > 0
         assert armed == disarmed
+
+
+class TestStaggerRule:
+    """BOE and the bound kernel read one stagger rule.  At its edge,
+    n = 1.5 p (synchronised) and n = 1.5 p + 1 (staggered), both must call
+    the same regime, and the bound must stay below the estimate."""
+
+    @pytest.mark.parametrize("tasks", (3, 4))
+    @pytest.mark.parametrize("refine", (False, True))
+    def test_boundary(self, one_node, tasks, refine):
+        p = 2
+        assert tasks in (_STAGGER_WAVES * p, _STAGGER_WAVES * p + 1)
+        # Two containers fill the node, so the stage runs at p = 2.
+        job = MapReduceJob(
+            name="edge",
+            input_mb=tasks * 128.0,
+            map_selectivity=0.5,
+            reduce_selectivity=0.5,
+            map_cpu_mb_s=20.0,
+            reduce_cpu_mb_s=30.0,
+            num_reducers=0,
+            config=JobConfig(
+                map_container=ResourceVector(1.0, one_node.capacity.memory_mb / p)
+            ),
+        )
+        source = BOESource(BOEModel(one_node, refine=refine))
+        model = BoundsModel.from_source(source)
+        pipeline = source.model.pipeline(job, StageKind.MAP)
+        assert pipeline.tasks == tasks
+        assert model._primitives(job, StageKind.MAP).per_wave_ub == p
+        assert pipeline.staggered(p) is (tasks == 4)
+        assert bool(_synchronised(tasks, p)) is not pipeline.staggered(p)
+        kernel = _synchronised(np.array([float(tasks)]), np.array([float(p)]))
+        assert bool(kernel[0]) is not pipeline.staggered(p)
+        lower, est = _bound(Workflow(name="edge", jobs=(job,)), one_node, refine=refine)
+        assert 0.0 < lower <= est
+
+
+def q21_knob_grid(seed):
+    """The Q21 capacity grid with each knob's values in seeded order, as
+    the benchmark ledger's tune-prunable workload draws it."""
+    workflow = tpch_query(21)
+    rng = random.Random(seed)
+    space = []
+    for knob in q21_capacity_space(workflow):
+        values = list(knob.choices)
+        rng.shuffle(values)
+        space.append(Knob(knob.job, knob.field, tuple(values)))
+    return workflow, space
+
+
+class TestSharedPipelines:
+    def test_one_decomposition_per_stage(self, cluster, monkeypatch):
+        """A pruned tune decomposes each distinct (job, kind) once: the
+        bound screen reads its stages from the BOE model that prices the
+        candidates, so neither decomposes what the other already has."""
+        calls = []
+        build = phases.build_task_substages
+
+        def counting(job, kind, *args, **kwargs):
+            calls.append((job, kind))
+            return build(job, kind, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "build_task_substages", None) is build:
+                monkeypatch.setattr(module, "build_task_substages", counting)
+        workflow, space = q21_knob_grid(0)
+        result = GreedyTuner(cluster, prune=True).tune(workflow, space)
+        assert result.pruned > 0
+        assert len(calls) == len(set(calls)) == 82
 
 
 class _RecordingRunner(SweepRunner):

@@ -57,6 +57,13 @@ class TestStructure:
         assert wf.children("a") == {"b", "c"}
         assert wf.parents("a") == set()
 
+    @pytest.mark.parametrize("query", ("job", "parents", "children"))
+    def test_unknown_job_raises(self, query):
+        """A misspelt name is an error for every per-job query, never an
+        empty answer."""
+        with pytest.raises(WorkflowError, match="no job 'typo'"):
+            getattr(diamond(), query)("typo")
+
     def test_roots_and_sinks(self):
         wf = diamond()
         assert wf.roots() == ["a"]
